@@ -6,7 +6,7 @@ a seeded Monte Carlo comparison harness, and hidden-MRF image segmentation
 with Gaussian or Nakagami class likelihoods.
 """
 
-from .blockwise import BlockEstimatorState, Centrality, RestartPolicy, finalize, ingest_block
+from .blockwise import BlockEstimatorState, finalize, ingest_block
 from .bounds import crlb, crlb_modified, normalized
 from .errors import (
     DegenerateBlockError,
@@ -36,7 +36,6 @@ from .hmrf import (
     icm_sweep,
     kmeans_init,
     segment,
-    soft_prior_update,
     total_energy,
     update_params,
 )

@@ -6,55 +6,13 @@ into a running mean via
     running_i = (i-1)/i * running_{i-1} + (1/i) * estimate_i
 
 which equals the batch arithmetic mean of the per-block estimates. Only
-the incoming block is touched; history is never reprocessed. For the
-iterative ML estimator, an optional multi-restart wrapper perturbs the
-solver's starting point and reduces the restart values with a centrality
-measure (mean / median / mode).
+the incoming block is touched; history is never reprocessed.
 """
 
-import statistics
 from dataclasses import dataclass, replace
-from enum import Enum
-
-import numpy as np
 
 from .errors import DegenerateBlockError, NoBlocksError
-from .estimators import (
-    Estimate,
-    EstimatorKind,
-    compute_stats,
-    estimate_block,
-    estimate_ml,
-)
-
-_MODE_BINS = 32
-
-
-class Centrality(Enum):
-    MEAN = "mean"
-    MEDIAN = "median"
-    MODE = "mode"
-
-
-@dataclass(frozen=True)
-class RestartPolicy:
-    """Multi-restart reduction for the iterative solver.
-
-    Jitter is the relative perturbation applied to the ML initial point on
-    each restart; closed-form estimators ignore the policy entirely. `seed`
-    feeds the jitter stream, keyed per block for bit-reproducibility.
-    """
-
-    restarts: int = 1
-    centrality: Centrality = Centrality.MEAN
-    jitter: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.jitter < 0.0:
-            raise ValueError("jitter must be >= 0")
+from .estimators import Estimate, EstimatorKind, estimate_block
 
 
 @dataclass(frozen=True)
@@ -68,60 +26,14 @@ class BlockEstimatorState:
     skipped: int = 0
 
 
-def _mode_of(values):
-    """Midpoint of the most populated bin of a fixed 32-bin histogram."""
-    lo = min(values)
-    hi = max(values)
-    if hi == lo:
-        return lo
-    width = (hi - lo) / _MODE_BINS
-    counts = [0] * _MODE_BINS
-    for v in values:
-        idx = min(int((v - lo) / width), _MODE_BINS - 1)
-        counts[idx] += 1
-    best = counts.index(max(counts))
-    return lo + (best + 0.5) * width
-
-
-_REDUCERS = {
-    Centrality.MEAN: statistics.fmean,
-    Centrality.MEDIAN: statistics.median,
-    Centrality.MODE: _mode_of,
-}
-
-
-def _estimate_with_restarts(state, block, policy):
-    if state.method is not EstimatorKind.EXACT_ML or policy.restarts == 1:
-        return estimate_block(state.method, block)
-    stats = compute_stats(block)
-    seed_point = estimate_ml(stats).m_hat  # restart 0: unperturbed start
-    rng = np.random.default_rng([policy.seed, state.blocks_seen + state.skipped])
-    values = [seed_point]
-    iterations = 0
-    for _ in range(policy.restarts - 1):
-        factor = 1.0 + policy.jitter * rng.uniform(-1.0, 1.0)
-        start = max(seed_point * factor, 1e-300)
-        est = estimate_ml(stats, initial=start)
-        values.append(est.m_hat)
-        iterations = max(iterations, est.iterations)
-    m = _REDUCERS[policy.centrality](values)
-    return Estimate(
-        m_hat=m,
-        sigma_hat=stats.mean_x2 / m,
-        method=EstimatorKind.EXACT_ML,
-        iterations=iterations,
-        converged=True,
-    )
-
-
-def ingest_block(state, block, policy=RestartPolicy()):
+def ingest_block(state, block):
     """Fold one block's estimate into the running means.
 
     A degenerate block (delta at the floor) is skipped and only counted;
     every other estimator failure propagates to the caller.
     """
     try:
-        est = _estimate_with_restarts(state, block, policy)
+        est = estimate_block(state.method, block)
     except DegenerateBlockError:
         return replace(state, skipped=state.skipped + 1)
     i = state.blocks_seen + 1

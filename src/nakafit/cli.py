@@ -12,16 +12,9 @@ from contextlib import nullcontext
 
 from . import bounds as bounds_mod
 from . import pgm
-from .blockwise import (
-    BlockEstimatorState,
-    Centrality,
-    RestartPolicy,
-    _estimate_with_restarts,
-    finalize,
-    ingest_block,
-)
+from .blockwise import BlockEstimatorState, finalize, ingest_block
 from .errors import DegenerateBlockError, NakafitError
-from .estimators import EstimatorKind
+from .estimators import EstimatorKind, estimate_block
 from .hmrf import Likelihood, segment
 from .montecarlo import ALL_ESTIMATORS, BenchConfig, emit_csv, run_bench
 from .nakagami import NakagamiParams, as_block, sample
@@ -89,14 +82,6 @@ def _estimator_list(text):
     return tuple(_estimator(p) for p in parts)
 
 
-def _centrality(text):
-    try:
-        return Centrality(text.strip())
-    except ValueError:
-        names = ", ".join(c.value for c in Centrality)
-        raise argparse.ArgumentTypeError(f"unknown centrality {text!r} (choose from {names})")
-
-
 def _likelihood(text):
     try:
         return Likelihood(text.strip())
@@ -133,23 +118,17 @@ def cmd_sample(args):
 
 
 def cmd_estimate(args):
-    policy = RestartPolicy(
-        restarts=args.restarts,
-        centrality=args.centrality,
-        jitter=args.jitter,
-        seed=args.seed,
-    )
     state = BlockEstimatorState(method=args.method)
     for index, path in enumerate(args.infiles, start=1):
         block = _load_block(path)
         try:
-            est = _estimate_with_restarts(state, block, policy)
+            est = estimate_block(args.method, block)
             print(
                 f"block={index} m_hat={est.m_hat:.12g} sigma_hat={est.sigma_hat:.12g}"
             )
         except DegenerateBlockError:
             print(f"block={index} skipped degenerate")
-        state = ingest_block(state, block, policy)
+        state = ingest_block(state, block)
     final = finalize(state)
     print(
         f"m_hat={final.m_hat:.12g} sigma_hat={final.sigma_hat:.12g} "
@@ -166,9 +145,6 @@ _CONFIG_KEYS = {
     "trials",
     "estimators",
     "base_seed",
-    "restarts",
-    "centrality",
-    "jitter",
 }
 
 
@@ -206,12 +182,6 @@ def _build_bench_config(args, parser):
                 parser.error(f"config field {key}: {exc}")
         return default
 
-    policy = RestartPolicy(
-        restarts=pick(args.restarts, "restarts", _positive_int, 1),
-        centrality=pick(args.centrality, "centrality", _centrality, Centrality.MEAN),
-        jitter=pick(args.jitter, "jitter", _nonneg_float, 0.1),
-        seed=pick(args.base_seed, "base_seed", _seed, 0),
-    )
     try:
         return BenchConfig(
             m_grid=pick(args.m_grid, "m_grid", _m_grid, BenchConfig.m_grid),
@@ -221,7 +191,6 @@ def _build_bench_config(args, parser):
             trials=pick(args.trials, "trials", _positive_int, 2000),
             estimators=pick(args.estimators, "estimators", _estimator_list, ALL_ESTIMATORS),
             base_seed=pick(args.base_seed, "base_seed", _seed, 0),
-            restart_policy=policy,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -287,13 +256,6 @@ def build_parser():
         "--method", type=_estimator, default=EstimatorKind.EXACT_ML,
         help="one of: " + ", ".join(k.value for k in EstimatorKind),
     )
-    p.add_argument("--restarts", type=_positive_int, default=1)
-    p.add_argument(
-        "--centrality", type=_centrality, default=Centrality.MEAN,
-        help="restart reduction: mean, median, or mode",
-    )
-    p.add_argument("--jitter", type=_nonneg_float, default=0.1)
-    p.add_argument("--seed", type=_seed, default=0, help="restart jitter seed")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bench", help="run the Monte Carlo estimator comparison")
@@ -305,9 +267,6 @@ def build_parser():
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--estimators", type=_estimator_list, default=None)
     p.add_argument("--base-seed", dest="base_seed", type=_seed, default=None)
-    p.add_argument("--restarts", type=_positive_int, default=None)
-    p.add_argument("--centrality", type=_centrality, default=None)
-    p.add_argument("--jitter", type=_nonneg_float, default=None)
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
     p.set_defaults(func=cmd_bench)
 

@@ -59,19 +59,21 @@ class Estimate:
     sigma_hat: float
     method: EstimatorKind
     iterations: int = 0
-    converged: bool = True
 
 
 def compute_stats(block):
     """One-pass sufficient statistics (n, mean x^2, mean ln x^2, delta).
 
     delta is clamped at 0: Jensen guarantees delta >= 0, but an all-equal
-    block can land a few ulps negative in float arithmetic.
+    block can land a few ulps negative in float arithmetic. A block whose
+    squares overflow or underflow the float range raises OutOfRangeError.
     """
     b = as_block(block)
     x2 = b * b
     mean_x2 = float(x2.mean())
     mean_log_x2 = float(np.log(x2).mean())
+    if not (0.0 < mean_x2 < math.inf and math.isfinite(mean_log_x2)):
+        raise OutOfRangeError("block values square outside the float range")
     delta = math.log(mean_x2) - mean_log_x2
     return SufficientStats(
         n=b.size, mean_x2=mean_x2, mean_log_x2=mean_log_x2, delta=max(delta, 0.0)
@@ -90,16 +92,13 @@ def _cb2_root(delta):
     return (3.0 + math.sqrt(9.0 + 12.0 * delta)) / (12.0 * delta)
 
 
-def estimate_ml(stats, initial=None):
+def estimate_ml(stats):
     """Exact ML shape estimate: the unique root of ln(m) - psi(m) - delta.
 
     ln(m) - psi(m) decreases strictly from +inf to 0 on (0, inf), so the
     root exists and is unique for delta > 0. Newton steps use
     g'(m) = 1/m - psi'(m) and fall back to bisection whenever a step
     leaves the current sign-change bracket.
-
-    `initial` overrides the second-order closed-form starting point (used
-    by the multi-restart wrapper).
     """
     delta = stats.delta
     _require_informative(delta)
@@ -107,9 +106,7 @@ def estimate_ml(stats, initial=None):
     def g(m):
         return math.log(m) - digamma(m) - delta
 
-    m = _cb2_root(delta) if initial is None else float(initial)
-    if not (math.isfinite(m) and m > 0.0):
-        m = _cb2_root(delta)
+    m = _cb2_root(delta)
 
     # Grow a sign-change bracket [lo, hi] geometrically from the seed.
     g_m = g(m)
@@ -151,7 +148,6 @@ def estimate_ml(stats, initial=None):
         sigma_hat=stats.mean_x2 / m,
         method=EstimatorKind.EXACT_ML,
         iterations=iterations,
-        converged=True,
     )
 
 
@@ -193,7 +189,8 @@ def estimate_moment_based(block):
     """Inverse normalized variance of x^2: m_hat = mean(x^2)^2 / var(x^2).
 
     The variance in the denominator is the plain n-divisor second moment
-    spread, mean(x^4) - mean(x^2)^2.
+    spread, mean(x^4) - mean(x^2)^2. It counts as degenerate when it is at
+    or below DELTA_MIN relative to mean(x^2)^2.
     """
     b = as_block(block)
     if b.size < 2:
@@ -201,12 +198,15 @@ def estimate_moment_based(block):
     x2 = b * b
     mean_x2 = float(x2.mean())
     mean_x4 = float((x2 * x2).mean())
-    denom = mean_x4 - mean_x2 * mean_x2
-    if denom <= DELTA_MIN:
+    square = mean_x2 * mean_x2
+    denom = mean_x4 - square
+    if not (square > 0.0 and math.isfinite(denom)):
+        raise OutOfRangeError("block values outside the float range of the moment estimator")
+    if denom <= DELTA_MIN * square:
         raise DegenerateBlockError(
             f"variance of x^2 ({denom!r}) too small for the moment estimator"
         )
-    m = mean_x2 * mean_x2 / denom
+    m = square / denom
     return Estimate(m, mean_x2 / m, EstimatorKind.MOMENT_BASED)
 
 

@@ -8,7 +8,7 @@ where <a,b> ranges over 4-neighbor pairs, each counted once. Labels start
 from 1-D k-means on the intensities and are refined by iterated
 conditional modes (ICM, raster order), alternating with per-class
 parameter re-estimation: sample mean/variance for the Gaussian likelihood,
-the block-recursive ML pipeline for the Nakagami likelihood.
+exact ML on all of a class's pixels for the Nakagami likelihood.
 """
 
 import math
@@ -17,13 +17,9 @@ from enum import Enum
 
 import numpy as np
 
-from .blockwise import BlockEstimatorState, finalize, ingest_block
 from .errors import NakafitError
-from .estimators import EstimatorKind, compute_stats
-from .nakagami import NakagamiParams
-from .specfun import log_gamma
-
-_LN2 = math.log(2.0)
+from .estimators import compute_stats, estimate_ml
+from .nakagami import NakagamiParams, log_pdf
 
 # Classes whose pixels give delta at or below this are treated as flat
 # (quantized images produce near-constant regions whose implied shape is
@@ -66,7 +62,6 @@ class SegModel:
     likelihood: Likelihood
     class_params: tuple
     beta: float = 1.0
-    max_sweeps: int = 10
     starved: tuple = ()
 
     def __post_init__(self):
@@ -76,17 +71,14 @@ class SegModel:
             raise ValueError("class_params must have one entry per class")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError("beta must be a finite non-negative real")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
 
     @classmethod
-    def empty(cls, n_classes, likelihood, beta=1.0, max_sweeps=10):
+    def empty(cls, n_classes, likelihood, beta=1.0):
         return cls(
             n_classes=n_classes,
             likelihood=likelihood,
             class_params=(None,) * n_classes,
             beta=beta,
-            max_sweeps=max_sweeps,
         )
 
 
@@ -150,13 +142,6 @@ def kmeans_init(image, n_classes, seed):
     return rank[assign].reshape(img.shape)
 
 
-def clique_potential(label_a, label_b):
-    """Potts pair potential: 0 for equal labels, 1 otherwise."""
-    if label_a < 0 or label_b < 0:
-        raise ValueError("labels must be non-negative")
-    return 0.0 if label_a == label_b else 1.0
-
-
 def _nll_table(image, model):
     """Per-pixel, per-class negative log-likelihood, shape (H, W, K)."""
     img = image
@@ -171,13 +156,7 @@ def _nll_table(image, model):
                 2.0 * p.var
             )
         else:
-            out[:, :, k] = -(
-                _LN2
-                - log_gamma(p.m)
-                - p.m * math.log(p.sigma)
-                + (2.0 * p.m - 1.0) * np.log(img)
-                - img * img / p.sigma
-            )
+            out[:, :, k] = -log_pdf(p, img)
     return out
 
 
@@ -253,11 +232,11 @@ def icm_sweep(image, labels, model):
 def _fit_class(px, likelihood):
     """Fit one class from its hard-assigned pixels; None if degenerate.
 
-    The Nakagami fit feeds the class pixels through the block-recursive ML
-    pipeline as a single block: splitting a class into small fixed chunks
-    injects the solver's small-sample bias (~ +3m/L per chunk) into the
-    class shape, which over-peaks the density enough to derail the
-    segmentation on shape-only contrasts.
+    The Nakagami fit is exact ML on all of the class pixels at once:
+    splitting a class into small fixed chunks would inject the solver's
+    small-sample bias (~ +3m/L per chunk) into the class shape, which
+    over-peaks the density enough to derail the segmentation on shape-only
+    contrasts.
     """
     if px.size < 2:
         return None
@@ -266,12 +245,11 @@ def _fit_class(px, likelihood):
         if var <= 0.0:
             return None
         return GaussianParams(mu=float(px.mean()), var=var)
-    if compute_stats(px).delta <= _SEG_DELTA_MIN:
+    stats = compute_stats(px)
+    if stats.delta <= _SEG_DELTA_MIN:
         return None
-    state = BlockEstimatorState(method=EstimatorKind.EXACT_ML)
     try:
-        state = ingest_block(state, px)
-        est = finalize(state)
+        est = estimate_ml(stats)
     except NakafitError:
         return None
     return NakagamiParams(m=est.m_hat, sigma=est.sigma_hat)
@@ -312,32 +290,6 @@ def update_params(image, labels, model):
     return replace(model, class_params=tuple(new_params), starved=tuple(starved))
 
 
-def soft_prior_update(labels, model):
-    """Per-pixel label probabilities from the spatial prior alone.
-
-    Weight of label k at a pixel is exp(-beta * number of 4-neighbors whose
-    current label differs from k), normalized over labels. Border pixels
-    simply have fewer neighbors.
-    """
-    lab = np.asarray(labels)
-    height, width = lab.shape
-    n_classes = model.n_classes
-    same = np.zeros((height, width, n_classes))
-    for k in range(n_classes):
-        eq = lab == k
-        same[1:, :, k] += eq[:-1, :]
-        same[:-1, :, k] += eq[1:, :]
-        same[:, 1:, k] += eq[:, :-1]
-        same[:, :-1, k] += eq[:, 1:]
-    n_neigh = np.zeros((height, width, 1))
-    n_neigh[1:, :, 0] += 1
-    n_neigh[:-1, :, 0] += 1
-    n_neigh[:, 1:, 0] += 1
-    n_neigh[:, :-1, 0] += 1
-    weights = np.exp(-model.beta * (n_neigh - same))
-    return weights / weights.sum(axis=2, keepdims=True)
-
-
 def _param_vector(model):
     out = []
     for p in model.class_params:
@@ -374,13 +326,15 @@ def segment(
     ICM sweeps executed.
     """
     img = _as_image(image)
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be >= 1")
     if likelihood is Likelihood.NAKAGAMI and img.min() <= 0.0:
         peak = img.max()
         if peak <= 0.0:
             raise ValueError("cannot use the Nakagami likelihood on an all-zero image")
         img = img + zero_shift * peak
     labels = kmeans_init(img, n_classes, seed)
-    model = SegModel.empty(n_classes, likelihood, beta=beta, max_sweeps=max_sweeps)
+    model = SegModel.empty(n_classes, likelihood, beta=beta)
     trace = []
     step = 0
     sweeps = 0
@@ -399,7 +353,7 @@ def segment(
         nll_flat = nll.reshape(height * width, n_classes).tolist()
         flat = labels.ravel().tolist()
         round_changed = 0
-        for _ in range(model.max_sweeps):
+        for _ in range(max_sweeps):
             changed = _icm_pass(nll_flat, flat, height, width, n_classes, model.beta)
             round_changed += changed
             sweeps += 1

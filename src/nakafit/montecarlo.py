@@ -9,12 +9,12 @@ are seeded from (base_seed, m-index, trial); results are bit-reproducible.
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds
-from .blockwise import BlockEstimatorState, RestartPolicy, finalize, ingest_block
+from .blockwise import BlockEstimatorState, finalize, ingest_block
 from .errors import NakafitError
 from .estimators import EstimatorKind
 from .nakagami import NakagamiParams, sample
@@ -49,7 +49,6 @@ class BenchConfig:
     trials: int = 2000
     estimators: tuple = ALL_ESTIMATORS
     base_seed: int = 0
-    restart_policy: RestartPolicy = field(default_factory=RestartPolicy)
 
     def __post_init__(self):
         if len(self.m_grid) == 0:
@@ -104,7 +103,7 @@ def run_bench(cfg):
                 state = BlockEstimatorState(method=kind)
                 try:
                     for block in data:
-                        state = ingest_block(state, block, cfg.restart_policy)
+                        state = ingest_block(state, block)
                     finals[kind].append(finalize(state).m_hat)
                 except NakafitError:
                     failures[kind] += 1

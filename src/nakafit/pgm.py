@@ -55,8 +55,8 @@ def write_pgm(path, image):
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise ValueError("image must be 2-D")
-    if arr.min() < 0 or arr.max() > 255:
-        raise ValueError("pixel values must lie in [0, 255]")
+    if not (arr.min() >= 0 and arr.max() <= 255):
+        raise ValueError("pixel values must be finite and lie in [0, 255]")
     data = np.rint(arr).astype(np.uint8)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:

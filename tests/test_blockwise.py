@@ -5,23 +5,20 @@ import pytest
 
 from nakafit import (
     BlockEstimatorState,
-    Centrality,
     EstimatorKind,
     NakagamiParams,
     NoBlocksError,
-    RestartPolicy,
     estimate_block,
     finalize,
     ingest_block,
     sample,
 )
-from nakafit.blockwise import _mode_of
 
 
-def run_blocks(blocks, method=EstimatorKind.EXACT_ML, policy=RestartPolicy()):
+def run_blocks(blocks, method=EstimatorKind.EXACT_ML):
     state = BlockEstimatorState(method=method)
     for b in blocks:
-        state = ingest_block(state, b, policy)
+        state = ingest_block(state, b)
     return state
 
 
@@ -81,42 +78,6 @@ def test_five_blocks_land_near_truth():
     blocks = [sample(p, 30, seed=[21, i]) for i in range(5)]
     est = finalize(run_blocks(blocks))
     assert abs(est.m_hat - 1.0) < 0.25
-
-
-def test_restart_determinism_and_reduction():
-    p = NakagamiParams(m=2.0, sigma=1.0)
-    blocks = [sample(p, 40, seed=[33, i]) for i in range(4)]
-    for centrality in Centrality:
-        policy = RestartPolicy(restarts=5, centrality=centrality, jitter=0.1, seed=7)
-        a = finalize(run_blocks(blocks, policy=policy))
-        b = finalize(run_blocks(blocks, policy=policy))
-        assert a.m_hat == b.m_hat  # bit-for-bit
-        # the ML root is unique, so restarts must agree with the plain solve
-        plain = finalize(run_blocks(blocks))
-        assert a.m_hat == pytest.approx(plain.m_hat, abs=1e-7)
-
-
-def test_restarts_ignored_for_closed_forms():
-    p = NakagamiParams(m=2.0, sigma=1.0)
-    blocks = [sample(p, 40, seed=[35, i]) for i in range(3)]
-    policy = RestartPolicy(restarts=8, centrality=Centrality.MEDIAN, jitter=0.5, seed=1)
-    a = finalize(run_blocks(blocks, method=EstimatorKind.CHENG_BEAULIEU_2, policy=policy))
-    b = finalize(run_blocks(blocks, method=EstimatorKind.CHENG_BEAULIEU_2))
-    assert a.m_hat == b.m_hat
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        RestartPolicy(restarts=0)
-    with pytest.raises(ValueError):
-        RestartPolicy(jitter=-0.1)
-
-
-def test_mode_reduction_histogram():
-    values = [1.0, 1.01, 1.02, 5.0]
-    # 32 bins over [1, 5]: the first bin holds three values, midpoint 1.0625
-    assert _mode_of(values) == pytest.approx(1.0 + 0.5 * (4.0 / 32.0), rel=1e-12)
-    assert _mode_of([2.0, 2.0, 2.0]) == 2.0
 
 
 def test_variance_shrinks_with_more_blocks():

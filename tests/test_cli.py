@@ -151,11 +151,20 @@ def test_bench_config_file_with_flag_override(tmp_path):
 
 def test_bench_bad_config_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("waffles = 4\n")
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["bench", "--config", str(cfg)])
-    assert exc.value.code == 2
-    assert "waffles" in capsys.readouterr().err
+    for key in ("waffles", "restarts"):
+        cfg.write_text(f"{key} = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bench", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+
+
+def test_bench_small_spread_has_no_moment_failures(capsys):
+    # valid data at amplitude scale 1e-3: var(x^2) is ~1e-12 in absolute terms
+    assert run_cli(["bench", "--m-grid", "2", "--trials", "20", "--omega", "1e-6"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 5
+    assert all(row.split(",")[5] == "0" for row in rows)
 
 
 def test_bounds_values_and_scaling(tmp_path, capsys):

@@ -12,11 +12,9 @@ from nakafit import (
     kmeans_init,
     sample,
     segment,
-    soft_prior_update,
     total_energy,
     update_params,
 )
-from nakafit.hmrf import clique_potential
 
 
 def gaussian_model(params, beta=1.0):
@@ -79,14 +77,6 @@ def test_kmeans_labels_ordered_by_center():
 
 
 # --- pair potential and energy ----------------------------------------------
-
-
-def test_clique_potential():
-    assert clique_potential(3, 3) == 0.0
-    assert clique_potential(0, 1) == 1.0
-    for a in range(3):
-        for b in range(3):
-            assert clique_potential(a, b) == clique_potential(b, a)
 
 
 def test_total_energy_uniform_image():
@@ -226,37 +216,6 @@ def test_update_params_nakagami_constant_class_is_starved():
     # bootstrap: concentrated spike with omega = mean of x^2
     p = out.class_params[0]
     assert p.m * p.sigma == pytest.approx(2.5**2, rel=1e-12)
-
-
-# --- soft prior -----------------------------------------------------------------
-
-
-def test_soft_prior_favors_unanimous_neighborhood():
-    labels = np.zeros((3, 3), dtype=int)
-    model = gaussian_model([GaussianParams(0.0, 1.0)] * 2)
-    probs = soft_prior_update(labels, model)
-    assert probs[1, 1, 0] > probs[1, 1, 1]
-    assert probs[1, 1, 0] == pytest.approx(
-        1.0 / (1.0 + math.exp(-4.0)), rel=1e-12
-    )
-
-
-def test_soft_prior_split_neighborhood_is_uniform():
-    # center pixel at (1,1): up 0, left 0, right 1, down 1 -- an exact 2-2 split
-    labels = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
-    model = gaussian_model([GaussianParams(0.0, 1.0)] * 2)
-    probs = soft_prior_update(labels, model)
-    assert probs[1, 1, 0] == pytest.approx(0.5, rel=1e-12)
-    assert probs[1, 1, 1] == pytest.approx(0.5, rel=1e-12)
-
-
-def test_soft_prior_rows_normalize():
-    rng = np.random.default_rng(6)
-    labels = rng.integers(0, 3, (7, 9))
-    model = gaussian_model([GaussianParams(0.0, 1.0)] * 3, beta=1.3)
-    probs = soft_prior_update(labels, model)
-    assert np.allclose(probs.sum(axis=2), 1.0, atol=1e-12)
-    assert probs.shape == (7, 9, 3)
 
 
 # --- end-to-end -----------------------------------------------------------------

@@ -43,8 +43,10 @@ def test_pgm_rejects_16_bit(tmp_path):
 
 
 def test_write_pgm_rejects_out_of_range(tmp_path):
-    with pytest.raises(ValueError):
-        pgm.write_pgm(tmp_path / "x.pgm", np.array([[300.0]]))
+    for image in (np.array([[300.0]]), np.array([[0.0, np.nan]])):
+        with pytest.raises(ValueError):
+            pgm.write_pgm(tmp_path / "x.pgm", image)
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_matrix_round_trip(tmp_path):
