@@ -12,12 +12,14 @@ exactly; concavity of psi makes it an upper envelope of the CRLB:
 
     CRLB'(m, N) = 1 / (N * (2 psi(m+1/2) - 2 psi(m) - 1/m)).
 
-Both denominators are strictly positive for every m > 0.
+Both denominators are strictly positive for every m > 0. Below m ~ 1e-154
+the curvature N * denominator overflows the float range, and both bounds
+raise OutOfRangeError instead of returning 0.
 """
 
 import math
 
-from .errors import NonPositiveDenominatorError
+from .errors import NonPositiveDenominatorError, OutOfRangeError
 from .specfun import digamma, trigamma
 
 
@@ -31,26 +33,28 @@ def _validate(m, n):
     return m, n
 
 
+def _inverse_information(denom, n, what, m):
+    """1 / (n * denom) for a curvature term `denom` at shape m."""
+    if denom <= 0.0:
+        raise NonPositiveDenominatorError(
+            f"{what} = {denom!r} at m={m}; special-function fault"
+        )
+    if not math.isfinite(n * denom):
+        raise OutOfRangeError(f"{what} = {denom!r} at m={m}: n times it is not a finite float")
+    return 1.0 / (n * denom)
+
+
 def crlb(m, n):
     """Cramer-Rao variance bound for m from n samples, spread unknown."""
     m, n = _validate(m, n)
-    denom = trigamma(m) - 1.0 / m
-    if denom <= 0.0:
-        raise NonPositiveDenominatorError(
-            f"psi'(m) - 1/m = {denom!r} at m={m}; special-function fault"
-        )
-    return 1.0 / (n * denom)
+    return _inverse_information(trigamma(m) - 1.0 / m, n, "psi'(m) - 1/m", m)
 
 
 def crlb_modified(m, n):
     """Modified bound with the digamma-difference curvature; >= crlb always."""
     m, n = _validate(m, n)
     denom = 2.0 * (digamma(m + 0.5) - digamma(m)) - 1.0 / m
-    if denom <= 0.0:
-        raise NonPositiveDenominatorError(
-            f"2(psi(m+1/2)-psi(m)) - 1/m = {denom!r} at m={m}; special-function fault"
-        )
-    return 1.0 / (n * denom)
+    return _inverse_information(denom, n, "2(psi(m+1/2)-psi(m)) - 1/m", m)
 
 
 def normalized(bound_value, m):

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain errors, 2 usage errors.
 """
 
 import argparse
+import math
 import sys
 from contextlib import nullcontext
 
@@ -16,78 +17,69 @@ from .blockwise import BlockEstimatorState, finalize, ingest_block
 from .errors import DegenerateBlockError, NakafitError
 from .estimators import EstimatorKind, estimate_block
 from .hmrf import Likelihood, segment
-from .montecarlo import ALL_ESTIMATORS, BenchConfig, emit_csv, run_bench
+from .montecarlo import BenchConfig, emit_csv, run_bench
 from .nakagami import NakagamiParams, as_block, sample
 
 
-def _positive_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value > 0 or value != value or value in (float("inf"),):
-        raise argparse.ArgumentTypeError(f"{text!r} must be > 0 and finite")
-    return value
+def _number(cast, low, strict=False):
+    """Argparse type: `cast(text)`, finite and > low (strict) or >= low."""
+    noun, finite = ("a number", " and finite") if cast is float else ("an integer", "")
+    rule = f"{'>' if strict else '>='} {low}{finite}"
+
+    def convert(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}")
+        if not (value > low if strict else value >= low) or value == math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} must be {rule}")
+        return value
+
+    return convert
 
 
-def _nonneg_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value >= 0 or value != value:
-        raise argparse.ArgumentTypeError(f"{text!r} must be >= 0")
-    return value
+def _choice(enum, noun):
+    """Argparse type: the member of `enum` whose value is the stripped text."""
+    def convert(text):
+        try:
+            return enum(text.strip())
+        except ValueError:
+            names = ", ".join(e.value for e in enum)
+            raise argparse.ArgumentTypeError(f"unknown {noun} {text!r} (choose from {names})")
+
+    return convert
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be >= 1")
-    return value
+def _comma_list(item, noun):
+    """Argparse type: a non-empty tuple of `item` values from comma-separated text."""
+    def convert(text):
+        parts = [p.strip() for p in text.split(",") if p.strip()]
+        if not parts:
+            raise argparse.ArgumentTypeError(f"{noun} must list at least one value")
+        return tuple(item(p) for p in parts)
+
+    return convert
 
 
-def _seed(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be >= 0")
-    return value
+_positive_float = _number(float, 0, strict=True)
+_nonneg_float = _number(float, 0)
+_positive_int = _number(int, 1)
+_seed = _number(int, 0)
+_estimator = _choice(EstimatorKind, "estimator")
+_likelihood = _choice(Likelihood, "likelihood")
+_m_grid = _comma_list(_positive_float, "grid")
 
-
-def _m_grid(text):
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("grid must list at least one value")
-    return tuple(_positive_float(p.strip()) for p in parts)
-
-
-def _estimator(text):
-    try:
-        return EstimatorKind(text.strip())
-    except ValueError:
-        names = ", ".join(k.value for k in EstimatorKind)
-        raise argparse.ArgumentTypeError(f"unknown estimator {text!r} (choose from {names})")
-
-
-def _estimator_list(text):
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise argparse.ArgumentTypeError("estimator list must be non-empty")
-    return tuple(_estimator(p) for p in parts)
-
-
-def _likelihood(text):
-    try:
-        return Likelihood(text.strip())
-    except ValueError:
-        names = ", ".join(l.value for l in Likelihood)
-        raise argparse.ArgumentTypeError(f"unknown likelihood {text!r} (choose from {names})")
+# Every BenchConfig field with the converter for its `bench` flag (--m-grid
+# for m_grid) and config-file key; unset fields take BenchConfig's defaults.
+_BENCH_FIELDS = {
+    "m_grid": _m_grid,
+    "omega": _positive_float,
+    "block_size": _positive_int,
+    "num_blocks": _positive_int,
+    "trials": _positive_int,
+    "estimators": _comma_list(_estimator, "estimators"),
+    "base_seed": _seed,
+}
 
 
 def _open_sink(path):
@@ -137,17 +129,6 @@ def cmd_estimate(args):
     return 0
 
 
-_CONFIG_KEYS = {
-    "m_grid",
-    "omega",
-    "block_size",
-    "num_blocks",
-    "trials",
-    "estimators",
-    "base_seed",
-}
-
-
 def _read_config_file(path, parser):
     values = {}
     try:
@@ -163,7 +144,7 @@ def _read_config_file(path, parser):
             parser.error(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _BENCH_FIELDS:
             parser.error(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = val.strip()
     return values
@@ -171,27 +152,18 @@ def _read_config_file(path, parser):
 
 def _build_bench_config(args, parser):
     raw = _read_config_file(args.config, parser) if args.config else {}
-
-    def pick(flag_value, key, convert, default):
-        if flag_value is not None:
-            return flag_value
-        if key in raw:
+    fields = {}
+    for name, convert in _BENCH_FIELDS.items():
+        value = getattr(args, name)
+        if value is None and name in raw:
             try:
-                return convert(raw[key])
+                value = convert(raw[name])
             except argparse.ArgumentTypeError as exc:
-                parser.error(f"config field {key}: {exc}")
-        return default
-
+                parser.error(f"config field {name}: {exc}")
+        if value is not None:
+            fields[name] = value
     try:
-        return BenchConfig(
-            m_grid=pick(args.m_grid, "m_grid", _m_grid, BenchConfig.m_grid),
-            omega=pick(args.omega, "omega", _positive_float, 1.0),
-            block_size=pick(args.block_size, "block_size", _positive_int, 30),
-            num_blocks=pick(args.num_blocks, "num_blocks", _positive_int, 5),
-            trials=pick(args.trials, "trials", _positive_int, 2000),
-            estimators=pick(args.estimators, "estimators", _estimator_list, ALL_ESTIMATORS),
-            base_seed=pick(args.base_seed, "base_seed", _seed, 0),
-        )
+        return BenchConfig(**fields)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -260,13 +232,8 @@ def build_parser():
 
     p = sub.add_parser("bench", help="run the Monte Carlo estimator comparison")
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--m-grid", dest="m_grid", type=_m_grid, default=None)
-    p.add_argument("--omega", type=_positive_float, default=None)
-    p.add_argument("--block-size", dest="block_size", type=_positive_int, default=None)
-    p.add_argument("--num-blocks", dest="num_blocks", type=_positive_int, default=None)
-    p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--estimators", type=_estimator_list, default=None)
-    p.add_argument("--base-seed", dest="base_seed", type=_seed, default=None)
+    for name, convert in _BENCH_FIELDS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=convert)
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
     p.set_defaults(func=cmd_bench)
 
@@ -278,7 +245,7 @@ def build_parser():
 
     p = sub.add_parser("segment", help="HMRF image segmentation")
     p.add_argument("--in", dest="infile", required=True, help="PGM or text-matrix image")
-    p.add_argument("--k", type=_positive_int, required=True, help="number of classes")
+    p.add_argument("--k", type=_number(int, 2), required=True, help="number of classes")
     p.add_argument(
         "--likelihood", type=_likelihood, default=Likelihood.NAKAGAMI,
         help="gaussian or nakagami",
@@ -300,14 +267,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "bench":
         args.bench_config = _build_bench_config(args, parser)
-    if args.command == "segment" and args.k < 2:
-        parser.error("--k must be >= 2")
     try:
         return args.func(args)
-    except NakafitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (NakafitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

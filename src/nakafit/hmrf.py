@@ -9,11 +9,15 @@ from 1-D k-means on the intensities and are refined by iterated
 conditional modes (ICM, raster order), alternating with per-class
 parameter re-estimation: sample mean/variance for the Gaussian likelihood,
 exact ML on all of a class's pixels for the Nakagami likelihood.
+`segment` runs at most _MAX_SWEEPS sweeps per round and _MAX_OUTER rounds,
+stops early once parameters move by less than _PARAM_TOL, and lifts zero
+pixels by _ZERO_SHIFT times the peak for the Nakagami likelihood.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -32,6 +36,11 @@ _VAR_FLOOR = 1e-12
 _DEGENERATE_M = 1e4
 
 _KMEANS_MAX_ITER = 100
+
+_MAX_SWEEPS = 3
+_MAX_OUTER = 100
+_PARAM_TOL = 1e-5
+_ZERO_SHIFT = 1e-6
 
 
 class Likelihood(Enum):
@@ -142,12 +151,9 @@ def kmeans_init(image, n_classes, seed):
     return rank[assign].reshape(img.shape)
 
 
-def _nll_table(image, model):
+def _nll_table(img, model):
     """Per-pixel, per-class negative log-likelihood, shape (H, W, K)."""
-    img = image
     out = np.empty(img.shape + (model.n_classes,))
-    if model.likelihood is Likelihood.NAKAGAMI and np.any(img <= 0.0):
-        raise ValueError("Nakagami likelihood requires strictly positive pixels")
     for k, p in enumerate(model.class_params):
         if p is None:
             raise ValueError(f"class {k} has no parameters; run update_params first")
@@ -160,15 +166,10 @@ def _nll_table(image, model):
     return out
 
 
-def _pair_disagreements(labels):
-    return int(
-        (labels[:, 1:] != labels[:, :-1]).sum() + (labels[1:, :] != labels[:-1, :]).sum()
-    )
-
-
 def _energy_given_table(nll, labels, beta):
     data = float(np.take_along_axis(nll, labels[:, :, None], axis=2).sum())
-    return data + beta * _pair_disagreements(labels)
+    pairs = (labels[:, 1:] != labels[:, :-1]).sum() + (labels[1:, :] != labels[:-1, :]).sum()
+    return data + beta * int(pairs)
 
 
 def total_energy(image, labels, model):
@@ -178,41 +179,46 @@ def total_energy(image, labels, model):
     return _energy_given_table(_nll_table(img, model), lab, model.beta)
 
 
-def _icm_pass(nll_flat, lab, height, width, n_classes, beta):
-    """One raster-order coordinate-descent pass over flat Python lists.
+def _icm_sweeps(nll, labels, beta):
+    """Raster-order ICM sweeps over the (H, W, K) table `nll`, one per step.
 
-    Mutates `lab` in place; later pixels see earlier updates. Returns the
+    Each sweep is a coordinate-descent pass over flat Python lists in which
+    later pixels see earlier updates; it yields the new label field and the
     number of pixels whose label changed.
     """
-    changed = 0
-    for i in range(height):
-        base = i * width
-        for j in range(width):
-            idx = base + j
-            neigh = []
-            if i > 0:
-                neigh.append(lab[idx - width])
-            if i < height - 1:
-                neigh.append(lab[idx + width])
-            if j > 0:
-                neigh.append(lab[idx - 1])
-            if j < width - 1:
-                neigh.append(lab[idx + 1])
-            costs = nll_flat[idx]
-            best = 0
-            best_cost = math.inf
-            for k in range(n_classes):
-                c = costs[k]
-                for nl in neigh:
-                    if nl != k:
-                        c += beta
-                if c < best_cost:
-                    best_cost = c
-                    best = k
-            if best != lab[idx]:
-                lab[idx] = best
-                changed += 1
-    return changed
+    height, width, n_classes = nll.shape
+    nll_flat = nll.reshape(height * width, n_classes).tolist()
+    lab = labels.ravel().tolist()
+    while True:
+        changed = 0
+        for i in range(height):
+            base = i * width
+            for j in range(width):
+                idx = base + j
+                neigh = []
+                if i > 0:
+                    neigh.append(lab[idx - width])
+                if i < height - 1:
+                    neigh.append(lab[idx + width])
+                if j > 0:
+                    neigh.append(lab[idx - 1])
+                if j < width - 1:
+                    neigh.append(lab[idx + 1])
+                costs = nll_flat[idx]
+                best = 0
+                best_cost = math.inf
+                for k in range(n_classes):
+                    c = costs[k]
+                    for nl in neigh:
+                        if nl != k:
+                            c += beta
+                    if c < best_cost:
+                        best_cost = c
+                        best = k
+                if best != lab[idx]:
+                    lab[idx] = best
+                    changed += 1
+        yield np.asarray(lab, dtype=np.intp).reshape(height, width), changed
 
 
 def icm_sweep(image, labels, model):
@@ -222,11 +228,7 @@ def icm_sweep(image, labels, model):
     """
     img = _as_image(image)
     lab = _as_labels(labels, img.shape, model.n_classes)
-    height, width = img.shape
-    nll_flat = _nll_table(img, model).reshape(height * width, model.n_classes).tolist()
-    flat = lab.ravel().tolist()
-    changed = _icm_pass(nll_flat, flat, height, width, model.n_classes, model.beta)
-    return np.asarray(flat, dtype=np.intp).reshape(height, width), changed
+    return next(_icm_sweeps(_nll_table(img, model), lab, model.beta))
 
 
 def _fit_class(px, likelihood):
@@ -291,56 +293,37 @@ def update_params(image, labels, model):
 
 
 def _param_vector(model):
-    out = []
-    for p in model.class_params:
-        if model.likelihood is Likelihood.GAUSSIAN:
-            out.extend((p.mu, p.var))
-        else:
-            out.extend((p.m, p.sigma))
-    return np.array(out)
+    return np.ravel([astuple(p) for p in model.class_params])
 
 
-def segment(
-    image,
-    n_classes,
-    likelihood,
-    *,
-    beta=1.0,
-    seed=0,
-    max_sweeps=3,
-    max_outer=100,
-    param_tol=1e-5,
-    zero_shift=1e-6,
-):
+def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     """Full pipeline: k-means init, then alternate parameter updates and ICM.
 
-    Each outer round refits the class parameters and runs at most max_sweeps
-    ICM sweeps; keeping the sweep budget small lets labels and parameters
-    co-evolve instead of freezing early around the initialization. The loop
-    stops once a round changes no pixel and moves the parameters by less
-    than param_tol (relative), or at max_outer.
+    Each outer round refits the class parameters and runs at most
+    _MAX_SWEEPS ICM sweeps; keeping the sweep budget small lets labels and
+    parameters co-evolve instead of freezing early around the
+    initialization. The loop stops once a round changes no pixel and moves
+    the parameters by less than _PARAM_TOL (relative), or after _MAX_OUTER
+    rounds.
 
     For the Nakagami likelihood, images containing zeros are shifted up by
-    zero_shift * max intensity to restore positive support. Returns labels,
+    _ZERO_SHIFT * max intensity to restore positive support. Returns labels,
     the fitted model, the (step, phase, energy) trace, and the number of
     ICM sweeps executed.
     """
     img = _as_image(image)
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
     if likelihood is Likelihood.NAKAGAMI and img.min() <= 0.0:
         peak = img.max()
         if peak <= 0.0:
             raise ValueError("cannot use the Nakagami likelihood on an all-zero image")
-        img = img + zero_shift * peak
+        img = img + _ZERO_SHIFT * peak
     labels = kmeans_init(img, n_classes, seed)
     model = SegModel.empty(n_classes, likelihood, beta=beta)
     trace = []
     step = 0
     sweeps = 0
     prev_vec = None
-    height, width = img.shape
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         model = update_params(img, labels, model)
         nll = _nll_table(img, model)
         trace.append((step, "params", _energy_given_table(nll, labels, model.beta)))
@@ -348,16 +331,12 @@ def segment(
         vec = _param_vector(model)
         params_stable = prev_vec is not None and np.max(
             np.abs(vec - prev_vec) / np.maximum(np.abs(prev_vec), 1e-300)
-        ) < param_tol
+        ) < _PARAM_TOL
         prev_vec = vec
-        nll_flat = nll.reshape(height * width, n_classes).tolist()
-        flat = labels.ravel().tolist()
         round_changed = 0
-        for _ in range(max_sweeps):
-            changed = _icm_pass(nll_flat, flat, height, width, n_classes, model.beta)
+        for labels, changed in islice(_icm_sweeps(nll, labels, model.beta), _MAX_SWEEPS):
             round_changed += changed
             sweeps += 1
-            labels = np.asarray(flat, dtype=np.intp).reshape(height, width)
             trace.append((step, "icm", _energy_given_table(nll, labels, model.beta)))
             step += 1
             if changed == 0:

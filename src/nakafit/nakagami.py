@@ -82,12 +82,6 @@ def block_log_likelihood(params, block):
     return float(np.sum(log_pdf(params, as_block(block))))
 
 
-def _as_generator(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _gamma_variates(rng, shape, n):
     """n standard-scale Gamma(shape) draws via the Marsaglia-Tsang method.
 
@@ -125,7 +119,7 @@ def sample(params, n, seed):
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     return np.sqrt(params.sigma * _gamma_variates(rng, params.m, n))
 
 

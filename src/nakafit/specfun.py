@@ -98,8 +98,13 @@ def digamma(x):
 
 
 def trigamma(x):
-    """Trigamma psi'(x), the derivative of digamma, for x > 0."""
+    """Trigamma psi'(x), the derivative of digamma, for x > 0.
+
+    psi'(x) ~ 1/x^2 overflows to inf below x ~ 1e-154.
+    """
     x = _positive(x, "x")
+    if x * x == 0.0:
+        return math.inf
     acc = 0.0
     while x < _SHIFT:
         acc += 1.0 / (x * x)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nakafit import crlb, crlb_modified, normalized
+from nakafit.errors import OutOfRangeError
 from nakafit.specfun import digamma, trigamma
 
 
@@ -68,3 +69,17 @@ def test_bound_validation():
             fn(-2.0, 10)
         with pytest.raises(ValueError):
             fn(1.0, 0)
+
+
+def test_tiny_shapes_raise_out_of_range():
+    # psi'(m) ~ 1/m^2 leaves the float range below m ~ 1e-154; below
+    # m ~ 1e-162 the square m*m itself underflows to 0
+    assert trigamma(1e-170) == math.inf
+    assert crlb(1e-150, 10) == pytest.approx(1e-301, rel=1e-12)
+    for m in (1e-154, 1e-160, 1e-170, 1e-310):
+        with pytest.raises(OutOfRangeError):
+            crlb(m, 10)
+    # the modified curvature ~ 1/m stays finite until 1/m overflows
+    assert crlb_modified(1e-170, 10) == pytest.approx(1e-171, rel=1e-12)
+    with pytest.raises(OutOfRangeError):
+        crlb_modified(1e-310, 10)

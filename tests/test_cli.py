@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nakafit import pgm
-from nakafit.cli import main
+from nakafit import BenchConfig, EstimatorKind, pgm
+from nakafit.cli import _build_bench_config, build_parser, main
 
 
 def run_cli(args):
@@ -159,6 +160,42 @@ def test_bench_bad_config_key_is_usage_error(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+# field: (config-file text, its value, flag text, its value)
+BENCH_SETTINGS = {
+    "m_grid": ("0.7, 3", (0.7, 3.0), "5", (5.0,)),
+    "omega": ("2.5", 2.5, "0.25", 0.25),
+    "block_size": ("12", 12, "7", 7),
+    "num_blocks": ("3", 3, "9", 9),
+    "trials": ("25", 25, "40", 40),
+    "estimators": (
+        "exact_ml, moment_based",
+        (EstimatorKind.EXACT_ML, EstimatorKind.MOMENT_BASED),
+        "greenwood_durand",
+        (EstimatorKind.GREENWOOD_DURAND,),
+    ),
+    "base_seed": ("6", 6, "11", 11),
+}
+
+
+def bench_config(argv):
+    parser = build_parser()
+    return _build_bench_config(parser.parse_args(["bench", *argv]), parser)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(BenchConfig)])
+def test_every_bench_field_is_a_config_key_and_a_flag(tmp_path, field):
+    file_text, file_value, flag_text, flag_value = BENCH_SETTINGS[field]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{field} = {file_text}\n")
+    from_file = bench_config(["--config", str(cfg)])
+    assert getattr(from_file, field) == file_value
+    flag = "--" + field.replace("_", "-")
+    assert getattr(bench_config(["--config", str(cfg), flag, flag_text]), field) == flag_value
+    # every other field keeps BenchConfig's default
+    default = BenchConfig()
+    assert dataclasses.replace(from_file, **{field: getattr(default, field)}) == default
+
+
 def test_bench_small_spread_has_no_moment_failures(capsys):
     # valid data at amplitude scale 1e-3: var(x^2) is ~1e-12 in absolute terms
     assert run_cli(["bench", "--m-grid", "2", "--trials", "20", "--omega", "1e-6"]) == 0
@@ -187,6 +224,13 @@ def test_bounds_ordering_every_row(capsys):
     for line in capsys.readouterr().out.strip().split("\n")[1:]:
         f = [float(v) for v in line.split(",")]
         assert f[2] >= f[1]
+
+
+def test_bounds_tiny_shape_is_domain_error(capsys):
+    # psi'(m) overflows: no traceback, no bound of 0
+    for m in ("1e-170", "1e-160"):
+        assert run_cli(["bounds", "--m-grid", m, "--n", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bounds_empty_grid_is_usage_error():
@@ -274,3 +318,15 @@ def test_segment_bad_pgm_is_domain_error(tmp_path):
                     "--out-labels", str(tmp_path / "l"),
                     "--out-trace", str(tmp_path / "t.csv")])
     assert code == 1
+
+
+@pytest.mark.parametrize("beta", ["inf", "nan", "-1"])
+def test_segment_bad_beta_is_usage_error(tmp_path, capsys, beta):
+    img_path = tmp_path / "in.pgm"
+    make_two_region_pgm(img_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["segment", "--in", str(img_path), "--k", "2", "--beta", beta,
+                 "--out-labels", str(tmp_path / "l"),
+                 "--out-trace", str(tmp_path / "t.csv")])
+    assert exc.value.code == 2
+    assert "--beta" in capsys.readouterr().err
