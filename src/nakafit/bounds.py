@@ -58,11 +58,16 @@ def crlb_modified(m, n):
 
 
 def normalized(bound_value, m):
-    """Scale-free form of a variance bound: bound / m^2."""
+    """Scale-free form of a variance bound: bound / m^2.
+
+    Raises OutOfRangeError where m^2 underflows to 0 (m below ~1e-162).
+    """
     bound_value = float(bound_value)
     if bound_value < 0.0:
         raise ValueError("bound_value must be >= 0")
     m = float(m)
     if not math.isfinite(m) or m <= 0.0:
         raise ValueError(f"m must be a positive finite real, got {m!r}")
+    if m * m == 0.0:
+        raise OutOfRangeError(f"m={m!r}: m^2 underflows to 0")
     return bound_value / (m * m)

@@ -176,15 +176,17 @@ def cmd_bench(args):
 
 
 def cmd_bounds(args):
+    rows = []
+    for m in args.m_grid:
+        lo = bounds_mod.crlb(m, args.n)
+        hi = bounds_mod.crlb_modified(m, args.n)
+        rows.append(
+            f"{m:.12g},{lo:.12g},{hi:.12g},"
+            f"{bounds_mod.normalized(lo, m):.12g},{bounds_mod.normalized(hi, m):.12g}\n"
+        )
     with _open_sink(args.out) as sink:
         sink.write("m,crlb,crlb_modified,normalized_crlb,normalized_crlb_modified\n")
-        for m in args.m_grid:
-            lo = bounds_mod.crlb(m, args.n)
-            hi = bounds_mod.crlb_modified(m, args.n)
-            sink.write(
-                f"{m:.12g},{lo:.12g},{hi:.12g},"
-                f"{bounds_mod.normalized(lo, m):.12g},{bounds_mod.normalized(hi, m):.12g}\n"
-            )
+        sink.writelines(rows)
     return 0
 
 

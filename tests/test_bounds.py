@@ -83,3 +83,12 @@ def test_tiny_shapes_raise_out_of_range():
     assert crlb_modified(1e-170, 10) == pytest.approx(1e-171, rel=1e-12)
     with pytest.raises(OutOfRangeError):
         crlb_modified(1e-310, 10)
+
+
+def test_normalized_underflowing_square_raises_out_of_range():
+    # crlb_modified(1e-170, 10) is finite, but m * m underflows to 0
+    bound = crlb_modified(1e-170, 10)
+    assert math.isfinite(bound)
+    with pytest.raises(OutOfRangeError):
+        normalized(bound, 1e-170)
+    assert normalized(1e-300, 1e-150) == 1e-300 / (1e-150 * 1e-150)

@@ -233,6 +233,17 @@ def test_bounds_tiny_shape_is_domain_error(capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_bounds_failing_grid_writes_nothing(tmp_path, capsys):
+    # the m = 1 row is fine; m = 1e-170 fails, and no partial table is left
+    out = tmp_path / "f.csv"
+    assert run_cli(["bounds", "--m-grid", "1,1e-170", "--n", "10", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert run_cli(["bounds", "--m-grid", "1,1e-170", "--n", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_bounds_empty_grid_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["bounds", "--m-grid", "", "--n", "10"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nakafit import hmrf
 from nakafit import (
     GaussianParams,
     Likelihood,
@@ -108,6 +109,22 @@ def test_total_energy_rejects_zero_pixel_for_nakagami():
         total_energy(np.array([[0.0, 1.0]]), np.array([[0, 0]]), model)
 
 
+@pytest.mark.parametrize("entry", [total_energy, icm_sweep, update_params])
+def test_labels_must_be_finite_integers(entry):
+    img = np.array([[1.0, 2.0], [3.0, 4.0]])
+    model = gaussian_model([GaussianParams(1.0, 1.0), GaussianParams(4.0, 1.0)])
+    for bad in (np.nan, np.inf, 0.7):
+        with pytest.raises(ValueError, match="finite integers"):
+            entry(img, np.array([[0.0, bad], [1.0, 1.0]]), model)
+    # integer-valued floats are labels like any other
+    as_float = entry(img, np.array([[0.0, 0.0], [1.0, 1.0]]), model)
+    as_int = entry(img, np.array([[0, 0], [1, 1]]), model)
+    if entry is icm_sweep:
+        assert np.array_equal(as_float[0], as_int[0]) and as_float[1] == as_int[1]
+    else:
+        assert as_float == as_int
+
+
 def test_total_energy_shape_mismatch():
     model = gaussian_model([GaussianParams(0.0, 1.0)] * 2)
     with pytest.raises(ValueError):
@@ -170,6 +187,56 @@ def test_icm_label_permutation_equivariance():
     assert total_energy(img, out, model) == pytest.approx(
         total_energy(img, out_p, permuted_model), rel=1e-12
     )
+
+
+def checkerboard_reference(nll, labels, beta):
+    """Scalar ICM sweep: pixels with even i + j first, then odd; each pixel
+    takes the lowest-index class minimizing nll + beta * disagreeing neighbors."""
+    height, width, n_classes = nll.shape
+    lab = labels.tolist()
+    changed = 0
+    for parity in (0, 1):
+        for i in range(height):
+            for j in range(width):
+                if (i + j) % 2 != parity:
+                    continue
+                neigh = [
+                    lab[a][b]
+                    for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                    if 0 <= a < height and 0 <= b < width
+                ]
+                costs = [
+                    float(nll[i, j, k]) + beta * sum(n != k for n in neigh)
+                    for k in range(n_classes)
+                ]
+                best = costs.index(min(costs))
+                if best != lab[i][j]:
+                    lab[i][j] = best
+                    changed += 1
+    return np.array(lab), changed
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 7), (7, 1), (2, 2), (5, 6), (9, 4)], ids=lambda s: "%dx%d" % s
+)
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
+def test_icm_sweep_matches_scalar_checkerboard_reference(monkeypatch, shape, n_classes, beta):
+    # multiples of 0.5 make every cost exact, so ties are real ties and the
+    # lowest-index rule is what decides them
+    rng = np.random.default_rng([shape[0], shape[1], n_classes, int(2 * beta)])
+    img = np.ones(shape)
+    model = gaussian_model([GaussianParams(1.0, 1.0)] * n_classes, beta=beta)
+    for _ in range(10):
+        nll = 0.5 * rng.integers(0, 6, shape + (n_classes,))
+        labels = rng.integers(0, n_classes, shape)
+        before = labels.copy()
+        monkeypatch.setattr(hmrf, "_nll_table", lambda img, model: nll)
+        out, changed = icm_sweep(img, labels, model)
+        want, want_changed = checkerboard_reference(nll, labels, beta)
+        assert np.array_equal(out, want)
+        assert changed == want_changed
+        assert np.array_equal(labels, before)
 
 
 # --- parameter updates ---------------------------------------------------------
