@@ -13,7 +13,6 @@ from .errors import (
     NakafitError,
     NoBlocksError,
     NoConvergenceError,
-    NonPositiveDenominatorError,
     OutOfRangeError,
 )
 from .estimators import (

@@ -19,7 +19,3 @@ class OutOfRangeError(NakafitError):
 
 class NoBlocksError(NakafitError):
     """Raised when finalizing a block-recursive state that saw no usable blocks."""
-
-
-class NonPositiveDenominatorError(NakafitError):
-    """Raised when a variance-bound denominator is not strictly positive."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds
 from .blockwise import BlockEstimatorState, finalize, ingest_block
-from .errors import NakafitError
+from .errors import NakafitError, OutOfRangeError
 from .estimators import EstimatorKind
 from .nakagami import NakagamiParams, sample
 
@@ -98,7 +98,12 @@ def run_bench(cfg):
         failures = {kind: 0 for kind in cfg.estimators}
         for trial in range(cfg.trials):
             rng = np.random.default_rng([cfg.base_seed, m_index, trial])
-            data = sample(params, total_n, rng).reshape(cfg.num_blocks, cfg.block_size)
+            try:
+                data = sample(params, total_n, rng).reshape(cfg.num_blocks, cfg.block_size)
+            except OutOfRangeError:  # no data for this trial: every estimator fails
+                for kind in cfg.estimators:
+                    failures[kind] += 1
+                continue
             for kind in cfg.estimators:
                 state = BlockEstimatorState(method=kind)
                 try:

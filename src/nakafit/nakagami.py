@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from .errors import OutOfRangeError
 
 _LN2 = math.log(2.0)
 
@@ -82,45 +83,27 @@ def block_log_likelihood(params, block):
     return float(np.sum(log_pdf(params, as_block(block))))
 
 
-def _gamma_variates(rng, shape, n):
-    """n standard-scale Gamma(shape) draws via the Marsaglia-Tsang method.
-
-    Shapes below 1 use the boost g(a) = g(a+1) * U^(1/a). Rejection is
-    batched; the fill order is sequential, so output is deterministic for
-    a given generator state.
-    """
-    if shape < 1.0:
-        g = _gamma_variates(rng, shape + 1.0, n)
-        u = 1.0 - rng.random(n)  # (0, 1]: keeps the boost strictly positive
-        return g * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        todo = n - filled
-        z = rng.standard_normal(todo)
-        u = rng.random(todo)
-        v = (1.0 + c * z) ** 3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * np.log(v))
-        kept = d * v[accept]
-        out[filled : filled + kept.size] = kept
-        filled += kept.size
-    return out
-
-
 def sample(params, n, seed):
     """Draw n i.i.d. Nakagami samples: sqrt of Gamma(m, scale=sigma) variates.
 
+    The Gamma variates come from numpy's `Generator.standard_gamma`.
     `seed` may be anything numpy's default_rng accepts, or an existing
     Generator (consumed in place, for callers managing their own streams).
+    Raises OutOfRangeError when a draw is not a positive finite float: at
+    m ~ 0.01 some variates underflow to 0, and near the float limit of
+    Omega some overflow to inf.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    return np.sqrt(params.sigma * _gamma_variates(rng, params.m, n))
+    with np.errstate(over="ignore"):
+        x = np.sqrt(params.sigma * rng.standard_gamma(params.m, n))
+    if not 0.0 < x.min() <= x.max() < math.inf:
+        raise OutOfRangeError(
+            f"a draw at m={params.m!r}, sigma={params.sigma!r} is not a positive finite float"
+        )
+    return x
 
 
 def analytic_moment(params, k):

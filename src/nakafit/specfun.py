@@ -1,32 +1,22 @@
 """Real-valued special functions: log-gamma, gamma, digamma, trigamma.
 
-Self-contained float64 implementations. Arguments below a shift threshold
-are raised with the standard recurrences
+`log_gamma` is the standard library's `math.lgamma`, and `gamma` is its
+exponential. Neither numpy nor the standard library has digamma or
+trigamma, so those two are float64 implementations here. Arguments below
+a shift threshold are raised with the recurrences
 
-    ln Gamma(x) = ln Gamma(x+1) - ln x
-    psi(x)      = psi(x+1) - 1/x
-    psi'(x)     = psi'(x+1) + 1/x^2
+    psi(x)  = psi(x+1) - 1/x
+    psi'(x) = psi'(x+1) + 1/x^2
 
-and the shifted argument is evaluated with the Stirling-type asymptotic
-series whose coefficients are Bernoulli numbers. With a threshold of 8 and
-seven series terms the truncation error is below 1e-14 on the whole
-supported range, so double rounding dominates.
+and the shifted argument is evaluated with the asymptotic series whose
+coefficients are Bernoulli numbers. With a threshold of 8 and seven
+series terms the truncation error is below 1e-14 on the whole supported
+range, so double rounding dominates.
 """
 
 import math
 
 _SHIFT = 8.0
-
-# B_{2k} / (2k (2k-1)), k = 1..7 (ln-gamma series)
-_LGAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
 
 # B_{2k} / (2k), k = 1..7 (digamma series)
 _PSI_COEFFS = (
@@ -39,7 +29,7 @@ _PSI_COEFFS = (
     1.0 / 12.0,
 )
 
-# B_{2k}, k = 1..7 (trigamma series)
+# B_{2k}, k = 1..7 (trigamma series; also the large-m series in `bounds`)
 _BERNOULLI = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -50,8 +40,6 @@ _BERNOULLI = (
     7.0 / 6.0,
 )
 
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def _positive(x, name):
     x = float(x)
@@ -61,17 +49,12 @@ def _positive(x, name):
 
 
 def log_gamma(x):
-    """Natural log of the gamma function for x > 0."""
+    """Natural log of the gamma function for x > 0; inf above x ~ 2.6e305."""
     x = _positive(x, "x")
-    shift = 0.0
-    while x < _SHIFT:
-        shift += math.log(x)
-        x += 1.0
-    r = 1.0 / (x * x)
-    series = 0.0
-    for c in reversed(_LGAMMA_COEFFS):
-        series = series * r + c
-    return (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + series / x - shift
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def gamma(x):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -92,3 +93,29 @@ def test_normalized_underflowing_square_raises_out_of_range():
     with pytest.raises(OutOfRangeError):
         normalized(bound, 1e-170)
     assert normalized(1e-300, 1e-150) == 1e-300 / (1e-150 * 1e-150)
+
+
+def test_bounds_against_mpmath_oracle():
+    # From m = 32 up both curvature terms come from their own series, so the
+    # bounds hold full precision where differences of psi values cancel.
+    # Below 32 crlb_modified keeps the digamma difference, whose
+    # cancellation costs up to ~2e-12 on this grid.
+    with mpmath.workdps(50):
+        for m in np.geomspace(0.01, 1e12, 200):
+            m = float(m)
+            x = mpmath.mpf(m)
+            exact_crlb = 1 / (10 * (mpmath.psi(1, x) - 1 / x))
+            exact_mod = 1 / (10 * (2 * (mpmath.digamma(x + 0.5) - mpmath.digamma(x)) - 1 / x))
+            assert crlb(m, 10) == pytest.approx(float(exact_crlb), rel=1e-12)
+            rel = 1e-12 if m >= 32.0 else 5e-12
+            assert crlb_modified(m, 10) == pytest.approx(float(exact_mod), rel=rel)
+
+
+def test_huge_shapes_raise_out_of_range():
+    # 1/(2 m^2) underflows: the bound 2 m^2 / n is beyond the float range
+    assert crlb(1e150, 10) == pytest.approx(2e299, rel=1e-12)
+    assert crlb_modified(1e150, 10) == pytest.approx(4e299, rel=1e-12)
+    for m in (1e160, 1e300):
+        for fn in (crlb, crlb_modified):
+            with pytest.raises(OutOfRangeError):
+                fn(m, 10)

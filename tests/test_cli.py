@@ -40,6 +40,17 @@ def test_sample_mean_square_near_omega(tmp_path):
     assert abs(np.mean(x * x) - 1.0) < 3 * stderr
 
 
+def test_sample_out_of_float_range_writes_nothing(tmp_path, capsys):
+    # at m = 0.001 some Gamma variates underflow to 0, which is not a valid sample
+    out = tmp_path / "s.txt"
+    assert run_cli(["sample", "--m", "0.001", "--n", "100", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert run_cli(["sample", "--m", "0.001", "--n", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["sample", "--m", "1", "--n", "5", "--bogus", "3"])
@@ -204,6 +215,19 @@ def test_bench_small_spread_has_no_moment_failures(capsys):
     assert all(row.split(",")[5] == "0" for row in rows)
 
 
+def test_bench_tiny_shape_counts_out_of_range_draws_as_failures(capsys):
+    # at m = 0.01 about 0.06% of the variates underflow to 0: those trials
+    # fail for every estimator, and the study carries on
+    assert run_cli(["bench", "--m-grid", "0.01", "--trials", "200"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert len(rows) == 5
+    failures = {row[1]: int(row[5]) for row in rows}
+    sample_failures = min(failures.values())
+    assert 0 < sample_failures < 200
+    assert failures["exact_ml"] == sample_failures
+    assert all(math.isfinite(float(row[2])) for row in rows if int(row[5]) < 200)
+
+
 def test_bounds_values_and_scaling(tmp_path, capsys):
     assert run_cli(["bounds", "--m-grid", "1", "--n", "150"]) == 0
     header, row = capsys.readouterr().out.strip().split("\n")
@@ -231,6 +255,18 @@ def test_bounds_tiny_shape_is_domain_error(capsys):
     for m in ("1e-170", "1e-160"):
         assert run_cli(["bounds", "--m-grid", m, "--n", "10"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bounds_large_shapes(capsys):
+    # the curvature terms come from their own series: no cancellation at
+    # m = 1e8, and a bound that overflows the float range is a domain error
+    assert run_cli(["bounds", "--m-grid", "1e8,1e16", "--n", "10"]) == 0
+    for line in capsys.readouterr().out.strip().split("\n")[1:]:
+        m, lo, hi = (float(v) for v in line.split(",")[:3])
+        assert lo == pytest.approx(2.0 * m * m / 10.0, rel=1e-7)
+        assert hi == pytest.approx(4.0 * m * m / 10.0, rel=1e-7)
+    assert run_cli(["bounds", "--m-grid", "1e160", "--n", "10"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bounds_failing_grid_writes_nothing(tmp_path, capsys):

@@ -1,0 +1,20 @@
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_cli_outputs_script_runs_every_case(tmp_path):
+    # `usage_*` cases exit 2, `*_fails` cases exit 1, all others exit 0
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cli_outputs.py"), "--root", str(ROOT), str(tmp_path)],
+        check=True, timeout=120,
+    )
+    cases = sorted(p for p in tmp_path.iterdir() if p.name != "inputs")
+    assert len(cases) == 28
+    for case in cases:
+        expected = 2 if case.name.startswith("usage_") else 1 if case.name.endswith("_fails") else 0
+        assert (case / "exit_code").read_text() == f"{expected}\n", case.name
+    assert (tmp_path / "bench_small_grid" / "bench.csv").exists()
+    assert (tmp_path / "segment_pgm64_nakagami_k2" / "labels.pgm").exists()

@@ -6,7 +6,7 @@ import scipy.integrate
 import scipy.special as sp
 import scipy.stats
 
-from nakafit import NakagamiParams, analytic_moment, as_block, block_log_likelihood, log_pdf, pdf, sample
+from nakafit import NakagamiParams, OutOfRangeError, analytic_moment, as_block, block_log_likelihood, log_pdf, pdf, sample
 
 
 def test_params_validation():
@@ -127,7 +127,10 @@ def test_sample_fourth_moment_band():
     assert abs(float(np.mean(x4)) - e4) < band
 
 
-@pytest.mark.parametrize("m,sigma", [(0.7, 1.3), (1.0, 1.0), (5.0, 0.2)])
+@pytest.mark.parametrize(
+    "m,sigma",
+    [(0.7, 1.3), (1.0, 1.0), (5.0, 0.2), (0.05, 20.0), (0.5, 2.0), (16.0, 0.0625)],
+)
 def test_sampler_law_kolmogorov_smirnov(m, sigma):
     # analytic CDF: regularized lower incomplete gamma of x^2/sigma at shape m
     p = NakagamiParams(m=m, sigma=sigma)
@@ -152,3 +155,11 @@ def test_sample_rejects_bad_count():
     p = NakagamiParams(m=1.0, sigma=1.0)
     with pytest.raises(ValueError):
         sample(p, 0, seed=1)
+
+
+@pytest.mark.parametrize("m,sigma", [(0.001, 1000.0), (2.0, 1e308)])
+def test_sample_out_of_float_range_raises_out_of_range(m, sigma):
+    # tiny m: some variates underflow to 0; huge sigma: some overflow to inf.
+    # Warnings are errors in the suite, so this also checks that none is emitted.
+    with pytest.raises(OutOfRangeError):
+        sample(NakagamiParams(m=m, sigma=sigma), 1000, seed=1)

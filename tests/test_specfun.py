@@ -17,6 +17,12 @@ def test_log_gamma_closed_forms():
     assert log_gamma(10.0) == pytest.approx(math.log(math.factorial(9)), abs=1e-12)
 
 
+def test_log_gamma_beyond_float_range_is_inf():
+    assert log_gamma(1e305) == pytest.approx(float(sp.gammaln(1e305)), rel=1e-15)
+    assert log_gamma(1e306) == math.inf
+    assert log_gamma(1.7e308) == math.inf
+
+
 def test_gamma_is_exp_of_log_gamma():
     for x in (0.5, 1.0, 3.0, 7.5):
         assert gamma(x) == pytest.approx(math.exp(log_gamma(x)), rel=1e-15)

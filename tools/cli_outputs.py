@@ -1,0 +1,133 @@
+"""Run a fixed list of `nakafit` CLI calls in-process and record every output.
+
+    python tools/cli_outputs.py --root CHECKOUT OUTDIR
+
+Imports `nakafit` from CHECKOUT/src, writes the shared inputs under
+OUTDIR/inputs, and for each case writes OUTDIR/<case>/stdout, stderr and
+exit_code, plus any files the call wrote into OUTDIR/<case>/. Calls run
+with OUTDIR as the working directory and relative paths, so the outputs
+name no absolute path. Inputs are made with numpy.random.default_rng, never
+with nakafit, so two checkouts get identical inputs. Compare two checkouts
+with `diff -r OUT_A OUT_B`.
+
+Case names say what the exit code should be: `usage_*` exit 2, `*_fails`
+exit 1, every other case exits 0.
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+import warnings
+
+import numpy as np
+
+ESTIMATORS = ("exact_ml", "cheng_beaulieu_1", "cheng_beaulieu_2", "greenwood_durand", "moment_based")
+BLOCKS = [f"inputs/block{i}.txt" for i in range(8)] + ["inputs/constant.txt", "inputs/short.txt"]
+IMAGES = {"pgm64": "inputs/two_region.pgm", "txt48": "inputs/three_region.txt"}
+
+
+def _nakagami(rng, m, omega, n):
+    return np.sqrt(rng.gamma(shape=m, scale=omega / m, size=n))
+
+
+def _write_lines(path, values):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(format(v, ".12e") + "\n" for v in values)
+
+
+def make_inputs():
+    """Write every input file under inputs/ from one numpy stream."""
+    rng = np.random.default_rng(20260101)
+    os.makedirs("inputs", exist_ok=True)
+    for path in BLOCKS[:8]:
+        _write_lines(path, _nakagami(rng, 2.0, 1.0, 30))
+    _write_lines(BLOCKS[8], [2.5] * 30)
+    _write_lines(BLOCKS[9], _nakagami(rng, 0.6, 1.0, 4))
+
+    # 64x64: m = 1 on the left half, m = 8 on the right, scaled into [0, 255]
+    img = np.hstack([_nakagami(rng, 1.0, 1.0, 64 * 32).reshape(64, 32),
+                     _nakagami(rng, 8.0, 1.0, 64 * 32).reshape(64, 32)])
+    raster = np.rint(np.clip(img / img.max() * 255.0, 1.0, 255.0)).astype(np.uint8)
+    with open(IMAGES["pgm64"], "wb") as fh:
+        fh.write(b"P5\n64 64\n255\n" + raster.tobytes())
+
+    # 48x48: three vertical bands at m = 0.7, 3 and 12
+    img = np.hstack([_nakagami(rng, m, 1.0, 48 * 16).reshape(48, 16) for m in (0.7, 3.0, 12.0)])
+    with open(IMAGES["txt48"], "w", encoding="ascii") as fh:
+        fh.write("48 48\n")
+        fh.writelines(" ".join(format(v, ".12g") for v in row) + "\n" for row in img)
+
+
+def cases():
+    """(name, argv) for every call; `{out}` is replaced by the case directory."""
+    small_grid = ["--m-grid", "1,4", "--omega", "2", "--block-size", "12", "--num-blocks", "3",
+                  "--trials", "30", "--estimators", "exact_ml,moment_based", "--base-seed", "5"]
+    out = [
+        ("sample", ["sample", "--m", "2", "--omega", "1", "--n", "20", "--seed", "7"]),
+        ("sample_file", ["sample", "--m", "0.5", "--n", "20", "--seed", "3", "--out", "{out}/s.txt"]),
+        ("sample_tiny_m_fails", ["sample", "--m", "0.001", "--n", "100", "--out", "{out}/s.txt"]),
+        ("bench_default_grid", ["bench", "--trials", "30"]),
+        ("bench_small_grid", ["bench", *small_grid, "--out", "{out}/bench.csv"]),
+        ("bench_small_omega", ["bench", "--m-grid", "2", "--trials", "30", "--omega", "1e-6"]),
+        ("bench_tiny_m", ["bench", "--m-grid", "0.01", "--trials", "100"]),
+        ("estimate_default", ["estimate", "--in", *BLOCKS]),
+    ]
+    out += [(f"estimate_{m}", ["estimate", "--in", *BLOCKS, "--method", m]) for m in ESTIMATORS]
+    out += [
+        ("bounds_default_grid", ["bounds", "--m-grid", "0.5,1,2,4,8,16", "--n", "150"]),
+        ("bounds_tiny_fails", ["bounds", "--m-grid", "1,1e-170", "--n", "10", "--out", "{out}/b.csv"]),
+        ("bounds_large_m", ["bounds", "--m-grid", "32,100,1e4,1e8,1e16", "--n", "10"]),
+        ("bounds_huge_m_fails", ["bounds", "--m-grid", "1e160", "--n", "10"]),
+    ]
+    for image, path in IMAGES.items():
+        for likelihood in ("nakagami", "gaussian"):
+            for k in ("2", "3"):
+                out.append((
+                    f"segment_{image}_{likelihood}_k{k}",
+                    ["segment", "--in", path, "--k", k, "--likelihood", likelihood, "--seed", "1",
+                     "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"],
+                ))
+    out += [
+        ("usage_sample_negative_m", ["sample", "--m", "-1", "--n", "5"]),
+        ("usage_bench_bad_estimator", ["bench", "--estimators", "bogus"]),
+        ("usage_bounds_empty_grid", ["bounds", "--m-grid", "", "--n", "10"]),
+    ]
+    return out
+
+
+def run_case(main, name, argv):
+    os.makedirs(name, exist_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("default")  # print each warning as a fresh process would
+        try:
+            code = main([arg.replace("{out}", name) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+    for stream, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue()),
+                         ("exit_code", f"{code}\n")):
+        with open(os.path.join(name, stream), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--root", required=True, help="checkout whose src/ holds nakafit")
+    parser.add_argument("outdir", help="directory for inputs and outputs (created)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+    from nakafit.cli import main as nakafit_main
+
+    os.makedirs(args.outdir, exist_ok=True)
+    os.chdir(args.outdir)
+    make_inputs()
+    for name, case_argv in cases():
+        run_case(nakafit_main, name, case_argv)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
