@@ -9,7 +9,7 @@ which equals the batch arithmetic mean of the per-block estimates. Only
 the incoming block is touched; history is never reprocessed.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DegenerateBlockError, NoBlocksError
 from .estimators import Estimate, EstimatorKind, estimate_block
@@ -27,22 +27,31 @@ class BlockEstimatorState:
 
 
 def ingest_block(state, block):
-    """Fold one block's estimate into the running means.
+    """Fold one block's estimate into the running means; returns a new state.
 
     A degenerate block (delta at the floor) is skipped and only counted;
-    every other estimator failure propagates to the caller.
+    every other estimator failure propagates to the caller. The new state
+    is built field by field with the constructor, which does the same as
+    `dataclasses.replace` on this flat dataclass at a fraction of the cost.
     """
     try:
         est = estimate_block(state.method, block)
     except DegenerateBlockError:
-        return replace(state, skipped=state.skipped + 1)
+        return BlockEstimatorState(
+            method=state.method,
+            blocks_seen=state.blocks_seen,
+            running_m=state.running_m,
+            running_sigma=state.running_sigma,
+            skipped=state.skipped + 1,
+        )
     i = state.blocks_seen + 1
     w = (i - 1) / i
-    return replace(
-        state,
+    return BlockEstimatorState(
+        method=state.method,
         blocks_seen=i,
         running_m=w * state.running_m + est.m_hat / i,
         running_sigma=w * state.running_sigma + est.sigma_hat / i,
+        skipped=state.skipped,
     )
 
 

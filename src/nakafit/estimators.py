@@ -70,8 +70,8 @@ def compute_stats(block):
     """
     b = as_block(block)
     x2 = b * b
-    mean_x2 = float(x2.mean())
-    mean_log_x2 = float(np.log(x2).mean())
+    mean_x2 = float(np.add.reduce(x2)) / b.size
+    mean_log_x2 = float(np.add.reduce(np.log(x2))) / b.size
     if not (0.0 < mean_x2 < math.inf and math.isfinite(mean_log_x2)):
         raise OutOfRangeError("block values square outside the float range")
     delta = math.log(mean_x2) - mean_log_x2
@@ -196,8 +196,8 @@ def estimate_moment_based(block):
     if b.size < 2:
         raise DegenerateBlockError("moment estimator needs at least 2 samples")
     x2 = b * b
-    mean_x2 = float(x2.mean())
-    mean_x4 = float((x2 * x2).mean())
+    mean_x2 = float(np.add.reduce(x2)) / b.size
+    mean_x4 = float(np.add.reduce(x2 * x2)) / b.size
     square = mean_x2 * mean_x2
     denom = mean_x4 - square
     if not (square > 0.0 and math.isfinite(denom)):

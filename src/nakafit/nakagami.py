@@ -46,14 +46,17 @@ class NakagamiParams:
 def as_block(values):
     """Validate a sample block: 1-D, non-empty, all entries finite and > 0.
 
-    Returns a float64 ndarray (copy only if conversion is needed).
+    Returns a float64 ndarray (copy only if conversion is needed). The
+    entries are checked in one min/max pass: NaN propagates through both
+    reductions and -0.0 is not above 0.0, so `0 < min` and `max < inf`
+    reject NaN, +-inf, zeros of either sign and negatives alike.
     """
     block = np.asarray(values, dtype=float)
     if block.ndim != 1:
         block = block.reshape(-1)
     if block.size == 0:
         raise ValueError("sample block must be non-empty")
-    if not np.all(np.isfinite(block)) or np.any(block <= 0.0):
+    if not (0.0 < np.minimum.reduce(block) and np.maximum.reduce(block) < math.inf):
         raise ValueError("sample block entries must be finite and > 0")
     return block
 

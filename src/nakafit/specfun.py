@@ -63,7 +63,10 @@ def gamma(x):
     Overflows to inf above x ~ 171.6; likelihood code must stay in the
     log domain and never call this on large shapes.
     """
-    return math.exp(log_gamma(x))
+    try:
+        return math.exp(log_gamma(x))
+    except OverflowError:
+        return math.inf
 
 
 def digamma(x):

@@ -1,4 +1,5 @@
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,28 @@ def test_degenerate_block_skipped_not_folded():
     # skipping leaves the fold untouched: same result as without the bad block
     clean = run_blocks([good, good])
     assert finalize(state).m_hat == pytest.approx(finalize(clean).m_hat, rel=1e-14)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_ingest_block_matches_dataclass_replace(degenerate):
+    # the state update written out with dataclasses.replace, field by field
+    state = BlockEstimatorState(
+        method=EstimatorKind.EXACT_ML, blocks_seen=3, running_m=1.5, running_sigma=0.7, skipped=1
+    )
+    block = np.full(30, 2.5) if degenerate else sample(NakagamiParams(m=2.0, sigma=0.5), 30, seed=9)
+    if degenerate:
+        expected = replace(state, skipped=2)
+    else:
+        est = estimate_block(state.method, block)
+        expected = replace(
+            state,
+            blocks_seen=4,
+            running_m=3 / 4 * 1.5 + est.m_hat / 4,
+            running_sigma=3 / 4 * 0.7 + est.sigma_hat / 4,
+        )
+    got = ingest_block(state, block)
+    assert type(got) is BlockEstimatorState
+    assert got == expected
 
 
 def test_finalize_without_blocks_raises():

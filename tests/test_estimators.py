@@ -21,7 +21,7 @@ from nakafit import (
     estimate_moment_based,
     sample,
 )
-from nakafit.estimators import SufficientStats
+from nakafit.estimators import DELTA_MIN, SufficientStats
 from nakafit.specfun import digamma
 
 EULER_GAMMA = 0.5772156649015329
@@ -56,6 +56,45 @@ def test_compute_stats_delta_never_negative():
         v = float(rng.uniform(0.1, 10.0))
         block = np.full(rng.integers(1, 50), v)
         assert compute_stats(block).delta >= 0.0
+
+
+def _block_from(n, seed, center, half_span):
+    # log-uniform magnitudes over 10**(center +- half_span)
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(center - half_span, center + half_span, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+    center=st.floats(-30.0, 30.0),
+    half_span=st.floats(0.0, 30.0),
+)
+@example(n=1, seed=0, center=0.0, half_span=0.0)
+@example(n=128, seed=1, center=0.0, half_span=1.0)
+@example(n=129, seed=2, center=30.0, half_span=30.0)
+@example(n=512, seed=3, center=-30.0, half_span=30.0)
+@example(n=513, seed=4, center=0.0, half_span=0.01)
+def test_means_match_ndarray_mean_bit_for_bit(n, seed, center, half_span):
+    # the statistics are sums over np.add.reduce divided by n; ndarray.mean
+    # is the same pairwise sum and one division, so every bit agrees
+    x = _block_from(n, seed, center, half_span)
+    x2 = x * x
+    mean_x2 = float(x2.mean())
+    mean_log_x2 = float(np.log(x2).mean())
+    s = compute_stats(x)
+    assert (s.n, s.mean_x2, s.mean_log_x2) == (n, mean_x2, mean_log_x2)
+    assert s.delta == max(math.log(mean_x2) - mean_log_x2, 0.0)
+
+    square = mean_x2 * mean_x2
+    denom = float((x2 * x2).mean()) - square
+    if n < 2 or denom <= DELTA_MIN * square:
+        with pytest.raises(DegenerateBlockError):
+            estimate_moment_based(x)
+    else:
+        assert estimate_moment_based(x).m_hat == square / denom
+
 
 def test_ml_recovers_known_roots():
     # delta = ln(m) - psi(m) at m = 1 and m = 0.5 (closed forms)

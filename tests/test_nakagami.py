@@ -37,6 +37,22 @@ def test_as_block_rejects_bad_input():
         as_block([1.0, math.inf])
 
 
+@pytest.mark.parametrize("position", [0, 3, 6])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -2.5])
+def test_as_block_rejects_each_bad_entry_anywhere(bad, position):
+    values = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    values[position] = bad
+    with pytest.raises(ValueError, match=r"^sample block entries must be finite and > 0$"):
+        as_block(values)
+
+
+def test_as_block_accepts_the_float_extremes():
+    block = as_block([5e-324, 1.0, 1.7e308])
+    assert block.dtype == np.float64
+    assert block.tolist() == [5e-324, 1.0, 1.7e308]
+    assert as_block(np.array([[1.0, 2.0]])).shape == (2,)
+
+
 def test_log_pdf_rayleigh_point():
     # m = 1, sigma = 1 reduces to 2 x exp(-x^2)
     p = NakagamiParams(m=1.0, sigma=1.0)

@@ -29,6 +29,14 @@ def test_gamma_is_exp_of_log_gamma():
     assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
 
 
+def test_gamma_overflows_to_inf():
+    assert gamma(200.0) == math.inf
+    assert gamma(1e300) == math.inf
+    assert math.isfinite(gamma(171.0))
+    assert gamma(171.0) == pytest.approx(math.factorial(170), rel=1e-12)
+    assert gamma(5.0) == math.exp(math.lgamma(5.0))
+
+
 def test_digamma_closed_forms():
     assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
     assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-12)

@@ -25,6 +25,8 @@ import numpy as np
 
 ESTIMATORS = ("exact_ml", "cheng_beaulieu_1", "cheng_beaulieu_2", "greenwood_durand", "moment_based")
 BLOCKS = [f"inputs/block{i}.txt" for i in range(8)] + ["inputs/constant.txt", "inputs/short.txt"]
+# blocks that block validation rejects: a signed and an unsigned zero, and a NaN
+NONPOSITIVE, NAN = "inputs/nonpositive.txt", "inputs/nan.txt"
 IMAGES = {"pgm64": "inputs/two_region.pgm", "txt48": "inputs/three_region.txt"}
 
 
@@ -45,6 +47,10 @@ def make_inputs():
         _write_lines(path, _nakagami(rng, 2.0, 1.0, 30))
     _write_lines(BLOCKS[8], [2.5] * 30)
     _write_lines(BLOCKS[9], _nakagami(rng, 0.6, 1.0, 4))
+    with open(NONPOSITIVE, "w", encoding="ascii") as fh:
+        fh.write("1.5\n2.0\n-0.0\n0\n0.7\n")
+    with open(NAN, "w", encoding="ascii") as fh:
+        fh.write("1.5\n2.0\nnan\n0.7\n")
 
     # 64x64: m = 1 on the left half, m = 8 on the right, scaled into [0, 255]
     img = np.hstack([_nakagami(rng, 1.0, 1.0, 64 * 32).reshape(64, 32),
@@ -75,6 +81,10 @@ def cases():
         ("estimate_default", ["estimate", "--in", *BLOCKS]),
     ]
     out += [(f"estimate_{m}", ["estimate", "--in", *BLOCKS, "--method", m]) for m in ESTIMATORS]
+    out += [
+        ("estimate_nonpositive_fails", ["estimate", "--in", BLOCKS[0], NONPOSITIVE]),
+        ("estimate_nan_fails", ["estimate", "--in", BLOCKS[0], NAN]),
+    ]
     out += [
         ("bounds_default_grid", ["bounds", "--m-grid", "0.5,1,2,4,8,16", "--n", "150"]),
         ("bounds_tiny_fails", ["bounds", "--m-grid", "1,1e-170", "--n", "10", "--out", "{out}/b.csv"]),
