@@ -39,7 +39,7 @@ from .hmrf import (
     update_params,
 )
 from .montecarlo import ALL_ESTIMATORS, BenchConfig, BenchResult, BenchRow, emit_csv, run_bench
-from .nakagami import NakagamiParams, analytic_moment, as_block, block_log_likelihood, log_pdf, pdf, sample
-from .specfun import digamma, gamma, log_gamma, trigamma
+from .nakagami import NakagamiParams, as_block, log_pdf, sample
+from .specfun import digamma, log_gamma, trigamma
 
 __version__ = "0.1.0"

@@ -6,19 +6,23 @@ m/sigma^2]] marginalizes to
 
     CRLB(m, N) = 1 / (N * (psi'(m) - 1/m)).
 
-`crlb_modified` replaces psi'(m) with 2*(psi(m+1/2) - psi(m)), the smallest
-value the curvature can take when the likelihood equations are solved
-exactly; concavity of psi makes it an upper envelope of the CRLB:
+`crlb_modified` replaces psi'(m) with the digamma difference
+2*(psi(m+1/2) - psi(m)), which concavity of psi keeps at or below psi'(m),
+so the modified bound lies at or above the CRLB:
 
     CRLB'(m, N) = 1 / (N * (2 psi(m+1/2) - 2 psi(m) - 1/m)).
 
-Both denominators are strictly positive for every m > 0, but each is a
-small difference of terms of size 1/m. From m = 32 up they are therefore
-summed from their own asymptotic series in B_{2k} (Bernoulli numbers),
-with no cancellation:
+Each curvature term is a small difference of terms of size 1/m, but
+equals a sum of positive terms with no cancellation:
 
-    psi'(m) - 1/m                 = 1/(2m^2) + sum_k B_{2k} / m^(2k+1)
-    2(psi(m+1/2) - psi(m)) - 1/m  = sum_k (2 - 2^(1-2k)) B_{2k} / (k m^(2k))
+    psi'(m) - 1/m                 = sum_j 1 / ((m+j)^2 (m+j+1))
+    2(psi(m+1/2) - psi(m)) - 1/m  = sum_j 1 / (2 (m+j) (m+j+1/2) (m+j+1))
+
+The terms with m + j < 32 are added one by one; the rest of each sum, at
+x = m + j >= 32, comes from its asymptotic series in B_{2k} (Bernoulli
+numbers):
+
+    1/(2x^2) + sum_k B_{2k} / x^(2k+1)    and    sum_k (2 - 2^(1-2k)) B_{2k} / (k x^(2k))
 
 Where a bound is not a finite positive float (below m ~ 1e-154 the
 curvature overflows, above m ~ 1e154 the bound does), both bounds raise
@@ -28,9 +32,9 @@ OutOfRangeError.
 import math
 
 from .errors import OutOfRangeError
-from .specfun import _BERNOULLI, digamma, trigamma
+from .specfun import _BERNOULLI
 
-# From here up the curvature terms come from their asymptotic series.
+# From here up the curvature sums come from their asymptotic series.
 _SERIES_M = 32.0
 
 # (2 - 2^(1-2k)) B_{2k} / k, k = 1..7: the modified curvature series
@@ -57,9 +61,23 @@ def _series(coeffs, r):
     return acc
 
 
+def _curvature(m, term, tail):
+    """sum_j term(m + j), j >= 0; tail(x, 1/x^2) sums the terms from x = m + j >= 32."""
+    acc = 0.0
+    j = 0
+    while m + j < _SERIES_M:
+        acc += term(m + j)
+        j += 1
+    x = m + j
+    return acc + tail(x, 1.0 / (x * x))
+
+
 def _inverse_information(denom, n, what, m):
     """1 / (n * denom) for a curvature term `denom` at shape m."""
-    info = n * denom
+    try:
+        info = n * denom
+    except OverflowError:  # n itself is beyond the float range
+        info = math.inf
     if not math.isfinite(info):
         raise OutOfRangeError(f"{what} = {denom!r} at m={m}: n times it is not a finite float")
     if not info > 0.0 or 1.0 / info == math.inf:
@@ -70,21 +88,26 @@ def _inverse_information(denom, n, what, m):
 def crlb(m, n):
     """Cramer-Rao variance bound for m from n samples, spread unknown."""
     m, n = _validate(m, n)
-    if m < _SERIES_M:
-        denom = trigamma(m) - 1.0 / m
-    else:
-        r = 1.0 / (m * m)
-        denom = 0.5 * r + _series(_BERNOULLI, r) / m
+    denom = _curvature(
+        m,
+        lambda x: 1.0 / x / x / (x + 1.0),  # inf, not ZeroDivisionError, where x * x underflows
+        lambda x, r: 0.5 * r + _series(_BERNOULLI, r) / x,
+    )
     return _inverse_information(denom, n, "psi'(m) - 1/m", m)
 
 
 def crlb_modified(m, n):
-    """Modified bound with the digamma-difference curvature; >= crlb always."""
+    """Modified bound from the digamma-difference curvature; >= crlb always.
+
+    The curvature is 2(psi(m+1/2) - psi(m)) - 1/m, summed as the positive
+    terms 1 / (2 (m+j) (m+j+1/2) (m+j+1)).
+    """
     m, n = _validate(m, n)
-    if m < _SERIES_M:
-        denom = 2.0 * (digamma(m + 0.5) - digamma(m)) - 1.0 / m
-    else:
-        denom = _series(_MODIFIED_COEFFS, 1.0 / (m * m))
+    denom = _curvature(
+        m,
+        lambda x: 0.5 / x / (x + 0.5) / (x + 1.0),
+        lambda x, r: _series(_MODIFIED_COEFFS, r),
+    )
     return _inverse_information(denom, n, "2(psi(m+1/2)-psi(m)) - 1/m", m)
 
 
@@ -94,8 +117,8 @@ def normalized(bound_value, m):
     Raises OutOfRangeError where m^2 underflows to 0 (m below ~1e-162).
     """
     bound_value = float(bound_value)
-    if bound_value < 0.0:
-        raise ValueError("bound_value must be >= 0")
+    if not math.isfinite(bound_value) or bound_value < 0.0:
+        raise ValueError(f"bound_value must be a finite real >= 0, got {bound_value!r}")
     m = float(m)
     if not math.isfinite(m) or m <= 0.0:
         raise ValueError(f"m must be a positive finite real, got {m!r}")

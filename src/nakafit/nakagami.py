@@ -76,16 +76,6 @@ def log_pdf(params, x):
     return float(out) if arr.ndim == 0 else out
 
 
-def pdf(params, x):
-    """Density f(x) at x > 0."""
-    return np.exp(log_pdf(params, x))
-
-
-def block_log_likelihood(params, block):
-    """Sum of log_pdf over every sample in the block (i.i.d. joint log-density)."""
-    return float(np.sum(log_pdf(params, as_block(block))))
-
-
 def sample(params, n, seed):
     """Draw n i.i.d. Nakagami samples: sqrt of Gamma(m, scale=sigma) variates.
 
@@ -108,16 +98,3 @@ def sample(params, n, seed):
         )
     return x
 
-
-def analytic_moment(params, k):
-    """Exact even moment E[x^k] = sigma^j * m (m+1) ... (m+j-1) with j = k/2.
-
-    Supported for k in {2, 4, 6}.
-    """
-    if k not in (2, 4, 6):
-        raise ValueError(f"k must be one of 2, 4, 6; got {k!r}")
-    j = k // 2
-    rising = 1.0
-    for i in range(j):
-        rising *= params.m + i
-    return params.sigma**j * rising

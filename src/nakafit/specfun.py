@@ -1,9 +1,9 @@
-"""Real-valued special functions: log-gamma, gamma, digamma, trigamma.
+"""Real-valued special functions: log-gamma, digamma, trigamma.
 
-`log_gamma` is the standard library's `math.lgamma`, and `gamma` is its
-exponential. Neither numpy nor the standard library has digamma or
-trigamma, so those two are float64 implementations here. Arguments below
-a shift threshold are raised with the recurrences
+`log_gamma` is the standard library's `math.lgamma`. Neither numpy nor
+the standard library has digamma or trigamma, so those two are float64
+implementations here. Arguments below a shift threshold are raised with
+the recurrences
 
     psi(x)  = psi(x+1) - 1/x
     psi'(x) = psi'(x+1) + 1/x^2
@@ -29,7 +29,7 @@ _PSI_COEFFS = (
     1.0 / 12.0,
 )
 
-# B_{2k}, k = 1..7 (trigamma series; also the large-m series in `bounds`)
+# B_{2k}, k = 1..7 (trigamma series; also the curvature tail of `crlb` in `bounds`)
 _BERNOULLI = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -53,18 +53,6 @@ def log_gamma(x):
     x = _positive(x, "x")
     try:
         return math.lgamma(x)
-    except OverflowError:
-        return math.inf
-
-
-def gamma(x):
-    """Gamma function for x > 0, computed as exp(log_gamma(x)).
-
-    Overflows to inf above x ~ 171.6; likelihood code must stay in the
-    log domain and never call this on large shapes.
-    """
-    try:
-        return math.exp(log_gamma(x))
     except OverflowError:
         return math.inf
 

@@ -60,6 +60,9 @@ def test_normalized():
         normalized(-1.0, 2.0)
     with pytest.raises(ValueError):
         normalized(0.1, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            normalized(bad, 1.0)
 
 
 def test_bound_validation():
@@ -96,19 +99,16 @@ def test_normalized_underflowing_square_raises_out_of_range():
 
 
 def test_bounds_against_mpmath_oracle():
-    # From m = 32 up both curvature terms come from their own series, so the
-    # bounds hold full precision where differences of psi values cancel.
-    # Below 32 crlb_modified keeps the digamma difference, whose
-    # cancellation costs up to ~2e-12 on this grid.
+    # Both curvature terms are sums of positive terms, so neither bound loses
+    # digits to cancellation at any m.
     with mpmath.workdps(50):
-        for m in np.geomspace(0.01, 1e12, 200):
+        for m in np.geomspace(1e-3, 1e12, 200):
             m = float(m)
             x = mpmath.mpf(m)
             exact_crlb = 1 / (10 * (mpmath.psi(1, x) - 1 / x))
             exact_mod = 1 / (10 * (2 * (mpmath.digamma(x + 0.5) - mpmath.digamma(x)) - 1 / x))
-            assert crlb(m, 10) == pytest.approx(float(exact_crlb), rel=1e-12)
-            rel = 1e-12 if m >= 32.0 else 5e-12
-            assert crlb_modified(m, 10) == pytest.approx(float(exact_mod), rel=rel)
+            assert crlb(m, 10) == pytest.approx(float(exact_crlb), rel=4e-15)
+            assert crlb_modified(m, 10) == pytest.approx(float(exact_mod), rel=4e-15)
 
 
 def test_huge_shapes_raise_out_of_range():
@@ -119,3 +119,10 @@ def test_huge_shapes_raise_out_of_range():
         for fn in (crlb, crlb_modified):
             with pytest.raises(OutOfRangeError):
                 fn(m, 10)
+
+
+def test_sample_count_beyond_float_range_raises_out_of_range():
+    # n * curvature cannot be formed as a float, so it is not a finite float
+    for fn in (crlb, crlb_modified):
+        with pytest.raises(OutOfRangeError, match="n times it is not a finite float"):
+            fn(1.0, 10**400)

@@ -280,6 +280,14 @@ def test_bounds_failing_grid_writes_nothing(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_bounds_sample_count_beyond_float_range_is_domain_error(capsys):
+    assert run_cli(["bounds", "--m-grid", "1", "--n", "1" + "0" * 400]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "n times it is not a finite float" in captured.err
+
+
 def test_bounds_empty_grid_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["bounds", "--m-grid", "", "--n", "10"])

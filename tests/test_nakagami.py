@@ -6,7 +6,7 @@ import scipy.integrate
 import scipy.special as sp
 import scipy.stats
 
-from nakafit import NakagamiParams, OutOfRangeError, analytic_moment, as_block, block_log_likelihood, log_pdf, pdf, sample
+from nakafit import NakagamiParams, OutOfRangeError, as_block, log_pdf, sample
 
 
 def test_params_validation():
@@ -80,26 +80,25 @@ def test_pdf_normalizes(m, sigma):
     p = NakagamiParams(m=m, sigma=sigma)
     peak = math.sqrt(m * sigma)
     hi = math.sqrt(sigma * (m + 20.0 * math.sqrt(m) + 60.0))
-    head, _ = scipy.integrate.quad(lambda x: pdf(p, x), 1e-14, peak, limit=200)
-    tail, _ = scipy.integrate.quad(lambda x: pdf(p, x), peak, hi, limit=200)
+    head, _ = scipy.integrate.quad(lambda x: np.exp(log_pdf(p, x)), 1e-14, peak, limit=200)
+    tail, _ = scipy.integrate.quad(lambda x: np.exp(log_pdf(p, x)), peak, hi, limit=200)
     assert head + tail == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pdf_normalizes_tightly_on_finite_window():
     p = NakagamiParams(m=1.0, sigma=1.0)
-    total, _ = scipy.integrate.quad(lambda x: pdf(p, x), 1e-14, 20.0, limit=200)
+    total, _ = scipy.integrate.quad(lambda x: np.exp(log_pdf(p, x)), 1e-14, 20.0, limit=200)
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
-def test_block_log_likelihood_is_sum_of_log_pdfs():
+def test_log_pdf_of_an_array_is_elementwise():
     p = NakagamiParams(m=1.0, sigma=1.0)
-    one = block_log_likelihood(p, [1.0])
-    assert one == pytest.approx(math.log(2.0) - 1.0, abs=1e-12)
-    assert block_log_likelihood(p, [1.0, 1.0]) == pytest.approx(2.0 * one, rel=1e-14)
+    assert log_pdf(p, np.array([1.0, 1.0])).tolist() == [log_pdf(p, 1.0)] * 2
     q = NakagamiParams(m=3.0, sigma=0.7)
     block = [1.0, 2.0, 0.5]
-    expected = sum(log_pdf(q, x) for x in block)
-    assert block_log_likelihood(q, block) == pytest.approx(expected, rel=1e-14)
+    out = log_pdf(q, np.array(block))
+    assert out.shape == (3,)
+    assert out.tolist() == pytest.approx([log_pdf(q, x) for x in block], rel=1e-14)
 
 
 def test_sample_deterministic_given_seed():
@@ -137,8 +136,8 @@ def test_sample_fourth_moment_band():
     x = sample(p, n, seed=99)
     x4 = (x * x) ** 2
     # Var[x^4] = E[x^8] - E[x^4]^2 via the Gamma rising-factorial moments
-    e8 = (2 * 3 * 4 * 5)  # m(m+1)(m+2)(m+3) at m=2, sigma=1
-    e4 = analytic_moment(p, 4)
+    e8 = 2 * 3 * 4 * 5  # m(m+1)(m+2)(m+3) at m=2, sigma=1
+    e4 = 2 * 3  # m(m+1)
     band = 4.0 * math.sqrt((e8 - e4 * e4) / n)
     assert abs(float(np.mean(x4)) - e4) < band
 
@@ -153,18 +152,6 @@ def test_sampler_law_kolmogorov_smirnov(m, sigma):
     x = sample(p, 10_000, seed=2024)
     stat, _ = scipy.stats.kstest(x, lambda t: sp.gammainc(m, t * t / sigma))
     assert stat < 1.628 / math.sqrt(10_000)  # 1% critical value
-
-
-def test_analytic_moments():
-    p = NakagamiParams(m=1.0, sigma=1.0)
-    assert analytic_moment(p, 2) == pytest.approx(1.0, rel=1e-15)
-    assert analytic_moment(p, 4) == pytest.approx(2.0, rel=1e-15)
-    q = NakagamiParams(m=2.0, sigma=1.0)
-    assert analytic_moment(q, 4) == pytest.approx(6.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        analytic_moment(p, 3)
-    with pytest.raises(ValueError):
-        analytic_moment(p, 8)
 
 
 def test_sample_rejects_bad_count():

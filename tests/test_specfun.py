@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from nakafit import digamma, gamma, log_gamma, trigamma
+from nakafit import digamma, log_gamma, trigamma
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -23,20 +23,6 @@ def test_log_gamma_beyond_float_range_is_inf():
     assert log_gamma(1.7e308) == math.inf
 
 
-def test_gamma_is_exp_of_log_gamma():
-    for x in (0.5, 1.0, 3.0, 7.5):
-        assert gamma(x) == pytest.approx(math.exp(log_gamma(x)), rel=1e-15)
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
-
-
-def test_gamma_overflows_to_inf():
-    assert gamma(200.0) == math.inf
-    assert gamma(1e300) == math.inf
-    assert math.isfinite(gamma(171.0))
-    assert gamma(171.0) == pytest.approx(math.factorial(170), rel=1e-12)
-    assert gamma(5.0) == math.exp(math.lgamma(5.0))
-
-
 def test_digamma_closed_forms():
     assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
     assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-12)
@@ -49,7 +35,7 @@ def test_trigamma_closed_forms():
     assert trigamma(2.0) == pytest.approx(math.pi**2 / 6.0 - 1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma, gamma])
+@pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma])
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
 def test_domain_errors(fn, bad):
     with pytest.raises(ValueError):

@@ -88,6 +88,7 @@ def cases():
     out += [
         ("bounds_default_grid", ["bounds", "--m-grid", "0.5,1,2,4,8,16", "--n", "150"]),
         ("bounds_tiny_fails", ["bounds", "--m-grid", "1,1e-170", "--n", "10", "--out", "{out}/b.csv"]),
+        ("bounds_small_m", ["bounds", "--m-grid", "0.001,0.01,0.1,1,31.999,32", "--n", "10"]),
         ("bounds_large_m", ["bounds", "--m-grid", "32,100,1e4,1e8,1e16", "--n", "10"]),
         ("bounds_huge_m_fails", ["bounds", "--m-grid", "1e160", "--n", "10"]),
     ]
