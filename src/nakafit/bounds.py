@@ -47,10 +47,13 @@ def _validate(m, n):
     m = float(m)
     if not math.isfinite(m) or m <= 0.0:
         raise ValueError(f"m must be a positive finite real, got {m!r}")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    return m, n
+    try:
+        whole = n == int(n)  # int() truncates 2.7 and rejects inf and nan
+    except (OverflowError, ValueError):
+        whole = False
+    if not whole or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return m, int(n)
 
 
 def _series(coeffs, r):

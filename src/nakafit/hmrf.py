@@ -5,11 +5,15 @@ A label field over the pixel grid is scored by the posterior energy
     U(x) = -sum_i ln f(y_i | theta_{x_i}) + beta * sum_{<a,b>} [x_a != x_b]
 
 where <a,b> ranges over 4-neighbor pairs, each counted once. Labels start
-from 1-D k-means on the intensities and are refined by iterated
-conditional modes (ICM, checkerboard order: pixels with even i + j, then
-those with odd i + j), alternating with per-class parameter re-estimation:
-sample mean/variance for the Gaussian likelihood, exact ML on all of a
-class's pixels for the Nakagami likelihood.
+from 1-D k-means on the intensities (nearest centers found once per
+distinct intensity) and are refined by iterated conditional modes (ICM,
+checkerboard order: pixels with even i + j, then those with odd i + j),
+alternating with per-class parameter re-estimation: sample mean/variance
+for the Gaussian likelihood, exact ML on all of a class's pixels for the
+Nakagami likelihood. ICM scores one class at a time on a contiguous (H, W)
+plane of the negative log-likelihood table and keeps a running minimum;
+ties go to the lowest class index and a NaN cost to the first NaN, as
+with np.argmin.
 `segment` runs at most _MAX_SWEEPS sweeps per round and _MAX_OUTER rounds,
 stops early once parameters move by less than _PARAM_TOL, and lifts zero
 pixels by _ZERO_SHIFT times the peak for the Nakagami likelihood.
@@ -120,20 +124,26 @@ def _as_labels(labels, shape, n_classes):
     return lab.astype(np.intp)
 
 
+def _nearest(distinct, inverse, centers):
+    """Index of each pixel's nearest center (ties to the lower index), found
+    once per distinct value: a pixel equal to distinct[i] has inverse i."""
+    return np.argmin(np.abs(distinct[:, None] - centers[None, :]), axis=1)[inverse]
+
+
 def kmeans_init(image, n_classes, seed):
     """1-D k-means on the intensities; classes are ordered by center value."""
     img = _as_image(image)
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
     vals = img.ravel()
-    distinct = np.unique(vals)
+    distinct, inverse = np.unique(vals, return_inverse=True)
     if distinct.size < n_classes:
         raise ValueError(
             f"image has {distinct.size} distinct intensities, fewer than {n_classes} classes"
         )
     rng = np.random.default_rng(seed)
     centers = np.sort(rng.choice(distinct, size=n_classes, replace=False))
-    assign = np.argmin(np.abs(vals[:, None] - centers[None, :]), axis=1)
+    assign = _nearest(distinct, inverse, centers)
     for _ in range(_KMEANS_MAX_ITER):
         new_centers = centers.copy()
         for j in range(n_classes):
@@ -143,7 +153,7 @@ def kmeans_init(image, n_classes, seed):
             else:
                 # re-seed an empty cluster at the worst-represented point
                 new_centers[j] = vals[np.argmax(np.abs(vals - centers[assign]))]
-        new_assign = np.argmin(np.abs(vals[:, None] - new_centers[None, :]), axis=1)
+        new_assign = _nearest(distinct, inverse, new_centers)
         moved = not np.array_equal(new_centers, centers)
         centers, assign = new_centers, new_assign
         if not moved:
@@ -170,9 +180,13 @@ def _nll_table(img, model):
 
 
 def _energy_given_table(nll, labels, beta):
-    data = float(np.take_along_axis(nll, labels[:, :, None], axis=2).sum())
-    pairs = (labels[:, 1:] != labels[:, :-1]).sum() + (labels[1:, :] != labels[:-1, :]).sum()
-    return data + beta * int(pairs)
+    # one flat gather, in raster order, of each pixel's own-class entry
+    n_classes = nll.shape[2]
+    data = float(nll.reshape(-1)[np.arange(labels.size) * n_classes + labels.ravel()].sum())
+    pairs = np.count_nonzero(labels[:, 1:] != labels[:, :-1]) + np.count_nonzero(
+        labels[1:, :] != labels[:-1, :]
+    )
+    return data + beta * pairs
 
 
 def total_energy(image, labels, model):
@@ -189,23 +203,62 @@ def _icm_sweeps(nll, labels, beta):
     Pixels of one color are never 4-neighbors, so each half-sweep is an
     exact coordinate-descent step (Besag's coding scheme) and the energy
     never rises. A pixel's neighbor count is the same for every class, so
-    its best class is argmin over k of nll_k - beta * (neighbors labeled k);
-    ties go to the lowest class index. Yields a new label field and the
+    its best class is argmin over k of nll_k - beta * (neighbors labeled k).
+
+    The table is copied once into K contiguous (H, W) planes. Each
+    half-sweep writes the labels into a (H+2, W+2) frame with a -1 border,
+    counts each class's same-label neighbors as an int8 sum of four shifted
+    slices, and keeps a running minimum of the class costs over k. The rule
+    is np.argmin's: ties go to the lowest class index, and a NaN cost beats
+    every number, the first NaN winning. Yields a new label field and the
     number of pixels whose label changed; `labels` is never mutated.
     """
-    classes = np.arange(nll.shape[2])
-    odd = np.indices(labels.shape).sum(axis=0) % 2 == 1
+    planes = np.moveaxis(nll, 2, 0).copy()
+    beta = float(beta)  # an int beta would keep beta * agree in int8
+    shape = labels.shape
+    framed = np.full((shape[0] + 2, shape[1] + 2), -1, dtype=np.intp)
+    # Work arrays are allocated once per call: fresh (H, W) temporaries cost
+    # more in page faults than the arithmetic done on them.
+    same = np.empty(framed.shape, dtype=bool)
+    flags = same.view(np.int8)
+    up, down = flags[:-2, 1:-1], flags[2:, 1:-1]
+    left, right = flags[1:-1, :-2], flags[1:-1, 2:]
+    agree = np.empty(shape, dtype=np.int8)
+    cost, best = np.empty(shape), np.empty(shape)
+    better, nan_best = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    arg, marked = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
+    # each color as (rows, cols) slice pairs: even i + j, then odd i + j
+    even, odd = slice(0, None, 2), slice(1, None, 2)
+    colors = (((even, even), (odd, odd)), ((even, odd), (odd, even)))
     lab = labels
     while True:
-        start = lab
-        for color in (~odd, odd):
-            onehot = lab[:, :, None] == classes
-            agree = np.zeros(nll.shape)
-            agree[1:] += onehot[:-1]
-            agree[:-1] += onehot[1:]
-            agree[:, 1:] += onehot[:, :-1]
-            agree[:, :-1] += onehot[:, 1:]
-            lab = np.where(color, np.argmin(nll - beta * agree, axis=2), lab)
+        start, lab = lab, lab.copy()
+        for color in colors:
+            framed[1:-1, 1:-1] = lab
+            for k, plane in enumerate(planes):
+                np.equal(framed, k, out=same)
+                np.add(up, down, out=agree)
+                agree += left
+                agree += right
+                np.multiply(agree, beta, out=cost)
+                if k == 0:
+                    np.subtract(plane, cost, out=best)
+                    arg.fill(0)
+                    continue
+                np.subtract(plane, cost, out=cost)
+                # np.argmin's rule: a strictly lower cost wins, so ties keep
+                # the lower class; a NaN beats every number, the first NaN
+                # winning, so a NaN best is never replaced. np.minimum
+                # propagates NaN, so `best` compares as the kept cost does.
+                np.greater_equal(cost, best, out=better)
+                np.not_equal(best, best, out=nan_best)
+                np.logical_or(better, nan_best, out=better)
+                np.logical_not(better, out=better)
+                np.minimum(best, cost, out=best)
+                np.multiply(better, k, out=marked)
+                np.maximum(arg, marked, out=arg)  # arg < k: takes k where better
+            for rows, cols in color:
+                lab[rows, cols] = arg[rows, cols]
         yield lab, int(np.count_nonzero(lab != start))
 
 

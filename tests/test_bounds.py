@@ -75,6 +75,19 @@ def test_bound_validation():
             fn(1.0, 0)
 
 
+@pytest.mark.parametrize("n", [2.7, math.inf, math.nan, 0, -3.0])
+def test_sample_count_must_be_a_positive_integer(n):
+    # int(n) would truncate 2.7 to 2 and raise OverflowError on inf
+    for fn in (crlb, crlb_modified):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            fn(1.0, n)
+
+
+def test_integral_float_sample_count_is_accepted():
+    assert crlb(1.0, 150.0) == crlb(1.0, 150)
+    assert crlb_modified(2.5, 150.0) == crlb_modified(2.5, 150)
+
+
 def test_tiny_shapes_raise_out_of_range():
     # psi'(m) ~ 1/m^2 leaves the float range below m ~ 1e-154; below
     # m ~ 1e-162 the square m*m itself underflows to 0

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -77,6 +78,57 @@ def test_kmeans_labels_ordered_by_center():
     assert labels[50:].mean() > 0.8
 
 
+def kmeans_reference(img, n_classes, seed):
+    """Per-pixel k-means: every pixel measured against every center.
+
+    Returns the labels and the number of empty-cluster re-seeds."""
+    vals = img.ravel()
+    distinct = np.unique(vals)
+    rng = np.random.default_rng(seed)
+    centers = np.sort(rng.choice(distinct, size=n_classes, replace=False))
+    assign = np.argmin(np.abs(vals[:, None] - centers[None, :]), axis=1)
+    reseeds = 0
+    for _ in range(hmrf._KMEANS_MAX_ITER):
+        new_centers = centers.copy()
+        for j in range(n_classes):
+            members = vals[assign == j]
+            if members.size:
+                new_centers[j] = members.mean()
+            else:
+                reseeds += 1
+                new_centers[j] = vals[np.argmax(np.abs(vals - centers[assign]))]
+        new_assign = np.argmin(np.abs(vals[:, None] - new_centers[None, :]), axis=1)
+        moved = not np.array_equal(new_centers, centers)
+        centers, assign = new_centers, new_assign
+        if not moved:
+            break
+    order = np.argsort(centers, kind="stable")
+    rank = np.empty(n_classes, dtype=np.intp)
+    rank[order] = np.arange(n_classes)
+    return rank[assign].reshape(img.shape), reseeds
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_kmeans_matches_per_pixel_reference(n_classes, seed):
+    # 8-bit intensities with zeros lifted as `segment` lifts them for the
+    # Nakagami likelihood: few distinct values, many pixels each
+    rng = np.random.default_rng([seed, n_classes])
+    img = np.rint(85.0 * np.sqrt(rng.gamma(1.0 + 3 * (seed % 2), 0.5, (40, 37))))
+    img = np.clip(img, 0.0, 255.0)
+    img[rng.random(img.shape) < 0.05] = 0.0
+    img = img + hmrf._ZERO_SHIFT * img.max()
+    want, _ = kmeans_reference(img, n_classes, seed)
+    assert np.array_equal(kmeans_init(img, n_classes, seed), want)
+
+
+def test_kmeans_empty_cluster_reseed_matches_reference():
+    img = np.repeat([41.0, 109.0, 125.0, 167.0, 171.0, 211.0], [3, 10, 5, 5, 8, 5]).reshape(4, 9)
+    want, reseeds = kmeans_reference(img, 4, seed=2)
+    assert reseeds > 0
+    assert np.array_equal(kmeans_init(img, 4, seed=2), want)
+
+
 # --- pair potential and energy ----------------------------------------------
 
 
@@ -101,6 +153,22 @@ def test_total_energy_counts_each_pair_once():
     n_pairs = 6 * 4 + 5 * 5  # horizontal + vertical neighbor pairs
     diff = total_energy(img, checker, model) - total_energy(img, constant, model)
     assert diff == pytest.approx(0.7 * n_pairs, rel=1e-12)
+
+
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+def test_total_energy_equals_take_along_axis_sum(likelihood):
+    rng = np.random.default_rng(31)
+    img = rng.gamma(2.0, 1.0, (61, 43)) + 0.01
+    if likelihood is Likelihood.GAUSSIAN:
+        params = [GaussianParams(1.0, 0.5), GaussianParams(2.0, 1.5), GaussianParams(4.0, 3.0)]
+    else:
+        params = [NakagamiParams(0.8, 1.0), NakagamiParams(2.0, 4.0), NakagamiParams(9.0, 16.0)]
+    model = SegModel(3, likelihood, tuple(params), beta=0.3)
+    labels = rng.integers(0, 3, img.shape)
+    nll = hmrf._nll_table(img, model)
+    data = float(np.take_along_axis(nll, labels[:, :, None], axis=2).sum())
+    pairs = (labels[:, 1:] != labels[:, :-1]).sum() + (labels[1:, :] != labels[:-1, :]).sum()
+    assert total_energy(img, labels, model) == data + 0.3 * int(pairs)
 
 
 def test_total_energy_rejects_zero_pixel_for_nakagami():
@@ -236,6 +304,51 @@ def test_icm_sweep_matches_scalar_checkerboard_reference(monkeypatch, shape, n_c
         want, want_changed = checkerboard_reference(nll, labels, beta)
         assert np.array_equal(out, want)
         assert changed == want_changed
+        assert np.array_equal(labels, before)
+
+
+def argmin_sweep_reference(nll, labels, beta):
+    """One checkerboard sweep as one-hot neighbor counts and np.argmin over
+    the class axis of nll - beta * agree, per half-sweep."""
+    classes = np.arange(nll.shape[2])
+    odd = np.indices(labels.shape).sum(axis=0) % 2 == 1
+    lab = labels
+    for color in (~odd, odd):
+        onehot = lab[:, :, None] == classes
+        agree = np.zeros(nll.shape)
+        agree[1:] += onehot[:-1]
+        agree[:-1] += onehot[1:]
+        agree[:, 1:] += onehot[:, :-1]
+        agree[:, :-1] += onehot[:, 1:]
+        lab = np.where(color, np.argmin(nll - beta * agree, axis=2), lab)
+    return lab, int(np.count_nonzero(lab != labels))
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 7), (7, 1), (33, 17)], ids=lambda s: "%dx%d" % s
+)
+@pytest.mark.parametrize("n_classes", [2, 3, 5])
+@pytest.mark.parametrize("table", ["finite", "nonfinite"])
+def test_icm_kernel_matches_argmin_reference(shape, n_classes, table):
+    # random float costs leave ties to chance; the non-finite tables mix in
+    # +-inf and NaN, and beta = 1e308 makes beta * agree overflow, so inf - inf
+    # costs are NaN too: np.argmin takes the first NaN over any number
+    rng = np.random.default_rng([shape[0], shape[1], n_classes, table == "finite"])
+    for beta in (0.0, 0.7, 3.0, 1e308):
+        nll = rng.normal(0.0, 2.0, shape + (n_classes,))
+        if table == "nonfinite":
+            pick = rng.random(nll.shape)
+            nll[pick < 0.15] = np.inf
+            nll[(pick >= 0.15) & (pick < 0.25)] = -np.inf
+            nll[(pick >= 0.25) & (pick < 0.35)] = np.nan
+        labels = rng.integers(0, n_classes, shape)
+        before = labels.copy()
+        want = labels
+        with np.errstate(over="ignore", invalid="ignore"):  # both formulas warn alike
+            for got, changed in islice(hmrf._icm_sweeps(nll, labels, beta), 3):
+                want, want_changed = argmin_sweep_reference(nll, want, beta)
+                assert np.array_equal(got, want)
+                assert changed == want_changed
         assert np.array_equal(labels, before)
 
 

@@ -80,3 +80,22 @@ def test_labels_to_gray():
     assert np.array_equal(out, lab * 255)
     out3 = pgm.labels_to_gray(np.array([[0, 1, 2]]), 3)
     assert np.array_equal(out3, np.array([[0, 127, 254]]))
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.array([[0, 1, 2], [7, -3, 123456789012345]], dtype=np.intp),
+        np.array([[1e-300, 1e300, -2.5], [123456789012.0, -0.1234567890123, 0.0]]),
+        np.array([[5e-324, -1e-5, 1.0 / 3.0], [-0.0, 2.0**53 + 2, 299792458.0]]),
+        np.array([[True, False], [False, True]]),
+    ],
+    ids=["intp", "float", "float_edges", "bool"],
+)
+def test_write_matrix_bytes_match_numpy_scalar_formatting(tmp_path, arr):
+    path = tmp_path / "m.txt"
+    pgm.write_matrix(path, arr)
+    want = f"{arr.shape[0]} {arr.shape[1]}\n" + "".join(
+        " ".join(format(v, ".12g") for v in row) + "\n" for row in arr
+    )
+    assert path.read_bytes() == want.encode("ascii")

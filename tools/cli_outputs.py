@@ -28,6 +28,8 @@ BLOCKS = [f"inputs/block{i}.txt" for i in range(8)] + ["inputs/constant.txt", "i
 # blocks that block validation rejects: a signed and an unsigned zero, and a NaN
 NONPOSITIVE, NAN = "inputs/nonpositive.txt", "inputs/nan.txt"
 IMAGES = {"pgm64": "inputs/two_region.pgm", "txt48": "inputs/three_region.txt"}
+# the benchmark's segment shape: 256x256, ~250 distinct levels, some zero pixels
+PGM256 = "inputs/two_region_256.pgm"
 
 
 def _nakagami(rng, m, omega, n):
@@ -65,6 +67,15 @@ def make_inputs():
         fh.write("48 48\n")
         fh.writelines(" ".join(format(v, ".12g") for v in row) + "\n" for row in img)
 
+    # 256x256: m = 1 on the left half, m = 8 on the right, as round(85 x), with
+    # 0.2% of the pixels set to zero
+    img = np.hstack([_nakagami(rng, 1.0, 1.0, 256 * 128).reshape(256, 128),
+                     _nakagami(rng, 8.0, 1.0, 256 * 128).reshape(256, 128)])
+    raster = np.clip(np.rint(85.0 * img), 0.0, 255.0).astype(np.uint8)
+    raster[rng.random(raster.shape) < 0.002] = 0
+    with open(PGM256, "wb") as fh:
+        fh.write(b"P5\n256 256\n255\n" + raster.tobytes())
+
 
 def cases():
     """(name, argv) for every call; `{out}` is replaced by the case directory."""
@@ -100,6 +111,15 @@ def cases():
                     ["segment", "--in", path, "--k", k, "--likelihood", likelihood, "--seed", "1",
                      "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"],
                 ))
+    out += [
+        ("segment_pgm256_nakagami_k2",
+         ["segment", "--in", PGM256, "--k", "2", "--likelihood", "nakagami", "--seed", "1",
+          "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"]),
+        ("segment_pgm64_nakagami_k4_beta0",
+         ["segment", "--in", IMAGES["pgm64"], "--k", "4", "--likelihood", "nakagami",
+          "--beta", "0", "--seed", "1", "--out-labels", "{out}/labels",
+          "--out-trace", "{out}/trace.csv"]),
+    ]
     out += [
         ("usage_sample_negative_m", ["sample", "--m", "-1", "--n", "5"]),
         ("usage_bench_bad_estimator", ["bench", "--estimators", "bogus"]),
