@@ -11,7 +11,8 @@ solves the stationarity condition
 
 numerically (Newton seeded by the second-order closed form, safeguarded by
 bisection on a sign-change bracket); the competing estimators are closed
-forms. The spread estimate is always sigma_hat = mean(x^2) / m_hat.
+forms. The spread estimate is always sigma_hat = mean(x^2) / m_hat; a
+sigma_hat outside the positive float range raises OutOfRangeError.
 """
 
 import math
@@ -87,6 +88,15 @@ def _require_informative(delta):
         )
 
 
+def _sigma_hat(mean_x2, m):
+    """The spread estimate mean(x^2) / m_hat; OutOfRangeError unless it is a
+    finite positive float."""
+    sigma = mean_x2 / m
+    if not 0.0 < sigma < math.inf:
+        raise OutOfRangeError(f"sigma_hat = {mean_x2!r} / {m!r} is outside the float range")
+    return sigma
+
+
 def _cb2_root(delta):
     # positive root of 12*delta*m^2 - 6*m - 1 = 0
     return (3.0 + math.sqrt(9.0 + 12.0 * delta)) / (12.0 * delta)
@@ -145,7 +155,7 @@ def estimate_ml(stats):
 
     return Estimate(
         m_hat=m,
-        sigma_hat=stats.mean_x2 / m,
+        sigma_hat=_sigma_hat(stats.mean_x2, m),
         method=EstimatorKind.EXACT_ML,
         iterations=iterations,
     )
@@ -155,14 +165,14 @@ def estimate_cheng_beaulieu_1(stats):
     """First-order closed form m_hat = 1 / (2 delta)."""
     _require_informative(stats.delta)
     m = 1.0 / (2.0 * stats.delta)
-    return Estimate(m, stats.mean_x2 / m, EstimatorKind.CHENG_BEAULIEU_1)
+    return Estimate(m, _sigma_hat(stats.mean_x2, m), EstimatorKind.CHENG_BEAULIEU_1)
 
 
 def estimate_cheng_beaulieu_2(stats):
     """Second-order closed form: positive root of 12*delta*m^2 - 6m - 1 = 0."""
     _require_informative(stats.delta)
     m = _cb2_root(stats.delta)
-    return Estimate(m, stats.mean_x2 / m, EstimatorKind.CHENG_BEAULIEU_2)
+    return Estimate(m, _sigma_hat(stats.mean_x2, m), EstimatorKind.CHENG_BEAULIEU_2)
 
 
 def estimate_greenwood_durand(stats):
@@ -182,7 +192,7 @@ def estimate_greenwood_durand(stats):
         num = 8.898919 + 9.059950 * y + 0.9775373 * y * y
         den = y * (17.79728 + 11.968477 * y + y * y)
         m = num / den
-    return Estimate(m, stats.mean_x2 / m, EstimatorKind.GREENWOOD_DURAND)
+    return Estimate(m, _sigma_hat(stats.mean_x2, m), EstimatorKind.GREENWOOD_DURAND)
 
 
 def estimate_moment_based(block):
@@ -207,7 +217,7 @@ def estimate_moment_based(block):
             f"variance of x^2 ({denom!r}) too small for the moment estimator"
         )
     m = square / denom
-    return Estimate(m, mean_x2 / m, EstimatorKind.MOMENT_BASED)
+    return Estimate(m, _sigma_hat(mean_x2, m), EstimatorKind.MOMENT_BASED)
 
 
 _DELTA_ESTIMATORS = {

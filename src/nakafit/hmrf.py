@@ -5,18 +5,18 @@ A label field over the pixel grid is scored by the posterior energy
     U(x) = -sum_i ln f(y_i | theta_{x_i}) + beta * sum_{<a,b>} [x_a != x_b]
 
 where <a,b> ranges over 4-neighbor pairs, each counted once. Labels start
-from 1-D k-means on the intensities (nearest centers found once per
-distinct intensity) and are refined by iterated conditional modes (ICM,
-checkerboard order: pixels with even i + j, then those with odd i + j),
-alternating with per-class parameter re-estimation: sample mean/variance
-for the Gaussian likelihood, exact ML on all of a class's pixels for the
-Nakagami likelihood. ICM scores one class at a time on a contiguous (H, W)
-plane of the negative log-likelihood table and keeps a running minimum;
-ties go to the lowest class index and a NaN cost to the first NaN, as
-with np.argmin.
+from 1-D k-means on the distinct intensities weighted by their pixel
+counts, and are refined by iterated conditional modes (ICM, checkerboard
+order: pixels with even i + j, then those with odd i + j), alternating
+with per-class parameter re-estimation: sample mean/variance for the
+Gaussian likelihood, exact ML on all of a class's pixels for the Nakagami
+likelihood. ICM scores one class at a time on a contiguous (H, W) plane of
+the negative log-likelihood table and keeps a running minimum; ties go to
+the lowest class index and a NaN cost to the first NaN, as with np.argmin.
 `segment` runs at most _MAX_SWEEPS sweeps per round and _MAX_OUTER rounds,
-stops early once parameters move by less than _PARAM_TOL, and lifts zero
-pixels by _ZERO_SHIFT times the peak for the Nakagami likelihood.
+stops early once parameters move by less than _PARAM_TOL, lifts zero
+pixels by _ZERO_SHIFT times the peak for the Nakagami likelihood, and
+refuses a beta whose product with the pair count is not finite.
 """
 
 import math
@@ -124,36 +124,32 @@ def _as_labels(labels, shape, n_classes):
     return lab.astype(np.intp)
 
 
-def _nearest(distinct, inverse, centers):
-    """Index of each pixel's nearest center (ties to the lower index), found
-    once per distinct value: a pixel equal to distinct[i] has inverse i."""
-    return np.argmin(np.abs(distinct[:, None] - centers[None, :]), axis=1)[inverse]
-
-
 def kmeans_init(image, n_classes, seed):
-    """1-D k-means on the intensities; classes are ordered by center value."""
+    """1-D k-means on the count-weighted distinct intensities; classes are
+    ordered by center value. Assignments are per distinct value (nearest
+    center, ties to the lower index) and reach the pixels once, at the end.
+    """
     img = _as_image(image)
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
     vals = img.ravel()
-    distinct, inverse = np.unique(vals, return_inverse=True)
+    distinct, inverse, counts = np.unique(vals, return_inverse=True, return_counts=True)
     if distinct.size < n_classes:
         raise ValueError(
             f"image has {distinct.size} distinct intensities, fewer than {n_classes} classes"
         )
+    mass = counts * distinct
     rng = np.random.default_rng(seed)
     centers = np.sort(rng.choice(distinct, size=n_classes, replace=False))
-    assign = _nearest(distinct, inverse, centers)
+    assign = np.abs(np.subtract.outer(distinct, centers)).argmin(axis=1)
     for _ in range(_KMEANS_MAX_ITER):
-        new_centers = centers.copy()
-        for j in range(n_classes):
-            members = vals[assign == j]
-            if members.size:
-                new_centers[j] = members.mean()
-            else:
-                # re-seed an empty cluster at the worst-represented point
-                new_centers[j] = vals[np.argmax(np.abs(vals - centers[assign]))]
-        new_assign = _nearest(distinct, inverse, new_centers)
+        sizes = np.bincount(assign, weights=counts, minlength=n_classes)
+        sums = np.bincount(assign, weights=mass, minlength=n_classes)
+        new_centers = np.divide(sums, sizes, out=centers.copy(), where=sizes > 0)
+        if not sizes.all():
+            # re-seed empty clusters at the first worst-represented pixel
+            new_centers[sizes == 0] = vals[np.argmax(np.abs(vals - centers[assign][inverse]))]
+        new_assign = np.abs(np.subtract.outer(distinct, new_centers)).argmin(axis=1)
         moved = not np.array_equal(new_centers, centers)
         centers, assign = new_centers, new_assign
         if not moved:
@@ -161,7 +157,7 @@ def kmeans_init(image, n_classes, seed):
     order = np.argsort(centers, kind="stable")
     rank = np.empty(n_classes, dtype=np.intp)
     rank[order] = np.arange(n_classes)
-    return rank[assign].reshape(img.shape)
+    return rank[assign][inverse].reshape(img.shape)
 
 
 def _nll_table(img, model):
@@ -354,6 +350,9 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     ICM sweeps executed.
     """
     img = _as_image(image)
+    # beta * (H(W-1) + (H-1)W pairs) bounds the energy's pair term and ICM's beta * agree
+    if not math.isfinite(float(beta) * (2 * img.size - sum(img.shape))):
+        raise ValueError(f"beta={beta!r} times the image's 4-neighbor pair count is not finite")
     if likelihood is Likelihood.NAKAGAMI and img.min() <= 0.0:
         peak = img.max()
         if peak <= 0.0:

@@ -105,6 +105,17 @@ def test_estimate_out_of_range_is_domain_error(tmp_path, capsys):
     assert "domain" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("method", ["exact_ml", "cheng_beaulieu_1", "cheng_beaulieu_2"])
+def test_estimate_sigma_beyond_float_range_is_domain_error(tmp_path, capsys, method):
+    # mean(x^2) ~ 3e306 over m_hat < 0.02: sigma_hat overflows the float range
+    blk = tmp_path / "spread.txt"
+    blk.write_text("4.378337766510523e-07\n3.149214563336647e-20\n3.019744578969957e+153\n")
+    assert run_cli(["estimate", "--in", str(blk), "--method", method]) == 1
+    out, err = capsys.readouterr()
+    assert "inf" not in out
+    assert "sigma_hat" in err
+
+
 def test_estimate_missing_file_is_domain_error(capsys):
     assert run_cli(["estimate", "--in", "/nonexistent/file.txt"]) == 1
     assert "file.txt" in capsys.readouterr().err

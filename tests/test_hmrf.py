@@ -108,16 +108,22 @@ def kmeans_reference(img, n_classes, seed):
     return rank[assign].reshape(img.shape), reseeds
 
 
-@pytest.mark.parametrize("n_classes", [2, 3, 4])
-@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 256])
 def test_kmeans_matches_per_pixel_reference(n_classes, seed):
     # 8-bit intensities with zeros lifted as `segment` lifts them for the
-    # Nakagami likelihood: few distinct values, many pixels each
+    # Nakagami likelihood: few distinct values, many pixels each. Seed 256
+    # is an unlifted image holding every one of the 256 levels: its class
+    # sums are integers, exact in any summation order, so count-weighted
+    # and per-pixel centers are the same floats even at a midpoint tie.
     rng = np.random.default_rng([seed, n_classes])
-    img = np.rint(85.0 * np.sqrt(rng.gamma(1.0 + 3 * (seed % 2), 0.5, (40, 37))))
-    img = np.clip(img, 0.0, 255.0)
-    img[rng.random(img.shape) < 0.05] = 0.0
-    img = img + hmrf._ZERO_SHIFT * img.max()
+    if seed == 256:
+        img = rng.permutation(np.arange(40 * 37) % 256).reshape(40, 37).astype(float)
+    else:
+        img = np.rint(85.0 * np.sqrt(rng.gamma(1.0 + 3 * (seed % 2), 0.5, (40, 37))))
+        img = np.clip(img, 0.0, 255.0)
+        img[rng.random(img.shape) < 0.05] = 0.0
+        img = img + hmrf._ZERO_SHIFT * img.max()
     want, _ = kmeans_reference(img, n_classes, seed)
     assert np.array_equal(kmeans_init(img, n_classes, seed), want)
 
@@ -127,6 +133,17 @@ def test_kmeans_empty_cluster_reseed_matches_reference():
     want, reseeds = kmeans_reference(img, 4, seed=2)
     assert reseeds > 0
     assert np.array_equal(kmeans_init(img, 4, seed=2), want)
+
+
+@pytest.mark.parametrize("descending", [True, False])
+def test_kmeans_reseed_tie_goes_to_first_pixel_in_raster_order(descending):
+    # a cluster empties while 19 and 81 are equally far from their centers:
+    # the re-seed takes whichever comes first in raster order
+    img = np.repeat([19.0, 39.0, 40.0, 60.0, 61.0, 81.0], [1, 3, 1, 1, 3, 1])
+    img = (img[::-1] if descending else img).reshape(2, 5)
+    want, reseeds = kmeans_reference(img, 3, seed=8)
+    assert reseeds > 0
+    assert np.array_equal(kmeans_init(img, 3, seed=8), want)
 
 
 # --- pair potential and energy ----------------------------------------------
@@ -437,6 +454,17 @@ def test_segment_beta_zero_is_pixelwise_ml():
 
     nll = _nll_table(img, result.model)
     assert np.array_equal(result.labels, np.argmin(nll, axis=2))
+
+
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+def test_segment_rejects_beta_that_overflows_the_pair_term(likelihood):
+    # a 4x4 image has 24 neighbor pairs: 24 * 7e306 is finite, 24 * 1e307 is not
+    img = np.arange(1.0, 17.0).reshape(4, 4)
+    for beta in (1e307, 1e308):
+        with pytest.raises(ValueError, match="beta"):
+            segment(img, 2, likelihood, beta=beta, seed=0)
+    result = segment(img, 2, likelihood, beta=7e306, seed=0)
+    assert all(math.isfinite(energy) for _, _, energy in result.trace)
 
 
 def test_segment_rejects_all_zero_image_for_nakagami():

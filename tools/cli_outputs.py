@@ -27,9 +27,13 @@ ESTIMATORS = ("exact_ml", "cheng_beaulieu_1", "cheng_beaulieu_2", "greenwood_dur
 BLOCKS = [f"inputs/block{i}.txt" for i in range(8)] + ["inputs/constant.txt", "inputs/short.txt"]
 # blocks that block validation rejects: a signed and an unsigned zero, and a NaN
 NONPOSITIVE, NAN = "inputs/nonpositive.txt", "inputs/nan.txt"
+# a valid block whose sigma_hat = mean(x^2) / m_hat overflows the float range
+SPREAD = "inputs/spread.txt"
 IMAGES = {"pgm64": "inputs/two_region.pgm", "txt48": "inputs/three_region.txt"}
 # the benchmark's segment shape: 256x256, ~250 distinct levels, some zero pixels
 PGM256 = "inputs/two_region_256.pgm"
+# 4x4 ramp: 24 neighbor pairs, so beta = 1e308 overflows the pair term
+PGM4 = "inputs/ramp4.pgm"
 
 
 def _nakagami(rng, m, omega, n):
@@ -53,6 +57,10 @@ def make_inputs():
         fh.write("1.5\n2.0\n-0.0\n0\n0.7\n")
     with open(NAN, "w", encoding="ascii") as fh:
         fh.write("1.5\n2.0\nnan\n0.7\n")
+    with open(SPREAD, "w", encoding="ascii") as fh:
+        fh.write("4.378337766510523e-07\n3.149214563336647e-20\n3.019744578969957e+153\n")
+    with open(PGM4, "wb") as fh:
+        fh.write(b"P5\n4 4\n255\n" + np.arange(10, 170, 10, dtype=np.uint8).tobytes())
 
     # 64x64: m = 1 on the left half, m = 8 on the right, scaled into [0, 255]
     img = np.hstack([_nakagami(rng, 1.0, 1.0, 64 * 32).reshape(64, 32),
@@ -95,6 +103,7 @@ def cases():
     out += [
         ("estimate_nonpositive_fails", ["estimate", "--in", BLOCKS[0], NONPOSITIVE]),
         ("estimate_nan_fails", ["estimate", "--in", BLOCKS[0], NAN]),
+        ("estimate_sigma_overflow_fails", ["estimate", "--in", SPREAD, "--method", "exact_ml"]),
     ]
     out += [
         ("bounds_default_grid", ["bounds", "--m-grid", "0.5,1,2,4,8,16", "--n", "150"]),
@@ -118,6 +127,9 @@ def cases():
         ("segment_pgm64_nakagami_k4_beta0",
          ["segment", "--in", IMAGES["pgm64"], "--k", "4", "--likelihood", "nakagami",
           "--beta", "0", "--seed", "1", "--out-labels", "{out}/labels",
+          "--out-trace", "{out}/trace.csv"]),
+        ("segment_huge_beta_fails",
+         ["segment", "--in", PGM4, "--k", "2", "--beta", "1e308", "--out-labels", "{out}/labels",
           "--out-trace", "{out}/trace.csv"]),
     ]
     out += [
