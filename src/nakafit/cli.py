@@ -136,6 +136,8 @@ def _read_config_file(path, parser):
             lines = fh.readlines()
     except OSError as exc:
         parser.error(f"cannot read config {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        parser.error(f"cannot read config {path}: not ASCII text")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -16,7 +16,9 @@ the lowest class index and a NaN cost to the first NaN, as with np.argmin.
 `segment` runs at most _MAX_SWEEPS sweeps per round and _MAX_OUTER rounds,
 stops early once parameters move by less than _PARAM_TOL, lifts zero
 pixels by _ZERO_SHIFT times the peak for the Nakagami likelihood, and
-refuses a beta whose product with the pair count is not finite.
+refuses a beta whose product with the pair count is not finite. Images
+must be >= 0 with peak^2 * pixel count finite; the Nakagami likelihood
+also needs every square positive. A cost that overflows is +inf.
 """
 
 import math
@@ -108,8 +110,10 @@ def _as_image(image):
     img = np.asarray(image, dtype=float)
     if img.ndim != 2 or img.size == 0:
         raise ValueError("image must be a non-empty 2-D array")
-    if not np.all(np.isfinite(img)) or np.any(img < 0.0):
-        raise ValueError("pixel intensities must be finite and >= 0")
+    # the squares and their sum then stay finite in every fit, distance and table
+    peak = float(img.max())
+    if not (img.min() >= 0.0 and math.isfinite(peak * peak * img.size)):
+        raise ValueError("pixel intensities must be >= 0 with a finite sum of squares")
     return img
 
 
@@ -163,15 +167,17 @@ def kmeans_init(image, n_classes, seed):
 def _nll_table(img, model):
     """Per-pixel, per-class negative log-likelihood, shape (H, W, K)."""
     out = np.empty(img.shape + (model.n_classes,))
-    for k, p in enumerate(model.class_params):
-        if p is None:
-            raise ValueError(f"class {k} has no parameters; run update_params first")
-        if model.likelihood is Likelihood.GAUSSIAN:
-            out[:, :, k] = 0.5 * math.log(2.0 * math.pi * p.var) + (img - p.mu) ** 2 / (
-                2.0 * p.var
-            )
-        else:
-            out[:, :, k] = -log_pdf(p, img)
+    # a pixel far outside a narrow class costs +inf there: the overflow is the answer
+    with np.errstate(over="ignore"):
+        for k, p in enumerate(model.class_params):
+            if p is None:
+                raise ValueError(f"class {k} has no parameters; run update_params first")
+            if model.likelihood is Likelihood.GAUSSIAN:
+                out[:, :, k] = 0.5 * math.log(2.0 * math.pi * p.var) + (img - p.mu) ** 2 / (
+                    2.0 * p.var
+                )
+            else:
+                out[:, :, k] = -log_pdf(p, img)
     return out
 
 
@@ -315,8 +321,8 @@ def update_params(image, labels, model):
     """
     img = _as_image(image)
     lab = _as_labels(labels, img.shape, model.n_classes)
-    if model.likelihood is Likelihood.NAKAGAMI and np.any(img <= 0.0):
-        raise ValueError("Nakagami likelihood requires strictly positive pixels")
+    if model.likelihood is Likelihood.NAKAGAMI and not float(img.min()) ** 2 > 0.0:
+        raise ValueError("Nakagami likelihood requires pixels whose squares are positive")
     new_params = []
     starved = []
     for k in range(model.n_classes):
@@ -370,9 +376,10 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
         trace.append((step, "params", _energy_given_table(nll, labels, model.beta)))
         step += 1
         vec = _param_vector(model)
-        params_stable = prev_vec is not None and np.max(
-            np.abs(vec - prev_vec) / np.maximum(np.abs(prev_vec), 1e-300)
-        ) < _PARAM_TOL
+        with np.errstate(over="ignore"):  # an overflowing relative move is not stable
+            params_stable = prev_vec is not None and np.max(
+                np.abs(vec - prev_vec) / np.maximum(np.abs(prev_vec), 1e-300)
+            ) < _PARAM_TOL
         prev_vec = vec
         round_changed = 0
         for labels, changed in islice(_icm_sweeps(nll, labels, model.beta), _MAX_SWEEPS):

@@ -1,34 +1,35 @@
 """Grayscale image I/O: binary PGM (P5, 8-bit) and a plain-text matrix format.
 
+A PGM header is four tokens: magic, width, height and maxval. A token is a
+run of bytes that are neither ASCII whitespace nor '#'. Before each token
+come any number of whitespace bytes and comments; a comment runs from '#'
+to the next newline or to the end of the data. Exactly one whitespace byte
+after maxval separates the header from the raster.
+
 The text format is a `rows cols` header line followed by whitespace-
-separated reals in row-major order.
+separated reals in row-major order; `write_matrix` writes one row per line
+through `np.savetxt` with 12 significant digits.
 """
+
+import re
 
 import numpy as np
 
 
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)")
+
+
 def _tokenize_pgm_header(data):
-    """Yield header tokens, skipping '#' comments; returns (tokens, offset)."""
-    tokens = []
-    i = 0
-    while len(tokens) < 4:
-        if i >= len(data):
+    """Return the four header tokens and the offset of the raster."""
+    tokens, end = [], 0
+    for _ in range(4):
+        match = _HEADER_TOKEN.match(data, end)
+        if match is None:
             raise ValueError("truncated PGM header")
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
+        tokens.append(match[1])
+        end = match.end()
     # exactly one whitespace byte separates the header from the raster
-    return tokens, i + 1
+    return tokens, end + 1
 
 
 def read_pgm(path):
@@ -92,9 +93,7 @@ def write_matrix(path, array):
         raise ValueError("array must be 2-D")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-        # tolist() yields Python scalars: same strings as numpy scalars, half the time
-        for row in arr.tolist():
-            fh.write(" ".join(format(v, ".12g") for v in row) + "\n")
+        np.savetxt(fh, arr, fmt="%.12g")
 
 
 def read_image(path):

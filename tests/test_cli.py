@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nakafit import BenchConfig, EstimatorKind, pgm
 from nakafit.cli import _build_bench_config, build_parser, main
@@ -180,6 +182,15 @@ def test_bench_bad_config_key_is_usage_error(tmp_path, capsys):
             run_cli(["bench", "--config", str(cfg)])
         assert exc.value.code == 2
         assert key in capsys.readouterr().err
+
+
+def test_bench_non_ascii_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"trials = 5\xff\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bench", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert str(cfg) in capsys.readouterr().err
 
 
 # field: (config-file text, its value, flag text, its value)
@@ -396,3 +407,54 @@ def test_segment_bad_beta_is_usage_error(tmp_path, capsys, beta):
                  "--out-trace", str(tmp_path / "t.csv")])
     assert exc.value.code == 2
     assert "--beta" in capsys.readouterr().err
+
+
+# Images of at most 4x4 pixels for `segment`: a PGM or a text matrix, well
+# formed or with one header field or value broken, or arbitrary bytes.
+_SEPARATOR = st.lists(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"# c\n", b"#\xff\n"]),
+    min_size=1, max_size=3,
+).map(b"".join)
+
+
+def _break_one(draw, parts, junk):
+    """Replace one of `parts` by a junk value, or leave all of them."""
+    where = draw(st.none() | st.integers(0, len(parts) - 1))
+    if where is not None:
+        parts[where] = draw(st.sampled_from(junk))
+    return parts
+
+
+@st.composite
+def _pgm_image(draw):
+    width, height = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    fields = _break_one(draw, [b"P5", b"%d" % width, b"%d" % height, b"255"],
+                        [b"P2", b"", b"-1", b"0", b"256", b"1e2", b"x", b"\xff"])
+    raster = draw(st.binary(min_size=width * height, max_size=width * height))
+    cut = draw(st.none() | st.integers(0, width * height))
+    return fields[0] + b"".join(draw(_SEPARATOR) + f for f in fields[1:]) \
+        + draw(_SEPARATOR) + raster[:cut]
+
+
+@st.composite
+def _matrix_image(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    values = draw(st.lists(st.floats(0.0, 300.0), min_size=rows * cols, max_size=rows * cols))
+    tokens = _break_one(draw, [str(rows), str(cols), *map(repr, values)],
+                        ["", "-1", "2.5", "x", "\xff", "-0.0", "nan", "inf", "1e308", "1e-320"])
+    return " ".join(tokens).encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    data=st.one_of(_pgm_image(), _matrix_image(), st.binary(max_size=40)),
+    likelihood=st.sampled_from(["nakagami", "gaussian"]),
+)
+def test_segment_malformed_image_exits_cleanly(tmp_path, capsys, data, likelihood):
+    path = tmp_path / "fuzz.img"
+    path.write_bytes(data)
+    code = run_cli(["segment", "--in", str(path), "--k", "2", "--likelihood", likelihood,
+                    "--out-labels", str(tmp_path / "l"), "--out-trace", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 1 and err.startswith("error: ")), (code, err)

@@ -199,10 +199,11 @@ def test_scale_equivariance(kind):
     p = NakagamiParams(m=1.5, sigma=2.0)
     block = sample(p, 400, seed=77)
     base = estimate_block(kind, block)
-    for c in (0.1, 3.0, 250.0):
+    # abs=0: approx's default absolute tolerance (1e-12) would pass any sigma at 2**-200
+    for c in (2.0**-200, 0.1, 3.0, 250.0, 2.0**200):
         scaled = estimate_block(kind, c * block)
         assert scaled.m_hat == pytest.approx(base.m_hat, rel=1e-9)
-        assert scaled.sigma_hat == pytest.approx(c * c * base.sigma_hat, rel=1e-9)
+        assert scaled.sigma_hat == pytest.approx(c * c * base.sigma_hat, rel=1e-9, abs=0)
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 4.0])

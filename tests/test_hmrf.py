@@ -467,6 +467,39 @@ def test_segment_rejects_beta_that_overflows_the_pair_term(likelihood):
     assert all(math.isfinite(energy) for _, _, energy in result.trace)
 
 
+NARROW_LOW_CLASS = [[1e-160, 2e-160], [300.0, 300.0]]
+
+
+@pytest.mark.parametrize(
+    "img, likelihood, n_classes, beta",
+    [
+        # a narrow class far from the other pixels: their costs there overflow to +inf
+        (NARROW_LOW_CLASS, Likelihood.GAUSSIAN, 2, 1.0),
+        (NARROW_LOW_CLASS, Likelihood.NAKAGAMI, 2, 1.0),
+        ([[1.0, 1.0000000000000002], [1e140, 1e140]], Likelihood.GAUSSIAN, 2, 1.0),
+        # a class variance grows ~1e400-fold between two rounds
+        ([[7.753049982879734e99, 0.0, 3.195664094758842e-301, 8.598029806695014e-11]],
+         Likelihood.GAUSSIAN, 3, 1e300),
+    ],
+)
+def test_segment_saturates_overflowing_costs_without_warnings(img, likelihood, n_classes, beta):
+    result = segment(np.array(img), n_classes, likelihood, beta=beta, seed=0)
+    assert all(math.isfinite(energy) for _, _, energy in result.trace)
+
+
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+def test_segment_rejects_squares_beyond_the_float_range(likelihood):
+    # 1e154^2 * 4 pixels overflows; 1e-170^2 underflows to 0 under ln x^2
+    with pytest.raises(ValueError, match="sum of squares"):
+        segment(np.array([[1.0, 1e154], [2.0, 3.0]]), 2, likelihood, seed=0)
+    tiny = np.array([[1e-170, 1.0], [2.0, 3.0]])
+    if likelihood is Likelihood.NAKAGAMI:
+        with pytest.raises(ValueError, match="squares are positive"):
+            segment(tiny, 2, likelihood, seed=0)
+    else:
+        assert segment(tiny, 2, likelihood, seed=0).labels[0, 0] == 0
+
+
 def test_segment_rejects_all_zero_image_for_nakagami():
     with pytest.raises(ValueError):
         segment(np.zeros((6, 6)), 2, Likelihood.NAKAGAMI, seed=0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nakafit import pgm
 
@@ -19,6 +21,58 @@ def test_pgm_header_comments(tmp_path):
     img = pgm.read_pgm(path)
     assert img.shape == (2, 2)
     assert img[1, 1] == 255.0
+
+
+# The byte-at-a-time header lexer that the regular expression replaced.
+def tokenize_reference(data):
+    """Yield header tokens, skipping '#' comments; returns (tokens, offset)."""
+    tokens = []
+    i = 0
+    while len(tokens) < 4:
+        if i >= len(data):
+            raise ValueError("truncated PGM header")
+        c = data[i : i + 1]
+        if c == b"#":
+            while i < len(data) and data[i : i + 1] != b"\n":
+                i += 1
+            i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+    # exactly one whitespace byte separates the header from the raster
+    return tokens, i + 1
+
+
+def lex(tokenize, data):
+    try:
+        return tokenize(data)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+_COMMENT_TEXT = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b""))
+_HEADER_PIECE = st.one_of(
+    st.just(b"P5"),
+    st.integers(0, 99999).map(lambda n: b"%d" % n),
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+    st.just(b"#"),
+    _COMMENT_TEXT,
+    _COMMENT_TEXT.map(lambda c: c + b"\n"),
+    st.binary(min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(_HEADER_PIECE, max_size=12).map(b"".join))
+@example(b"P5 1 2 #55")  # a comment that ends the data holds no token
+@example(b"P5\r\n# two regions\n64\t64 # w h\n255\n\x00")
+def test_header_lexer_matches_byte_loop_reference(data):
+    assert lex(pgm._tokenize_pgm_header, data) == lex(tokenize_reference, data)
 
 
 def test_pgm_rejects_bad_magic(tmp_path):

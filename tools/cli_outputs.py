@@ -11,7 +11,9 @@ with nakafit, so two checkouts get identical inputs. Compare two checkouts
 with `diff -r OUT_A OUT_B`.
 
 Case names say what the exit code should be: `usage_*` exit 2, `*_fails`
-exit 1, every other case exits 0.
+exit 1, every other case exits 0. A call that raises anything but SystemExit
+is recorded with exit code `traceback` and the exception's last line in
+stderr, and the run goes on.
 """
 
 import argparse
@@ -19,6 +21,7 @@ import contextlib
 import io
 import os
 import sys
+import traceback
 import warnings
 
 import numpy as np
@@ -34,6 +37,10 @@ IMAGES = {"pgm64": "inputs/two_region.pgm", "txt48": "inputs/three_region.txt"}
 PGM256 = "inputs/two_region_256.pgm"
 # 4x4 ramp: 24 neighbor pairs, so beta = 1e308 overflows the pair term
 PGM4 = "inputs/ramp4.pgm"
+# the pgm64 raster behind a header with CR LF, a tab and two comments
+PGM64_COMMENTED = "inputs/two_region_comments.pgm"
+# a bench config whose last byte is not ASCII
+CONFIG_NOT_ASCII = "inputs/not_ascii.cfg"
 
 
 def _nakagami(rng, m, omega, n):
@@ -61,6 +68,8 @@ def make_inputs():
         fh.write("4.378337766510523e-07\n3.149214563336647e-20\n3.019744578969957e+153\n")
     with open(PGM4, "wb") as fh:
         fh.write(b"P5\n4 4\n255\n" + np.arange(10, 170, 10, dtype=np.uint8).tobytes())
+    with open(CONFIG_NOT_ASCII, "wb") as fh:
+        fh.write(b"trials = 5\xff\n")
 
     # 64x64: m = 1 on the left half, m = 8 on the right, scaled into [0, 255]
     img = np.hstack([_nakagami(rng, 1.0, 1.0, 64 * 32).reshape(64, 32),
@@ -68,6 +77,8 @@ def make_inputs():
     raster = np.rint(np.clip(img / img.max() * 255.0, 1.0, 255.0)).astype(np.uint8)
     with open(IMAGES["pgm64"], "wb") as fh:
         fh.write(b"P5\n64 64\n255\n" + raster.tobytes())
+    with open(PGM64_COMMENTED, "wb") as fh:
+        fh.write(b"P5\r\n# two regions\n64\t64 # w h\n255\n" + raster.tobytes())
 
     # 48x48: three vertical bands at m = 0.7, 3 and 12
     img = np.hstack([_nakagami(rng, m, 1.0, 48 * 16).reshape(48, 16) for m in (0.7, 3.0, 12.0)])
@@ -121,6 +132,9 @@ def cases():
                      "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"],
                 ))
     out += [
+        ("segment_pgm64_comment_header",
+         ["segment", "--in", PGM64_COMMENTED, "--k", "2", "--likelihood", "nakagami", "--seed", "1",
+          "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"]),
         ("segment_pgm256_nakagami_k2",
          ["segment", "--in", PGM256, "--k", "2", "--likelihood", "nakagami", "--seed", "1",
           "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"]),
@@ -136,11 +150,13 @@ def cases():
         ("usage_sample_negative_m", ["sample", "--m", "-1", "--n", "5"]),
         ("usage_bench_bad_estimator", ["bench", "--estimators", "bogus"]),
         ("usage_bounds_empty_grid", ["bounds", "--m-grid", "", "--n", "10"]),
+        ("usage_bench_config_not_ascii", ["bench", "--config", CONFIG_NOT_ASCII]),
     ]
     return out
 
 
 def run_case(main, name, argv):
+    """Run one call; an uncaught exception is recorded as exit code `traceback`."""
     os.makedirs(name, exist_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
@@ -150,6 +166,9 @@ def run_case(main, name, argv):
             code = main([arg.replace("{out}", name) for arg in argv])
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:
+            code = "traceback"
+            stderr.write(traceback.format_exception_only(exc)[-1])
     for stream, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue()),
                          ("exit_code", f"{code}\n")):
         with open(os.path.join(name, stream), "w", encoding="utf-8") as fh:
