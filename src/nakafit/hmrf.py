@@ -14,7 +14,7 @@ likelihood. ICM scores one class at a time on a contiguous (H, W) plane of
 the negative log-likelihood table and keeps a running minimum; ties go to
 the lowest class index and a NaN cost to the first NaN, as with np.argmin.
 `segment` runs at most _MAX_SWEEPS sweeps per round and _MAX_OUTER rounds,
-stops early once parameters move by less than _PARAM_TOL, lifts zero
+stops after the first round whose sweeps relabel no pixel, lifts zero
 pixels by _ZERO_SHIFT times the peak for the Nakagami likelihood, and
 refuses a beta whose product with the pair count is not finite. Images
 must be >= 0 with peak^2 * pixel count finite; the Nakagami likelihood
@@ -22,7 +22,7 @@ also needs every square positive. A cost that overflows is +inf.
 """
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice
 
@@ -46,7 +46,6 @@ _KMEANS_MAX_ITER = 100
 
 _MAX_SWEEPS = 3
 _MAX_OUTER = 100
-_PARAM_TOL = 1e-5
 _ZERO_SHIFT = 1e-6
 
 
@@ -336,19 +335,15 @@ def update_params(image, labels, model):
     return replace(model, class_params=tuple(new_params), starved=tuple(starved))
 
 
-def _param_vector(model):
-    return np.ravel([astuple(p) for p in model.class_params])
-
-
 def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     """Full pipeline: k-means init, then alternate parameter updates and ICM.
 
     Each outer round refits the class parameters and runs at most
     _MAX_SWEEPS ICM sweeps; keeping the sweep budget small lets labels and
     parameters co-evolve instead of freezing early around the
-    initialization. The loop stops once a round changes no pixel and moves
-    the parameters by less than _PARAM_TOL (relative), or after _MAX_OUTER
-    rounds.
+    initialization. The loop stops after the first round whose sweeps
+    change no pixel, or after _MAX_OUTER rounds: the next round would refit
+    the same parameters from the same labels and repeat that round exactly.
 
     For the Nakagami likelihood, images containing zeros are shifted up by
     _ZERO_SHIFT * max intensity to restore positive support. Returns labels,
@@ -369,18 +364,11 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     trace = []
     step = 0
     sweeps = 0
-    prev_vec = None
     for _ in range(_MAX_OUTER):
         model = update_params(img, labels, model)
         nll = _nll_table(img, model)
         trace.append((step, "params", _energy_given_table(nll, labels, model.beta)))
         step += 1
-        vec = _param_vector(model)
-        with np.errstate(over="ignore"):  # an overflowing relative move is not stable
-            params_stable = prev_vec is not None and np.max(
-                np.abs(vec - prev_vec) / np.maximum(np.abs(prev_vec), 1e-300)
-            ) < _PARAM_TOL
-        prev_vec = vec
         round_changed = 0
         for labels, changed in islice(_icm_sweeps(nll, labels, model.beta), _MAX_SWEEPS):
             round_changed += changed
@@ -389,6 +377,6 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
             step += 1
             if changed == 0:
                 break
-        if round_changed == 0 and params_stable:
+        if round_changed == 0:
             break
     return SegmentResult(labels=labels, model=model, trace=tuple(trace), sweeps=sweeps)

@@ -6,9 +6,9 @@ come any number of whitespace bytes and comments; a comment runs from '#'
 to the next newline or to the end of the data. Exactly one whitespace byte
 after maxval separates the header from the raster.
 
-The text format is a `rows cols` header line followed by whitespace-
-separated reals in row-major order; `write_matrix` writes one row per line
-through `np.savetxt` with 12 significant digits.
+The text format is a `rows cols` header of two decimal integers >= 1
+followed by whitespace-separated reals in row-major order; `write_matrix`
+writes one row per line through `np.savetxt` with 12 significant digits.
 """
 
 import re
@@ -77,7 +77,9 @@ def read_matrix(path):
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ValueError(f"{path}: missing 'rows cols' header")
-    rows, cols = int(tokens[0]), int(tokens[1])
+    rows, cols = (int(t) if t.isdigit() else 0 for t in tokens[:2])
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}: bad matrix dimensions {tokens[0]} {tokens[1]}")
     values = np.array([float(t) for t in tokens[2:]], dtype=float)
     if values.size != rows * cols:
         raise ValueError(

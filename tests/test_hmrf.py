@@ -447,6 +447,20 @@ def test_segment_energy_trace_non_increasing_within_icm():
         prev = energy if phase == "icm" else None
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+def test_segment_stops_at_the_first_round_that_relabels_nothing(likelihood, n_classes, beta):
+    img, _ = two_region_image(seed=4, size=32)
+    result = segment(img, n_classes, likelihood, beta=beta, seed=4)
+    nll = hmrf._nll_table(img, result.model)
+    _, changed = next(hmrf._icm_sweeps(nll, result.labels, beta))
+    assert changed == 0
+    # a repeated final round would refit the same parameters and redo the same sweep
+    rows = [row[1:] for row in result.trace]
+    assert rows[-2:] != rows[-4:-2]
+
+
 def test_segment_beta_zero_is_pixelwise_ml():
     img, _ = two_region_image(seed=5, size=16)
     result = segment(img, 2, Likelihood.NAKAGAMI, beta=0.0, seed=5)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -116,6 +118,14 @@ def test_matrix_header_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 3\n1 2 3 4\n")
     with pytest.raises(ValueError):
+        pgm.read_matrix(path)
+
+
+@pytest.mark.parametrize("header", ["-1 0", "0 3", "2 x"])
+def test_matrix_rejects_dimensions_below_one_or_not_integers(tmp_path, header):
+    path = tmp_path / "bad.txt"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad matrix dimensions {header}")):
         pgm.read_matrix(path)
 
 

@@ -39,6 +39,8 @@ PGM256 = "inputs/two_region_256.pgm"
 PGM4 = "inputs/ramp4.pgm"
 # the pgm64 raster behind a header with CR LF, a tab and two comments
 PGM64_COMMENTED = "inputs/two_region_comments.pgm"
+# a text matrix whose `rows cols` header is not two integers >= 1
+MATRIX_NEGATIVE_DIMS = "inputs/negative_dims.txt"
 # a bench config whose last byte is not ASCII
 CONFIG_NOT_ASCII = "inputs/not_ascii.cfg"
 
@@ -68,6 +70,8 @@ def make_inputs():
         fh.write("4.378337766510523e-07\n3.149214563336647e-20\n3.019744578969957e+153\n")
     with open(PGM4, "wb") as fh:
         fh.write(b"P5\n4 4\n255\n" + np.arange(10, 170, 10, dtype=np.uint8).tobytes())
+    with open(MATRIX_NEGATIVE_DIMS, "w", encoding="ascii") as fh:
+        fh.write("-1 0\n")
     with open(CONFIG_NOT_ASCII, "wb") as fh:
         fh.write(b"trials = 5\xff\n")
 
@@ -144,6 +148,9 @@ def cases():
           "--out-trace", "{out}/trace.csv"]),
         ("segment_huge_beta_fails",
          ["segment", "--in", PGM4, "--k", "2", "--beta", "1e308", "--out-labels", "{out}/labels",
+          "--out-trace", "{out}/trace.csv"]),
+        ("segment_matrix_negative_dims_fails",
+         ["segment", "--in", MATRIX_NEGATIVE_DIMS, "--k", "2", "--out-labels", "{out}/labels",
           "--out-trace", "{out}/trace.csv"]),
     ]
     out += [
