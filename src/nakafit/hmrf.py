@@ -10,9 +10,16 @@ counts, and are refined by iterated conditional modes (ICM, checkerboard
 order: pixels with even i + j, then those with odd i + j), alternating
 with per-class parameter re-estimation: sample mean/variance for the
 Gaussian likelihood, exact ML on all of a class's pixels for the Nakagami
-likelihood. ICM scores one class at a time on a contiguous (H, W) plane of
-the negative log-likelihood table and keeps a running minimum; ties go to
-the lowest class index and a NaN cost to the first NaN, as with np.argmin.
+likelihood. The first sweep of a round scores one class at a time on a
+contiguous (H, W) plane of the negative log-likelihood table and keeps a
+running minimum; ties go to the lowest class index and a NaN cost to the
+first NaN, as with np.argmin. Later sweeps re-score only the pixels next to
+one the previous half-sweep relabelled: within a round the costs are
+fixed, so any other pixel would get back the label it has. `segment`
+evaluates the class costs once per distinct intensity and gathers them
+into the planes, and keeps the energy's two terms (each pixel's own-class
+cost, the count of unlike pairs) up to date at the relabelled pixels; a
+full gather runs only after a refit and after a round's first sweep.
 `segment` runs at most _MAX_SWEEPS sweeps per round and _MAX_OUTER rounds,
 stops after the first round whose sweeps relabel no pixel, lifts zero
 pixels by _ZERO_SHIFT times the peak for the Nakagami likelihood, and
@@ -163,31 +170,40 @@ def kmeans_init(image, n_classes, seed):
     return rank[assign][inverse].reshape(img.shape)
 
 
-def _nll_table(img, model):
-    """Per-pixel, per-class negative log-likelihood, shape (H, W, K)."""
-    out = np.empty(img.shape + (model.n_classes,))
+def _class_costs(values, model):
+    """Negative log-likelihood of every value under every class, shape (K,) + values.shape."""
+    out = np.empty((model.n_classes,) + values.shape)
     # a pixel far outside a narrow class costs +inf there: the overflow is the answer
     with np.errstate(over="ignore"):
         for k, p in enumerate(model.class_params):
             if p is None:
                 raise ValueError(f"class {k} has no parameters; run update_params first")
             if model.likelihood is Likelihood.GAUSSIAN:
-                out[:, :, k] = 0.5 * math.log(2.0 * math.pi * p.var) + (img - p.mu) ** 2 / (
+                out[k] = 0.5 * math.log(2.0 * math.pi * p.var) + (values - p.mu) ** 2 / (
                     2.0 * p.var
                 )
             else:
-                out[:, :, k] = -log_pdf(p, img)
+                out[k] = -log_pdf(p, values)
     return out
+
+
+def _nll_table(img, model):
+    """Per-pixel, per-class negative log-likelihood, shape (H, W, K)."""
+    return np.moveaxis(_class_costs(img, model), 0, 2)
+
+
+def _unlike_pairs(labels):
+    """Number of 4-neighbor pairs with different labels, each counted once."""
+    return np.count_nonzero(labels[:, 1:] != labels[:, :-1]) + np.count_nonzero(
+        labels[1:, :] != labels[:-1, :]
+    )
 
 
 def _energy_given_table(nll, labels, beta):
     # one flat gather, in raster order, of each pixel's own-class entry
     n_classes = nll.shape[2]
     data = float(nll.reshape(-1)[np.arange(labels.size) * n_classes + labels.ravel()].sum())
-    pairs = np.count_nonzero(labels[:, 1:] != labels[:, :-1]) + np.count_nonzero(
-        labels[1:, :] != labels[:-1, :]
-    )
-    return data + beta * pairs
+    return data + beta * _unlike_pairs(labels)
 
 
 def total_energy(image, labels, model):
@@ -197,6 +213,159 @@ def total_energy(image, labels, model):
     return _energy_given_table(_nll_table(img, model), lab, model.beta)
 
 
+def _argmin_classes(costs, best, arg, better, nan_best, marked):
+    """Set `arg` to np.argmin over the class axis of the cost arrays that
+    `costs` yields in class order, keeping their running minimum in `best`.
+
+    np.argmin's rule: a strictly lower cost wins, so ties keep the lower
+    class; a NaN beats every number, the first NaN winning, so a NaN best is
+    never replaced. np.minimum propagates NaN, so `best` compares as the
+    kept cost does.
+    """
+    for k, cost in enumerate(costs):
+        if k == 0:
+            np.copyto(best, cost)
+            arg.fill(0)
+            continue
+        np.greater_equal(cost, best, out=better)
+        np.not_equal(best, best, out=nan_best)
+        np.logical_or(better, nan_best, out=better)
+        np.logical_not(better, out=better)
+        np.minimum(best, cost, out=best)
+        np.multiply(better, k, out=marked)
+        np.maximum(arg, marked, out=arg)  # arg < k: takes k where better
+
+
+# each checkerboard color as (rows, cols) slice pairs: even i + j, then odd i + j
+_EVEN, _ODD = slice(0, None, 2), slice(1, None, 2)
+_COLORS = (((_EVEN, _EVEN), (_ODD, _ODD)), ((_EVEN, _ODD), (_ODD, _EVEN)))
+
+
+class _Icm:
+    """ICM on one image shape and class count, with its energy kept current.
+
+    Holds the K contiguous (H, W) cost planes, which the caller fills, the
+    label field in a (H+2, W+2) frame with a -1 border, and the two energy
+    terms of the current field: `own`, each pixel's own-class cost in raster
+    order, and `pairs`, the count of unlike 4-neighbor pairs. Every buffer
+    is allocated once and reused by each round: fresh (H, W) temporaries
+    cost more in page faults than the arithmetic done on them.
+    """
+
+    def __init__(self, shape, n_classes):
+        height, width = shape
+        size = height * width
+        self.planes = np.empty((n_classes, height, width))
+        self.framed = np.full((height + 2, width + 2), -1, dtype=np.intp)
+        self.inner = self.framed[1:-1, 1:-1]
+        # the frame's cells by flat index; a pixel's 4 neighbors are these steps away
+        self.cells = self.framed.reshape(-1)
+        self.steps = np.array([-(width + 2), -1, 1, width + 2])
+        self.classes = np.arange(n_classes)[:, None, None]
+        # the raster index of each frame cell, -1 on the border
+        pixel_of = np.full(self.framed.shape, -1, dtype=np.intp)
+        self.raster = pixel_of[1:-1, 1:-1]
+        self.raster[...] = np.arange(size).reshape(shape)
+        self.pixel_of = pixel_of.reshape(-1)
+        self.same = np.empty(self.framed.shape, dtype=bool)
+        flags = self.same.view(np.int8)
+        self.up, self.down = flags[:-2, 1:-1], flags[2:, 1:-1]
+        self.left, self.right = flags[1:-1, :-2], flags[1:-1, 2:]
+        self.agree = np.empty(shape, dtype=np.int8)
+        self.cost, self.best = np.empty(shape), np.empty(shape)
+        self.better, self.nan_best = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        self.arg, self.marked = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
+        # the running minimum's buffers, in `_argmin_classes` order
+        self.work = (self.best, self.arg, self.better, self.nan_best, self.marked)
+        self.own = np.empty(size)
+        self.labels, self.pairs = None, 0
+
+    def load(self, labels):
+        """Make `labels` the current field and gather its energy terms in full."""
+        self.labels = labels
+        index = self.arg  # free between sweeps
+        np.multiply(labels, self.own.size, out=index)
+        index += self.raster
+        np.take(self.planes.reshape(-1), index.reshape(-1), out=self.own, mode="clip")
+        self.pairs = _unlike_pairs(labels)
+
+    def energy(self, beta):
+        """Posterior energy of the current field: the sum of `own`, in raster
+        order as `_energy_given_table` gathers it, plus beta * pairs."""
+        return float(self.own.sum()) + beta * self.pairs
+
+    def sweeps(self, beta):
+        """Checkerboard sweeps from the field given to `load`, one per step;
+        yields (new label field, pixels changed) and keeps the energy terms
+        of the yielded field."""
+        beta = float(beta)  # an int beta would keep beta * agree in int8
+        before = self.labels
+        self.inner[...] = before
+        for color in _COLORS:
+            _argmin_classes(self._dense_costs(beta), *self.work)
+            for rows, cols in color:
+                self.inner[rows, cols] = self.arg[rows, cols]
+        lab = self.inner.copy()
+        changed = np.flatnonzero(lab != before)
+        self.load(lab)
+        yield lab, changed.size
+        # the pixels the odd half-sweep relabelled, from raster index i * W + j
+        # to frame cell (i + 1) * (W + 2) + j + 1
+        rows, cols = np.divmod(changed, lab.shape[1])
+        odd = (rows + cols) % 2 == 1
+        moved = changed[odd] + 2 * rows[odd] + (lab.shape[1] + 3)
+        while True:
+            changed = 0
+            for _ in _COLORS:
+                moved = self._sparse_half(moved, beta)
+                changed += moved.size
+            yield self.inner.copy(), changed
+
+    def _dense_costs(self, beta):
+        """Yield each class's (H, W) plane of nll_k - beta * (neighbors
+        labeled k), counting same-label neighbors as an int8 sum of four
+        shifted slices of the frame."""
+        for k, plane in enumerate(self.planes):
+            np.equal(self.framed, k, out=self.same)
+            np.add(self.up, self.down, out=self.agree)
+            self.agree += self.left
+            self.agree += self.right
+            np.multiply(self.agree, beta, out=self.cost)
+            np.subtract(plane, self.cost, out=self.cost)
+            yield self.cost
+
+    def _sparse_half(self, moved, beta):
+        """Re-score the pixels next to the frame cells `moved`, which the
+        previous half-sweep relabelled, and update the field and its energy
+        terms; returns the frame cells this half-sweep relabelled."""
+        if moved.size == 0:
+            return moved
+        near = np.sort((moved + self.steps[:, None]).reshape(-1))
+        keep = np.empty(near.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(near[1:], near[:-1], out=keep[1:])
+        keep &= self.pixel_of[near] >= 0
+        cells = near[keep]
+        pixels = self.pixel_of[cells]
+        around = self.cells[cells + self.steps[:, None]]  # (4, n) neighbor labels
+        n_classes, size = len(self.planes), self.own.size
+        agree = np.add.reduce(around == self.classes, axis=1)
+        costs = np.take(self.planes.reshape(n_classes, size), pixels, axis=1)
+        costs -= agree * beta
+        work = [buf.reshape(-1)[: cells.size] for buf in self.work]
+        _argmin_classes(costs, *work)
+        new, old = work[1], self.cells[cells]
+        move = np.flatnonzero(new != old)
+        new, old, around = new[move], old[move], around[:, move]
+        # neighbors keep their labels within a half-sweep; the -1 border cancels
+        self.pairs += int(np.count_nonzero(around != new)) - int(np.count_nonzero(around != old))
+        pixels = pixels[move]
+        self.own[pixels] = np.take(self.planes.reshape(-1), new * size + pixels)
+        moved = cells[move]
+        self.cells[moved] = new
+        return moved
+
+
 def _icm_sweeps(nll, labels, beta):
     """Checkerboard ICM sweeps over the (H, W, K) table `nll`, one per step.
 
@@ -204,63 +373,26 @@ def _icm_sweeps(nll, labels, beta):
     Pixels of one color are never 4-neighbors, so each half-sweep is an
     exact coordinate-descent step (Besag's coding scheme) and the energy
     never rises. A pixel's neighbor count is the same for every class, so
-    its best class is argmin over k of nll_k - beta * (neighbors labeled k).
+    its best class is argmin over k of nll_k - beta * (neighbors labeled k),
+    with np.argmin's rule for ties and NaN (`_argmin_classes`).
 
-    The table is copied once into K contiguous (H, W) planes. Each
-    half-sweep writes the labels into a (H+2, W+2) frame with a -1 border,
-    counts each class's same-label neighbors as an int8 sum of four shifted
-    slices, and keeps a running minimum of the class costs over k. The rule
-    is np.argmin's: ties go to the lowest class index, and a NaN cost beats
-    every number, the first NaN winning. Yields a new label field and the
-    number of pixels whose label changed; `labels` is never mutated.
+    The first sweep scores every pixel: one class at a time on a contiguous
+    (H, W) plane, with int8 neighbor counts and a running minimum. After
+    it, a half-sweep re-scores only the pixels with a neighbor relabelled
+    by the half-sweep before it, gathered by flat index from the framed
+    label field. This is exact: every other pixel of that color has the
+    same K costs and the same neighbor labels as when it was last scored,
+    so it would get back the label it already has. The energy terms (each
+    pixel's own-class cost and the count of unlike pairs) are gathered in
+    full after the first sweep and then updated at the relabelled pixels
+    only; `segment` reads its trace energies from them. Yields a new label
+    field and the number of pixels whose label changed; `labels` is never
+    mutated.
     """
-    planes = np.moveaxis(nll, 2, 0).copy()
-    beta = float(beta)  # an int beta would keep beta * agree in int8
-    shape = labels.shape
-    framed = np.full((shape[0] + 2, shape[1] + 2), -1, dtype=np.intp)
-    # Work arrays are allocated once per call: fresh (H, W) temporaries cost
-    # more in page faults than the arithmetic done on them.
-    same = np.empty(framed.shape, dtype=bool)
-    flags = same.view(np.int8)
-    up, down = flags[:-2, 1:-1], flags[2:, 1:-1]
-    left, right = flags[1:-1, :-2], flags[1:-1, 2:]
-    agree = np.empty(shape, dtype=np.int8)
-    cost, best = np.empty(shape), np.empty(shape)
-    better, nan_best = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    arg, marked = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
-    # each color as (rows, cols) slice pairs: even i + j, then odd i + j
-    even, odd = slice(0, None, 2), slice(1, None, 2)
-    colors = (((even, even), (odd, odd)), ((even, odd), (odd, even)))
-    lab = labels
-    while True:
-        start, lab = lab, lab.copy()
-        for color in colors:
-            framed[1:-1, 1:-1] = lab
-            for k, plane in enumerate(planes):
-                np.equal(framed, k, out=same)
-                np.add(up, down, out=agree)
-                agree += left
-                agree += right
-                np.multiply(agree, beta, out=cost)
-                if k == 0:
-                    np.subtract(plane, cost, out=best)
-                    arg.fill(0)
-                    continue
-                np.subtract(plane, cost, out=cost)
-                # np.argmin's rule: a strictly lower cost wins, so ties keep
-                # the lower class; a NaN beats every number, the first NaN
-                # winning, so a NaN best is never replaced. np.minimum
-                # propagates NaN, so `best` compares as the kept cost does.
-                np.greater_equal(cost, best, out=better)
-                np.not_equal(best, best, out=nan_best)
-                np.logical_or(better, nan_best, out=better)
-                np.logical_not(better, out=better)
-                np.minimum(best, cost, out=best)
-                np.multiply(better, k, out=marked)
-                np.maximum(arg, marked, out=arg)  # arg < k: takes k where better
-            for rows, cols in color:
-                lab[rows, cols] = arg[rows, cols]
-        yield lab, int(np.count_nonzero(lab != start))
+    icm = _Icm(labels.shape, nll.shape[2])
+    np.copyto(icm.planes, np.moveaxis(nll, 2, 0))
+    icm.load(labels)
+    return icm.sweeps(beta)
 
 
 def icm_sweep(image, labels, model):
@@ -360,20 +492,26 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
             raise ValueError("cannot use the Nakagami likelihood on an all-zero image")
         img = img + _ZERO_SHIFT * peak
     labels = kmeans_init(img, n_classes, seed)
+    # the class costs are evaluated once per distinct intensity and gathered
+    distinct, inverse = np.unique(img, return_inverse=True)
+    inverse = inverse.reshape(img.shape)
+    icm = _Icm(img.shape, n_classes)
     model = SegModel.empty(n_classes, likelihood, beta=beta)
     trace = []
     step = 0
     sweeps = 0
     for _ in range(_MAX_OUTER):
         model = update_params(img, labels, model)
-        nll = _nll_table(img, model)
-        trace.append((step, "params", _energy_given_table(nll, labels, model.beta)))
+        for plane, costs in zip(icm.planes, _class_costs(distinct, model)):
+            np.take(costs, inverse, out=plane, mode="clip")
+        icm.load(labels)
+        trace.append((step, "params", icm.energy(model.beta)))
         step += 1
         round_changed = 0
-        for labels, changed in islice(_icm_sweeps(nll, labels, model.beta), _MAX_SWEEPS):
+        for labels, changed in islice(icm.sweeps(model.beta), _MAX_SWEEPS):
             round_changed += changed
             sweeps += 1
-            trace.append((step, "icm", _energy_given_table(nll, labels, model.beta)))
+            trace.append((step, "icm", icm.energy(model.beta)))
             step += 1
             if changed == 0:
                 break

@@ -8,7 +8,8 @@ after maxval separates the header from the raster.
 
 The text format is a `rows cols` header of two decimal integers >= 1
 followed by whitespace-separated reals in row-major order; `write_matrix`
-writes one row per line through `np.savetxt` with 12 significant digits.
+writes one row per line with 12 significant digits, byte for byte as
+`np.savetxt(fmt="%.12g")` would.
 """
 
 import re
@@ -93,9 +94,15 @@ def write_matrix(path, array):
     arr = np.asarray(array)
     if arr.ndim != 2:
         raise ValueError("array must be 2-D")
+    # Each distinct value is formatted once, as np.savetxt(fmt="%.12g") would
+    # format it, and the rows are joined through the inverse index. Values
+    # are told apart by their bits, so -0.0 and 0.0 keep their own texts.
+    bits, inverse = np.unique(arr.view(f"u{arr.itemsize}"), return_inverse=True)
+    texts = np.array(["%.12g" % v for v in bits.view(arr.dtype).tolist()], dtype=object)
+    rows = texts[inverse.reshape(arr.shape)].tolist()
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-        np.savetxt(fh, arr, fmt="%.12g")
+        fh.writelines(" ".join(row) + "\n" for row in rows)
 
 
 def read_image(path):

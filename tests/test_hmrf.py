@@ -342,14 +342,15 @@ def argmin_sweep_reference(nll, labels, beta):
 
 
 @pytest.mark.parametrize(
-    "shape", [(1, 1), (1, 7), (7, 1), (33, 17)], ids=lambda s: "%dx%d" % s
+    "shape", [(1, 1), (1, 7), (7, 1), (33, 17), (37, 23)], ids=lambda s: "%dx%d" % s
 )
 @pytest.mark.parametrize("n_classes", [2, 3, 5])
 @pytest.mark.parametrize("table", ["finite", "nonfinite"])
 def test_icm_kernel_matches_argmin_reference(shape, n_classes, table):
     # random float costs leave ties to chance; the non-finite tables mix in
     # +-inf and NaN, and beta = 1e308 makes beta * agree overflow, so inf - inf
-    # costs are NaN too: np.argmin takes the first NaN over any number
+    # costs are NaN too: np.argmin takes the first NaN over any number. Every
+    # sweep after the first re-scores only the pixels next to a relabelled one.
     rng = np.random.default_rng([shape[0], shape[1], n_classes, table == "finite"])
     for beta in (0.0, 0.7, 3.0, 1e308):
         nll = rng.normal(0.0, 2.0, shape + (n_classes,))
@@ -362,7 +363,7 @@ def test_icm_kernel_matches_argmin_reference(shape, n_classes, table):
         before = labels.copy()
         want = labels
         with np.errstate(over="ignore", invalid="ignore"):  # both formulas warn alike
-            for got, changed in islice(hmrf._icm_sweeps(nll, labels, beta), 3):
+            for got, changed in islice(hmrf._icm_sweeps(nll, labels, beta), 6):
                 want, want_changed = argmin_sweep_reference(nll, want, beta)
                 assert np.array_equal(got, want)
                 assert changed == want_changed
@@ -459,6 +460,37 @@ def test_segment_stops_at_the_first_round_that_relabels_nothing(likelihood, n_cl
     # a repeated final round would refit the same parameters and redo the same sweep
     rows = [row[1:] for row in result.trace]
     assert rows[-2:] != rows[-4:-2]
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (23, 17)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(likelihood, n_classes, shape):
+    # segment keeps the energy up to date at the relabelled pixels only; a
+    # replay of its rounds recomputes every energy from the whole table
+    rng = np.random.default_rng([*shape, n_classes])
+    height, width = shape
+    x = np.hstack([np.sqrt(rng.gamma(1.0, 1.0, (height, width // 2))),
+                   np.sqrt(rng.gamma(8.0, 1.0 / 8.0, (height, width - width // 2)))])
+    img = np.clip(np.rint(85.0 * x), 1.0, 255.0)
+    result = segment(img, n_classes, likelihood, beta=1.0, seed=5)
+    labels = kmeans_init(img, n_classes, 5)
+    model = SegModel.empty(n_classes, likelihood, beta=1.0)
+    want = []
+    for _ in range(hmrf._MAX_OUTER):
+        model = update_params(img, labels, model)
+        nll = hmrf._nll_table(img, model)
+        want.append(hmrf._energy_given_table(nll, labels, 1.0))
+        round_changed = 0
+        for labels, changed in islice(hmrf._icm_sweeps(nll, labels, 1.0), hmrf._MAX_SWEEPS):
+            want.append(hmrf._energy_given_table(nll, labels, 1.0))
+            round_changed += changed
+            if changed == 0:
+                break
+        if round_changed == 0:
+            break
+    assert [energy for _, _, energy in result.trace] == want
+    assert np.array_equal(result.labels, labels)
 
 
 def test_segment_beta_zero_is_pixelwise_ml():

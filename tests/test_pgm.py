@@ -1,3 +1,4 @@
+import io
 import re
 
 import numpy as np
@@ -163,3 +164,54 @@ def test_write_matrix_bytes_match_numpy_scalar_formatting(tmp_path, arr):
         " ".join(format(v, ".12g") for v in row) + "\n" for row in arr
     )
     assert path.read_bytes() == want.encode("ascii")
+
+
+def savetxt_matrix(arr):
+    """The text matrix format as `write_matrix` wrote it through np.savetxt."""
+    fh = io.StringIO()
+    fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
+    np.savetxt(fh, arr, fmt="%.12g")
+    return fh.getvalue().encode("ascii")
+
+
+# values whose 13th significant digit is a 5 or that sit next to one, so
+# "%.12g" has to round them
+ROUND_OFF = [0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, 0.5 + 2.0**-40, 1.0000000000005, 9.9999999999995,
+             999999999999.5, 123456789012.5, -2.5e-13, 1.23456789012345e-300]
+SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e12, -1e12, 1e-300, 5e-324,
+            1.7976931348623157e308]
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.random.default_rng(1).integers(0, 2, (37, 23)),
+        np.random.default_rng(2).integers(0, 5, (9, 64)).astype(np.intp),
+        np.random.default_rng(3).integers(0, 3, (1, 50)).astype(np.int8),
+        np.zeros((4, 1), dtype=np.int64),
+        np.array([ROUND_OFF, SPECIALS[:10]]),
+        np.random.default_rng(4).choice(ROUND_OFF + SPECIALS, (17, 19)),
+        np.random.default_rng(5).normal(0.0, 1e6, (8, 8)),
+    ],
+    ids=["labels_k2", "labels_k5", "int8_row", "int_column", "specials", "mixed", "normal"],
+)
+def test_write_matrix_matches_savetxt(tmp_path, arr):
+    path = tmp_path / "m.txt"
+    pgm.write_matrix(path, arr)
+    assert path.read_bytes() == savetxt_matrix(arr)
+
+
+_FLOAT_VALUES = st.one_of(st.floats(), st.sampled_from(ROUND_OFF + SPECIALS))
+_FLOAT_MATRICES = st.integers(1, 6).flatmap(
+    lambda cols: st.lists(_FLOAT_VALUES, min_size=cols, max_size=6 * cols).map(
+        lambda v: np.array(v[: len(v) // cols * cols]).reshape(-1, cols)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_FLOAT_MATRICES)
+def test_write_matrix_matches_savetxt_on_any_floats(tmp_path_factory, arr):
+    path = tmp_path_factory.mktemp("m") / "m.txt"
+    pgm.write_matrix(path, arr)
+    assert path.read_bytes() == savetxt_matrix(arr)

@@ -39,6 +39,8 @@ PGM256 = "inputs/two_region_256.pgm"
 PGM4 = "inputs/ramp4.pgm"
 # the pgm64 raster behind a header with CR LF, a tab and two comments
 PGM64_COMMENTED = "inputs/two_region_comments.pgm"
+# 37x23 text matrix: odd sides, so the checkerboard colors differ in size
+MATRIX_ODD = "inputs/three_region_37x23.txt"
 # a text matrix whose `rows cols` header is not two integers >= 1
 MATRIX_NEGATIVE_DIMS = "inputs/negative_dims.txt"
 # a bench config whose last byte is not ASCII
@@ -99,6 +101,15 @@ def make_inputs():
     with open(PGM256, "wb") as fh:
         fh.write(b"P5\n256 256\n255\n" + raster.tobytes())
 
+    # 37x23 from a stream of its own, so every input above stays as it was:
+    # bands of 8, 8 and 7 columns at m = 0.7, 3 and 12
+    odd = np.random.default_rng(3723)
+    img = np.hstack([_nakagami(odd, m, 1.0, 37 * w).reshape(37, w)
+                     for m, w in ((0.7, 8), (3.0, 8), (12.0, 7))])
+    with open(MATRIX_ODD, "w", encoding="ascii") as fh:
+        fh.write("37 23\n")
+        fh.writelines(" ".join(format(v, ".12g") for v in row) + "\n" for row in img)
+
 
 def cases():
     """(name, argv) for every call; `{out}` is replaced by the case directory."""
@@ -146,6 +157,9 @@ def cases():
          ["segment", "--in", IMAGES["pgm64"], "--k", "4", "--likelihood", "nakagami",
           "--beta", "0", "--seed", "1", "--out-labels", "{out}/labels",
           "--out-trace", "{out}/trace.csv"]),
+        ("segment_txt_odd_nakagami_k3",
+         ["segment", "--in", MATRIX_ODD, "--k", "3", "--likelihood", "nakagami", "--seed", "1",
+          "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"]),
         ("segment_huge_beta_fails",
          ["segment", "--in", PGM4, "--k", "2", "--beta", "1e308", "--out-labels", "{out}/labels",
           "--out-trace", "{out}/trace.csv"]),
