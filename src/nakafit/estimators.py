@@ -71,14 +71,19 @@ def compute_stats(block):
     """
     b = as_block(block)
     x2 = b * b
-    mean_x2 = float(np.add.reduce(x2)) / b.size
-    mean_log_x2 = float(np.add.reduce(np.log(x2))) / b.size
+    return _stats_of_squares(x2, np.log(x2))
+
+
+def _stats_of_squares(x2, log_x2):
+    """`compute_stats` of a block given as its squares and their logs, two
+    1-D arrays of one length in the block's order."""
+    n = x2.size
+    mean_x2 = float(np.add.reduce(x2)) / n
+    mean_log_x2 = float(np.add.reduce(log_x2)) / n
     if not (0.0 < mean_x2 < math.inf and math.isfinite(mean_log_x2)):
         raise OutOfRangeError("block values square outside the float range")
     delta = math.log(mean_x2) - mean_log_x2
-    return SufficientStats(
-        n=b.size, mean_x2=mean_x2, mean_log_x2=mean_log_x2, delta=max(delta, 0.0)
-    )
+    return SufficientStats(n=n, mean_x2=mean_x2, mean_log_x2=mean_log_x2, delta=max(delta, 0.0))
 
 
 def _require_informative(delta):

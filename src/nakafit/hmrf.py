@@ -16,16 +16,21 @@ running minimum; ties go to the lowest class index and a NaN cost to the
 first NaN, as with np.argmin. Later sweeps re-score only the pixels next to
 one the previous half-sweep relabelled: within a round the costs are
 fixed, so any other pixel would get back the label it has. `segment`
-evaluates the class costs once per distinct intensity and gathers them
-into the planes, and keeps the energy's two terms (each pixel's own-class
-cost, the count of unlike pairs) up to date at the relabelled pixels; a
-full gather runs only after a refit and after a round's first sweep.
-`segment` runs at most _MAX_SWEEPS sweeps per round and _MAX_OUTER rounds,
-stops after the first round whose sweeps relabel no pixel, lifts zero
-pixels by _ZERO_SHIFT times the peak for the Nakagami likelihood, and
-refuses a beta whose product with the pair count is not finite. Images
-must be >= 0 with peak^2 * pixel count finite; the Nakagami likelihood
-also needs every square positive. A cost that overflows is +inf.
+computes what no round changes once per call: one np.unique of the image,
+which feeds k-means and the gather of the class costs (evaluated once per
+distinct intensity) into the planes, and each pixel's x^2 and ln x^2,
+from which every Nakagami refit takes its class means. A refit gathers
+each class by index. Every sweep keeps the energy's two terms (each
+pixel's own-class cost, the count of unlike pairs) up to date at the
+pixels it relabels; the pairs are counted in full once per call, and the
+own-class costs are gathered in full only after a refit, which changes the
+costs but no label. `segment` runs at most _MAX_SWEEPS sweeps per round and
+_MAX_OUTER rounds, stops after the first round whose sweeps relabel no
+pixel, lifts zero pixels by _ZERO_SHIFT times the peak for the Nakagami
+likelihood, and refuses a beta whose product with the pair count is not
+finite. Images must be >= 0 with peak^2 * pixel count finite; the Nakagami
+likelihood also needs every square positive. A cost that overflows is
++inf.
 """
 
 import math
@@ -36,7 +41,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import NakafitError
-from .estimators import compute_stats, estimate_ml
+from .estimators import _stats_of_squares, estimate_ml
 from .nakagami import NakagamiParams, log_pdf
 
 # Classes whose pixels give delta at or below this are treated as flat
@@ -48,6 +53,8 @@ _SEG_DELTA_MIN = 1e-9
 # floor for the Gaussian, a concentrated high-shape spike for the Nakagami.
 _VAR_FLOOR = 1e-12
 _DEGENERATE_M = 1e4
+# the smallest positive float: the spike's spread when mean(x^2) / _DEGENERATE_M underflows
+_SIGMA_MIN = math.ulp(0.0)
 
 _KMEANS_MAX_ITER = 100
 
@@ -140,10 +147,16 @@ def kmeans_init(image, n_classes, seed):
     center, ties to the lower index) and reach the pixels once, at the end.
     """
     img = _as_image(image)
+    vals = img.reshape(-1)
+    unique = np.unique(vals, return_inverse=True, return_counts=True)
+    return _kmeans(vals, *unique, n_classes, seed).reshape(img.shape)
+
+
+def _kmeans(vals, distinct, inverse, counts, n_classes, seed):
+    """`kmeans_init` on the flat image `vals`, given its np.unique with the
+    inverse index and the counts; returns the flat labels."""
     if n_classes < 2:
         raise ValueError("n_classes must be >= 2")
-    vals = img.ravel()
-    distinct, inverse, counts = np.unique(vals, return_inverse=True, return_counts=True)
     if distinct.size < n_classes:
         raise ValueError(
             f"image has {distinct.size} distinct intensities, fewer than {n_classes} classes"
@@ -167,7 +180,7 @@ def kmeans_init(image, n_classes, seed):
     order = np.argsort(centers, kind="stable")
     rank = np.empty(n_classes, dtype=np.intp)
     rank[order] = np.arange(n_classes)
-    return rank[assign][inverse].reshape(img.shape)
+    return rank[assign][inverse]
 
 
 def _class_costs(values, model):
@@ -236,20 +249,17 @@ def _argmin_classes(costs, best, arg, better, nan_best, marked):
         np.maximum(arg, marked, out=arg)  # arg < k: takes k where better
 
 
-# each checkerboard color as (rows, cols) slice pairs: even i + j, then odd i + j
-_EVEN, _ODD = slice(0, None, 2), slice(1, None, 2)
-_COLORS = (((_EVEN, _EVEN), (_ODD, _ODD)), ((_EVEN, _ODD), (_ODD, _EVEN)))
-
-
 class _Icm:
     """ICM on one image shape and class count, with its energy kept current.
 
     Holds the K contiguous (H, W) cost planes, which the caller fills, the
-    label field in a (H+2, W+2) frame with a -1 border, and the two energy
-    terms of the current field: `own`, each pixel's own-class cost in raster
-    order, and `pairs`, the count of unlike 4-neighbor pairs. Every buffer
-    is allocated once and reused by each round: fresh (H, W) temporaries
-    cost more in page faults than the arithmetic done on them.
+    current label field in a (H+2, W+2) frame with a -1 border, and the two
+    energy terms of that field: `own`, each pixel's own-class cost in raster
+    order, and `pairs`, the count of unlike 4-neighbor pairs. Both terms are
+    counted in full only by `load` (pairs) and `gather` (own); every sweep
+    updates them at the pixels it relabels. Every buffer is allocated once
+    and reused by each round: fresh (H, W) temporaries cost more in page
+    faults than the arithmetic done on them.
     """
 
     def __init__(self, shape, n_classes):
@@ -277,17 +287,26 @@ class _Icm:
         self.arg, self.marked = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
         # the running minimum's buffers, in `_argmin_classes` order
         self.work = (self.best, self.arg, self.better, self.nan_best, self.marked)
+        # the checkerboard colors in sweep order: even i + j, then odd i + j
+        even = np.add.outer(np.arange(height), np.arange(width)) % 2 == 0
+        self.colors = (even, ~even)
         self.own = np.empty(size)
-        self.labels, self.pairs = None, 0
+        self.pairs = 0
 
     def load(self, labels):
-        """Make `labels` the current field and gather its energy terms in full."""
-        self.labels = labels
+        """Make `labels` the current field and count its unlike pairs in
+        full; `gather` then fills `own`. Sweeps keep both terms current."""
+        self.inner[...] = labels
+        self.pairs = _unlike_pairs(labels)
+
+    def gather(self):
+        """Gather `own` in full from the planes for the current field: after
+        `load`, and after each refill of the planes, which a refit makes
+        without relabelling any pixel."""
         index = self.arg  # free between sweeps
-        np.multiply(labels, self.own.size, out=index)
+        np.multiply(self.inner, self.own.size, out=index)
         index += self.raster
         np.take(self.planes.reshape(-1), index.reshape(-1), out=self.own, mode="clip")
-        self.pairs = _unlike_pairs(labels)
 
     def energy(self, beta):
         """Posterior energy of the current field: the sum of `own`, in raster
@@ -295,28 +314,27 @@ class _Icm:
         return float(self.own.sum()) + beta * self.pairs
 
     def sweeps(self, beta):
-        """Checkerboard sweeps from the field given to `load`, one per step;
-        yields (new label field, pixels changed) and keeps the energy terms
-        of the yielded field."""
+        """Checkerboard sweeps from the current field, one per step; yields
+        (new label field, pixels changed). Each half-sweep updates the
+        energy terms at the pixels it relabels, so they stay those of the
+        yielded field and no full gather runs."""
         beta = float(beta)  # an int beta would keep beta * agree in int8
-        before = self.labels
-        self.inner[...] = before
-        for color in _COLORS:
+        width = self.inner.shape[1]
+        changed = 0
+        for color in self.colors:
             _argmin_classes(self._dense_costs(beta), *self.work)
-            for rows, cols in color:
-                self.inner[rows, cols] = self.arg[rows, cols]
-        lab = self.inner.copy()
-        changed = np.flatnonzero(lab != before)
-        self.load(lab)
-        yield lab, changed.size
-        # the pixels the odd half-sweep relabelled, from raster index i * W + j
-        # to frame cell (i + 1) * (W + 2) + j + 1
-        rows, cols = np.divmod(changed, lab.shape[1])
-        odd = (rows + cols) % 2 == 1
-        moved = changed[odd] + 2 * rows[odd] + (lab.shape[1] + 3)
+            np.not_equal(self.arg, self.inner, out=self.better)
+            self.better &= color
+            pixels = np.flatnonzero(self.better)
+            # raster index i * W + j to frame cell (i + 1) * (W + 2) + j + 1
+            moved = pixels + 2 * (pixels // width) + (width + 3)
+            around = self.cells[moved + self.steps[:, None]]
+            self._relabel(moved, pixels, self.arg.reshape(-1)[pixels], around)
+            changed += pixels.size
+        yield self.inner.copy(), changed
         while True:
             changed = 0
-            for _ in _COLORS:
+            for _ in self.colors:
                 moved = self._sparse_half(moved, beta)
                 changed += moved.size
             yield self.inner.copy(), changed
@@ -354,16 +372,21 @@ class _Icm:
         costs -= agree * beta
         work = [buf.reshape(-1)[: cells.size] for buf in self.work]
         _argmin_classes(costs, *work)
-        new, old = work[1], self.cells[cells]
-        move = np.flatnonzero(new != old)
-        new, old, around = new[move], old[move], around[:, move]
+        new = work[1]
+        move = np.flatnonzero(new != self.cells[cells])
+        moved = cells[move]
+        self._relabel(moved, pixels[move], new[move], around[:, move])
+        return moved
+
+    def _relabel(self, cells, pixels, new, around):
+        """Give the frame cells `cells` (raster indices `pixels`), all of one
+        color, the labels `new`, and update both energy terms there;
+        `around` holds their (4, n) neighbor labels."""
+        old = self.cells[cells]
         # neighbors keep their labels within a half-sweep; the -1 border cancels
         self.pairs += int(np.count_nonzero(around != new)) - int(np.count_nonzero(around != old))
-        pixels = pixels[move]
-        self.own[pixels] = np.take(self.planes.reshape(-1), new * size + pixels)
-        moved = cells[move]
-        self.cells[moved] = new
-        return moved
+        self.own[pixels] = np.take(self.planes.reshape(-1), new * self.own.size + pixels)
+        self.cells[cells] = new
 
 
 def _icm_sweeps(nll, labels, beta):
@@ -384,7 +407,7 @@ def _icm_sweeps(nll, labels, beta):
     same K costs and the same neighbor labels as when it was last scored,
     so it would get back the label it already has. The energy terms (each
     pixel's own-class cost and the count of unlike pairs) are gathered in
-    full after the first sweep and then updated at the relabelled pixels
+    full before the first sweep and then updated at the relabelled pixels
     only; `segment` reads its trace energies from them. Yields a new label
     field and the number of pixels whose label changed; `labels` is never
     mutated.
@@ -392,6 +415,7 @@ def _icm_sweeps(nll, labels, beta):
     icm = _Icm(labels.shape, nll.shape[2])
     np.copyto(icm.planes, np.moveaxis(nll, 2, 0))
     icm.load(labels)
+    icm.gather()
     return icm.sweeps(beta)
 
 
@@ -406,8 +430,21 @@ def icm_sweep(image, labels, model):
     return next(_icm_sweeps(_nll_table(img, model), lab, model.beta))
 
 
-def _fit_class(px, likelihood):
-    """Fit one class from its hard-assigned pixels; None if degenerate.
+def _fit_columns(img, likelihood):
+    """What a class fit reads at each pixel, as flat arrays in raster order:
+    the intensities for the Gaussian likelihood, x^2 and ln x^2 for the
+    Nakagami likelihood, which needs every square positive."""
+    flat = img.reshape(-1)
+    if likelihood is Likelihood.GAUSSIAN:
+        return (flat,)
+    if not float(img.min()) ** 2 > 0.0:
+        raise ValueError("Nakagami likelihood requires pixels whose squares are positive")
+    x2 = flat * flat
+    return x2, np.log(x2)
+
+
+def _fit_class(columns, likelihood):
+    """Fit one class from `_fit_columns` at its pixels; None if degenerate.
 
     The Nakagami fit is exact ML on all of the class pixels at once:
     splitting a class into small fixed chunks would inject the solver's
@@ -415,14 +452,15 @@ def _fit_class(px, likelihood):
     over-peaks the density enough to derail the segmentation on shape-only
     contrasts.
     """
-    if px.size < 2:
+    if columns[0].size < 2:
         return None
     if likelihood is Likelihood.GAUSSIAN:
+        (px,) = columns
         var = float(px.var(ddof=1))
         if var <= 0.0:
             return None
         return GaussianParams(mu=float(px.mean()), var=var)
-    stats = compute_stats(px)
+    stats = _stats_of_squares(*columns)
     if stats.delta <= _SEG_DELTA_MIN:
         return None
     try:
@@ -432,15 +470,38 @@ def _fit_class(px, likelihood):
     return NakagamiParams(m=est.m_hat, sigma=est.sigma_hat)
 
 
-def _bootstrap_class(px, likelihood):
+def _bootstrap_class(columns, likelihood):
     """Fallback parameters for a class that cannot be fitted at startup."""
-    if px.size == 0:
+    if columns[0].size == 0:
         raise ValueError("a class has no pixels at initialization")
     if likelihood is Likelihood.GAUSSIAN:
+        (px,) = columns
         var = float(px.var(ddof=1)) if px.size > 1 else 0.0
         return GaussianParams(mu=float(px.mean()), var=max(var, _VAR_FLOOR))
-    mean_x2 = float((px * px).mean())
-    return NakagamiParams(m=_DEGENERATE_M, sigma=mean_x2 / _DEGENERATE_M)
+    mean_x2 = float(columns[0].mean())
+    sigma = mean_x2 / _DEGENERATE_M
+    if sigma > 0.0:
+        return NakagamiParams(m=_DEGENERATE_M, sigma=sigma)
+    # squares so close to 0 that the spike's spread underflows: the narrowest
+    # spike whose spread is positive, with the same mean square
+    return NakagamiParams(m=mean_x2 / _SIGMA_MIN, sigma=_SIGMA_MIN)
+
+
+def _refit(columns, labels, model):
+    """`update_params` on checked inputs: `columns` from `_fit_columns`, and
+    the flat label field. Each class is gathered by index, in raster order."""
+    new_params = []
+    starved = []
+    for k in range(model.n_classes):
+        index = np.flatnonzero(labels == k)
+        values = [column.take(index) for column in columns]
+        fitted = _fit_class(values, model.likelihood)
+        if fitted is None:
+            starved.append(k)
+            prev = model.class_params[k]
+            fitted = prev if prev is not None else _bootstrap_class(values, model.likelihood)
+        new_params.append(fitted)
+    return replace(model, class_params=tuple(new_params), starved=tuple(starved))
 
 
 def update_params(image, labels, model):
@@ -452,19 +513,7 @@ def update_params(image, labels, model):
     """
     img = _as_image(image)
     lab = _as_labels(labels, img.shape, model.n_classes)
-    if model.likelihood is Likelihood.NAKAGAMI and not float(img.min()) ** 2 > 0.0:
-        raise ValueError("Nakagami likelihood requires pixels whose squares are positive")
-    new_params = []
-    starved = []
-    for k in range(model.n_classes):
-        px = img[lab == k]
-        fitted = _fit_class(px, model.likelihood)
-        if fitted is None:
-            starved.append(k)
-            prev = model.class_params[k]
-            fitted = prev if prev is not None else _bootstrap_class(px, model.likelihood)
-        new_params.append(fitted)
-    return replace(model, class_params=tuple(new_params), starved=tuple(starved))
+    return _refit(_fit_columns(img, model.likelihood), lab.reshape(-1), model)
 
 
 def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
@@ -490,21 +539,26 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
         peak = img.max()
         if peak <= 0.0:
             raise ValueError("cannot use the Nakagami likelihood on an all-zero image")
-        img = img + _ZERO_SHIFT * peak
-    labels = kmeans_init(img, n_classes, seed)
-    # the class costs are evaluated once per distinct intensity and gathered
-    distinct, inverse = np.unique(img, return_inverse=True)
+        # the lift can take peak^2 * pixel count past the float range
+        img = _as_image(img + _ZERO_SHIFT * peak)
+    # one np.unique serves k-means and the cost-plane gather: the class costs
+    # are evaluated once per distinct intensity
+    vals = img.reshape(-1)
+    distinct, inverse, counts = np.unique(vals, return_inverse=True, return_counts=True)
+    labels = _kmeans(vals, distinct, inverse, counts, n_classes, seed).reshape(img.shape)
+    model = SegModel.empty(n_classes, likelihood, beta=beta)
+    columns = _fit_columns(img, likelihood)
     inverse = inverse.reshape(img.shape)
     icm = _Icm(img.shape, n_classes)
-    model = SegModel.empty(n_classes, likelihood, beta=beta)
+    icm.load(labels)
     trace = []
     step = 0
     sweeps = 0
     for _ in range(_MAX_OUTER):
-        model = update_params(img, labels, model)
+        model = _refit(columns, labels.reshape(-1), model)
         for plane, costs in zip(icm.planes, _class_costs(distinct, model)):
             np.take(costs, inverse, out=plane, mode="clip")
-        icm.load(labels)
+        icm.gather()
         trace.append((step, "params", icm.energy(model.beta)))
         step += 1
         round_changed = 0

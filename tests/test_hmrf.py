@@ -462,23 +462,32 @@ def test_segment_stops_at_the_first_round_that_relabels_nothing(likelihood, n_cl
     assert rows[-2:] != rows[-4:-2]
 
 
-@pytest.mark.parametrize("shape", [(24, 24), (23, 17)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("shape, flat_band", [((24, 24), False), ((23, 17), False),
+                                              ((24, 24), True)],
+                         ids=["24x24", "23x17", "24x24_flat_band"])
 @pytest.mark.parametrize("n_classes", [2, 3])
 @pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
-def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(likelihood, n_classes, shape):
-    # segment keeps the energy up to date at the relabelled pixels only; a
-    # replay of its rounds recomputes every energy from the whole table
+def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
+    likelihood, n_classes, shape, flat_band
+):
+    # segment keeps the energy up to date at the relabelled pixels only and
+    # refits through its own gather; a replay of its rounds through the public
+    # update_params recomputes every energy from the whole table
     rng = np.random.default_rng([*shape, n_classes])
     height, width = shape
     x = np.hstack([np.sqrt(rng.gamma(1.0, 1.0, (height, width // 2))),
                    np.sqrt(rng.gamma(8.0, 1.0 / 8.0, (height, width - width // 2)))])
     img = np.clip(np.rint(85.0 * x), 1.0, 255.0)
+    if flat_band:
+        img[:, :5] = 1000.0  # a constant class: starved, so bootstrapped, then kept
     result = segment(img, n_classes, likelihood, beta=1.0, seed=5)
     labels = kmeans_init(img, n_classes, 5)
     model = SegModel.empty(n_classes, likelihood, beta=1.0)
     want = []
+    starved = set()
     for _ in range(hmrf._MAX_OUTER):
         model = update_params(img, labels, model)
+        starved.update(model.starved)
         nll = hmrf._nll_table(img, model)
         want.append(hmrf._energy_given_table(nll, labels, 1.0))
         round_changed = 0
@@ -491,6 +500,9 @@ def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(likelihood, n_cl
             break
     assert [energy for _, _, energy in result.trace] == want
     assert np.array_equal(result.labels, labels)
+    assert result.model == model
+    if flat_band:
+        assert starved == {n_classes - 1}
 
 
 def test_segment_beta_zero_is_pixelwise_ml():
@@ -544,6 +556,18 @@ def test_segment_rejects_squares_beyond_the_float_range(likelihood):
             segment(tiny, 2, likelihood, seed=0)
     else:
         assert segment(tiny, 2, likelihood, seed=0).labels[0, 0] == 0
+
+
+def test_segment_bootstraps_a_constant_class_whose_squares_are_subnormal():
+    # mean(x^2) = 2.25e-322: the spike's spread mean(x^2) / 1e4 underflows to 0,
+    # so the bootstrap keeps the mean square at the smallest positive spread
+    img = np.array([[1.5e-161] * 4] * 2 + [[5.0] * 4, [5.0, 5.0, 5.0, 6.0]])
+    result = segment(img, 2, Likelihood.NAKAGAMI, seed=0)
+    assert np.array_equal(result.labels, [[0] * 4] * 2 + [[1] * 4] * 2)
+    p = result.model.class_params[0]
+    assert result.model.starved == (0,)
+    assert p.sigma == math.ulp(0.0) and p.m * p.sigma == 1.5e-161**2
+    assert all(math.isfinite(energy) for _, _, energy in result.trace)
 
 
 def test_segment_rejects_all_zero_image_for_nakagami():

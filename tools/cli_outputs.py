@@ -43,6 +43,9 @@ PGM64_COMMENTED = "inputs/two_region_comments.pgm"
 MATRIX_ODD = "inputs/three_region_37x23.txt"
 # a text matrix whose `rows cols` header is not two integers >= 1
 MATRIX_NEGATIVE_DIMS = "inputs/negative_dims.txt"
+# 4x4 text matrix with a constant class at 1.5e-161, whose squares are
+# subnormal: the Nakagami bootstrap spread mean(x^2) / 1e4 underflows to 0
+MATRIX_SUBNORMAL_SQUARES = "inputs/subnormal_squares.txt"
 # a bench config whose last byte is not ASCII
 CONFIG_NOT_ASCII = "inputs/not_ascii.cfg"
 
@@ -74,6 +77,8 @@ def make_inputs():
         fh.write(b"P5\n4 4\n255\n" + np.arange(10, 170, 10, dtype=np.uint8).tobytes())
     with open(MATRIX_NEGATIVE_DIMS, "w", encoding="ascii") as fh:
         fh.write("-1 0\n")
+    with open(MATRIX_SUBNORMAL_SQUARES, "w", encoding="ascii") as fh:
+        fh.write("4 4\n" + "1.5e-161 1.5e-161 1.5e-161 1.5e-161\n" * 2 + "5 5 5 5\n5 5 5 6\n")
     with open(CONFIG_NOT_ASCII, "wb") as fh:
         fh.write(b"trials = 5\xff\n")
 
@@ -159,6 +164,9 @@ def cases():
           "--out-trace", "{out}/trace.csv"]),
         ("segment_txt_odd_nakagami_k3",
          ["segment", "--in", MATRIX_ODD, "--k", "3", "--likelihood", "nakagami", "--seed", "1",
+          "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"]),
+        ("segment_subnormal_squares_nakagami_k2",
+         ["segment", "--in", MATRIX_SUBNORMAL_SQUARES, "--k", "2", "--likelihood", "nakagami",
           "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"]),
         ("segment_huge_beta_fails",
          ["segment", "--in", PGM4, "--k", "2", "--beta", "1e308", "--out-labels", "{out}/labels",
