@@ -10,27 +10,22 @@ counts, and are refined by iterated conditional modes (ICM, checkerboard
 order: pixels with even i + j, then those with odd i + j), alternating
 with per-class parameter re-estimation: sample mean/variance for the
 Gaussian likelihood, exact ML on all of a class's pixels for the Nakagami
-likelihood. The first sweep of a round scores one class at a time on a
-contiguous (H, W) plane of the negative log-likelihood table and keeps a
-running minimum; ties go to the lowest class index and a NaN cost to the
-first NaN, as with np.argmin. Later sweeps re-score only the pixels next to
-one the previous half-sweep relabelled: within a round the costs are
-fixed, so any other pixel would get back the label it has. `segment`
-computes what no round changes once per call: one np.unique of the image,
-which feeds k-means and the gather of the class costs (evaluated once per
-distinct intensity) into the planes, and each pixel's x^2 and ln x^2,
-from which every Nakagami refit takes its class means. A refit gathers
-each class by index. Every sweep keeps the energy's two terms (each
-pixel's own-class cost, the count of unlike pairs) up to date at the
-pixels it relabels; the pairs are counted in full once per call, and the
-own-class costs are gathered in full only after a refit, which changes the
-costs but no label. `segment` runs at most _MAX_SWEEPS sweeps per round and
-_MAX_OUTER rounds, stops after the first round whose sweeps relabel no
-pixel, lifts zero pixels by _ZERO_SHIFT times the peak for the Nakagami
-likelihood, and refuses a beta whose product with the pair count is not
-finite. Images must be >= 0 with peak^2 * pixel count finite; the Nakagami
-likelihood also needs every square positive. A cost that overflows is
-+inf.
+likelihood. Every stage runs on one `_Icm`: K contiguous (H, W) cost
+planes, filled from the class costs evaluated once per distinct intensity,
+a framed label field, and the energy's two terms (each pixel's own-class
+cost, the count of unlike pairs), which every sweep keeps current at the
+pixels it relabels. `total_energy` and `icm_sweep` build one per call;
+`segment` builds one and refills it each round, from what no round
+changes, computed once per call: one np.unique of the image, which also
+feeds k-means, and each pixel's x^2 and ln x^2, from which every Nakagami
+refit takes its class means, gathering each class by index. The tests
+hold the full-gather energy and the one-hot argmin sweep as references.
+`segment` runs at most _MAX_SWEEPS sweeps per round and _MAX_OUTER
+rounds, stops after the first round whose sweeps relabel no pixel, lifts
+zero pixels by _ZERO_SHIFT times the peak for the Nakagami likelihood,
+and refuses a beta whose product with the pair count is not finite.
+Images must be >= 0 with peak^2 * pixel count finite; the Nakagami
+likelihood also needs every square positive. A cost that overflows is +inf.
 """
 
 import math
@@ -200,11 +195,6 @@ def _class_costs(values, model):
     return out
 
 
-def _nll_table(img, model):
-    """Per-pixel, per-class negative log-likelihood, shape (H, W, K)."""
-    return np.moveaxis(_class_costs(img, model), 0, 2)
-
-
 def _unlike_pairs(labels):
     """Number of 4-neighbor pairs with different labels, each counted once."""
     return np.count_nonzero(labels[:, 1:] != labels[:, :-1]) + np.count_nonzero(
@@ -212,18 +202,11 @@ def _unlike_pairs(labels):
     )
 
 
-def _energy_given_table(nll, labels, beta):
-    # one flat gather, in raster order, of each pixel's own-class entry
-    n_classes = nll.shape[2]
-    data = float(nll.reshape(-1)[np.arange(labels.size) * n_classes + labels.ravel()].sum())
-    return data + beta * _unlike_pairs(labels)
-
-
 def total_energy(image, labels, model):
     """Posterior energy of a labeling; each 4-neighbor pair counted once."""
     img = _as_image(image)
     lab = _as_labels(labels, img.shape, model.n_classes)
-    return _energy_given_table(_nll_table(img, model), lab, model.beta)
+    return _icm_on(img, lab, model).energy(model.beta)
 
 
 def _argmin_classes(costs, best, arg, better, nan_best, marked):
@@ -250,9 +233,10 @@ def _argmin_classes(costs, best, arg, better, nan_best, marked):
 
 
 class _Icm:
-    """ICM on one image shape and class count, with its energy kept current.
+    """ICM on one image shape and class count, with its energy kept current;
+    `segment`, `icm_sweep` and `total_energy` all run on it.
 
-    Holds the K contiguous (H, W) cost planes, which the caller fills, the
+    Holds the K contiguous (H, W) cost planes, which `fill` fills, the
     current label field in a (H+2, W+2) frame with a -1 border, and the two
     energy terms of that field: `own`, each pixel's own-class cost in raster
     order, and `pairs`, the count of unlike 4-neighbor pairs. Both terms are
@@ -260,6 +244,19 @@ class _Icm:
     updates them at the pixels it relabels. Every buffer is allocated once
     and reused by each round: fresh (H, W) temporaries cost more in page
     faults than the arithmetic done on them.
+
+    A sweep relabels the pixels with even i + j, then those with odd i + j.
+    Pixels of one color are never 4-neighbors, so each half-sweep is an
+    exact coordinate-descent step (Besag's coding scheme) and the energy
+    never rises. A pixel's neighbor count is the same for every class, so
+    its best class is argmin over k of nll_k - beta * (neighbors labeled k),
+    with np.argmin's rule for ties and NaN (`_argmin_classes`). The first
+    sweep scores every pixel, one class plane at a time with int8 neighbor
+    counts and a running minimum. After it, a half-sweep re-scores only the
+    pixels with a neighbor relabelled by the half-sweep before it, gathered
+    by flat index from the frame. This is exact: every other pixel of that
+    color has the same K costs and the same neighbor labels as when it was
+    last scored, so it would get back the label it already has.
     """
 
     def __init__(self, shape, n_classes):
@@ -299,10 +296,17 @@ class _Icm:
         self.inner[...] = labels
         self.pairs = _unlike_pairs(labels)
 
+    def fill(self, model, distinct, inverse):
+        """Fill the planes with `model`'s class costs, evaluated once per
+        distinct intensity and taken to the pixels through `inverse`, the
+        image's np.unique inverse index in the image's shape; then `gather`.
+        A refit refills the planes without relabelling any pixel."""
+        for plane, costs in zip(self.planes, _class_costs(distinct, model)):
+            np.take(costs, inverse, out=plane, mode="clip")
+        self.gather()
+
     def gather(self):
-        """Gather `own` in full from the planes for the current field: after
-        `load`, and after each refill of the planes, which a refit makes
-        without relabelling any pixel."""
+        """Gather `own` in full from the planes for the current field."""
         index = self.arg  # free between sweeps
         np.multiply(self.inner, self.own.size, out=index)
         index += self.raster
@@ -310,7 +314,7 @@ class _Icm:
 
     def energy(self, beta):
         """Posterior energy of the current field: the sum of `own`, in raster
-        order as `_energy_given_table` gathers it, plus beta * pairs."""
+        order, plus beta * pairs."""
         return float(self.own.sum()) + beta * self.pairs
 
     def sweeps(self, beta):
@@ -389,34 +393,14 @@ class _Icm:
         self.cells[cells] = new
 
 
-def _icm_sweeps(nll, labels, beta):
-    """Checkerboard ICM sweeps over the (H, W, K) table `nll`, one per step.
-
-    A sweep relabels the pixels with even i + j, then those with odd i + j.
-    Pixels of one color are never 4-neighbors, so each half-sweep is an
-    exact coordinate-descent step (Besag's coding scheme) and the energy
-    never rises. A pixel's neighbor count is the same for every class, so
-    its best class is argmin over k of nll_k - beta * (neighbors labeled k),
-    with np.argmin's rule for ties and NaN (`_argmin_classes`).
-
-    The first sweep scores every pixel: one class at a time on a contiguous
-    (H, W) plane, with int8 neighbor counts and a running minimum. After
-    it, a half-sweep re-scores only the pixels with a neighbor relabelled
-    by the half-sweep before it, gathered by flat index from the framed
-    label field. This is exact: every other pixel of that color has the
-    same K costs and the same neighbor labels as when it was last scored,
-    so it would get back the label it already has. The energy terms (each
-    pixel's own-class cost and the count of unlike pairs) are gathered in
-    full before the first sweep and then updated at the relabelled pixels
-    only; `segment` reads its trace energies from them. Yields a new label
-    field and the number of pixels whose label changed; `labels` is never
-    mutated.
-    """
-    icm = _Icm(labels.shape, nll.shape[2])
-    np.copyto(icm.planes, np.moveaxis(nll, 2, 0))
-    icm.load(labels)
-    icm.gather()
-    return icm.sweeps(beta)
+def _icm_on(img, lab, model):
+    """An `_Icm` holding the checked label field `lab`, with the planes
+    filled from `model`'s costs on the checked image `img`."""
+    icm = _Icm(img.shape, model.n_classes)
+    icm.load(lab)
+    distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
+    icm.fill(model, distinct, inverse.reshape(img.shape))
+    return icm
 
 
 def icm_sweep(image, labels, model):
@@ -427,7 +411,7 @@ def icm_sweep(image, labels, model):
     """
     img = _as_image(image)
     lab = _as_labels(labels, img.shape, model.n_classes)
-    return next(_icm_sweeps(_nll_table(img, model), lab, model.beta))
+    return next(_icm_on(img, lab, model).sweeps(model.beta))
 
 
 def _fit_columns(img, likelihood):
@@ -556,9 +540,7 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     sweeps = 0
     for _ in range(_MAX_OUTER):
         model = _refit(columns, labels.reshape(-1), model)
-        for plane, costs in zip(icm.planes, _class_costs(distinct, model)):
-            np.take(costs, inverse, out=plane, mode="clip")
-        icm.gather()
+        icm.fill(model, distinct, inverse)
         trace.append((step, "params", icm.energy(model.beta)))
         step += 1
         round_changed = 0

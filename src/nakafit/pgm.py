@@ -4,9 +4,10 @@ A PGM header is four tokens: magic, width, height and maxval. A token is a
 run of bytes that are neither ASCII whitespace nor '#'. Before each token
 come any number of whitespace bytes and comments; a comment runs from '#'
 to the next newline or to the end of the data. Exactly one whitespace byte
-after maxval separates the header from the raster.
+after maxval separates the header from the raster, whose bytes are at most
+maxval.
 
-The text format is a `rows cols` header of two decimal integers >= 1
+The text format is ASCII: a `rows cols` header of two decimal integers >= 1
 followed by whitespace-separated reals in row-major order; `write_matrix`
 writes one row per line with 12 significant digits, byte for byte as
 `np.savetxt(fmt="%.12g")` would.
@@ -18,6 +19,12 @@ import numpy as np
 
 
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)")
+
+
+def _decimal(token):
+    """The value of a header token made of ASCII decimal digits only (str or
+    bytes), else None: no sign, no underscore, no space."""
+    return int(token) if token.isdigit() else None
 
 
 def _tokenize_pgm_header(data):
@@ -40,7 +47,10 @@ def read_pgm(path):
     tokens, offset = _tokenize_pgm_header(data)
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    width, height, maxval = (int(t) for t in tokens[1:4])
+    width, height, maxval = fields = [_decimal(t) for t in tokens[1:]]
+    if None in fields:
+        raise ValueError(f"{path}: bad PGM header {tokens[1:]}: width, height and maxval "
+                         "must be decimal digits")
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad PGM dimensions {width}x{height}")
     if not (0 < maxval < 256):
@@ -48,8 +58,10 @@ def read_pgm(path):
     raster = data[offset : offset + width * height]
     if len(raster) != width * height:
         raise ValueError(f"{path}: truncated PGM raster")
-    pixels = np.frombuffer(raster, dtype=np.uint8).astype(float)
-    return pixels.reshape(height, width)
+    pixels = np.frombuffer(raster, dtype=np.uint8)
+    if pixels.max() > maxval:
+        raise ValueError(f"{path}: PGM raster byte {pixels.max()} above maxval {maxval}")
+    return pixels.astype(float).reshape(height, width)
 
 
 def write_pgm(path, image):
@@ -74,11 +86,14 @@ def labels_to_gray(labels, n_classes):
 
 def read_matrix(path):
     """Read the text matrix format into a float64 (rows, cols) array."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = fh.read().split()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not ASCII text") from None
     if len(tokens) < 2:
         raise ValueError(f"{path}: missing 'rows cols' header")
-    rows, cols = (int(t) if t.isdigit() else 0 for t in tokens[:2])
+    rows, cols = (_decimal(t) or 0 for t in tokens[:2])
     if rows < 1 or cols < 1:
         raise ValueError(f"{path}: bad matrix dimensions {tokens[0]} {tokens[1]}")
     values = np.array([float(t) for t in tokens[2:]], dtype=float)

@@ -48,6 +48,27 @@ def accuracy(labels, truth):
     return max(a, 1.0 - a)
 
 
+def full_gather_energy(costs, labels, beta):
+    """Posterior energy from the (K, H, W) cost table `costs`: one flat
+    gather, in raster order, of each pixel's own-class cost, plus beta times
+    the unlike 4-neighbor pairs."""
+    flat = costs.reshape(costs.shape[0], -1)
+    data = float(flat[labels.reshape(-1), np.arange(labels.size)].sum())
+    pairs = np.count_nonzero(labels[:, 1:] != labels[:, :-1]) + np.count_nonzero(
+        labels[1:, :] != labels[:-1, :]
+    )
+    return data + beta * pairs
+
+
+def icm_sweeps(costs, labels, beta):
+    """`hmrf._Icm`'s sweeps from `labels` over the (K, H, W) cost table `costs`."""
+    icm = hmrf._Icm(labels.shape, costs.shape[0])
+    np.copyto(icm.planes, costs)
+    icm.load(labels)
+    icm.gather()
+    return icm.sweeps(beta)
+
+
 # --- k-means -----------------------------------------------------------------
 
 
@@ -172,18 +193,23 @@ def test_total_energy_counts_each_pair_once():
     assert diff == pytest.approx(0.7 * n_pairs, rel=1e-12)
 
 
+@pytest.mark.parametrize("quantized", [False, True], ids=["float", "8bit"])
 @pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
-def test_total_energy_equals_take_along_axis_sum(likelihood):
+def test_total_energy_equals_take_along_axis_sum(likelihood, quantized):
+    # the 8-bit image repeats each intensity at many pixels, whose costs are
+    # evaluated once and gathered through np.unique's inverse index
     rng = np.random.default_rng(31)
     img = rng.gamma(2.0, 1.0, (61, 43)) + 0.01
+    if quantized:
+        img = np.clip(np.rint(40.0 * img), 1.0, 255.0) / 40.0
     if likelihood is Likelihood.GAUSSIAN:
         params = [GaussianParams(1.0, 0.5), GaussianParams(2.0, 1.5), GaussianParams(4.0, 3.0)]
     else:
         params = [NakagamiParams(0.8, 1.0), NakagamiParams(2.0, 4.0), NakagamiParams(9.0, 16.0)]
     model = SegModel(3, likelihood, tuple(params), beta=0.3)
     labels = rng.integers(0, 3, img.shape)
-    nll = hmrf._nll_table(img, model)
-    data = float(np.take_along_axis(nll, labels[:, :, None], axis=2).sum())
+    costs = hmrf._class_costs(img, model)
+    data = float(np.take_along_axis(costs, labels[None], axis=0).sum())
     pairs = (labels[:, 1:] != labels[:, :-1]).sum() + (labels[1:, :] != labels[:-1, :]).sum()
     assert total_energy(img, labels, model) == data + 0.3 * int(pairs)
 
@@ -275,9 +301,10 @@ def test_icm_label_permutation_equivariance():
 
 
 def checkerboard_reference(nll, labels, beta):
-    """Scalar ICM sweep: pixels with even i + j first, then odd; each pixel
-    takes the lowest-index class minimizing nll + beta * disagreeing neighbors."""
-    height, width, n_classes = nll.shape
+    """Scalar ICM sweep over the (K, H, W) table `nll`: pixels with even
+    i + j first, then odd; each pixel takes the lowest-index class
+    minimizing nll + beta * disagreeing neighbors."""
+    n_classes, height, width = nll.shape
     lab = labels.tolist()
     changed = 0
     for parity in (0, 1):
@@ -291,7 +318,7 @@ def checkerboard_reference(nll, labels, beta):
                     if 0 <= a < height and 0 <= b < width
                 ]
                 costs = [
-                    float(nll[i, j, k]) + beta * sum(n != k for n in neigh)
+                    float(nll[k, i, j]) + beta * sum(n != k for n in neigh)
                     for k in range(n_classes)
                 ]
                 best = costs.index(min(costs))
@@ -308,15 +335,17 @@ def checkerboard_reference(nll, labels, beta):
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
 def test_icm_sweep_matches_scalar_checkerboard_reference(monkeypatch, shape, n_classes, beta):
     # multiples of 0.5 make every cost exact, so ties are real ties and the
-    # lowest-index rule is what decides them
+    # lowest-index rule is what decides them. The image's distinct
+    # intensities come in raster order, so the costs `icm_sweep` asks of
+    # `_class_costs` for them are the table's own pixels.
     rng = np.random.default_rng([shape[0], shape[1], n_classes, int(2 * beta)])
-    img = np.ones(shape)
+    img = np.arange(shape[0] * shape[1], dtype=float).reshape(shape)
     model = gaussian_model([GaussianParams(1.0, 1.0)] * n_classes, beta=beta)
     for _ in range(10):
-        nll = 0.5 * rng.integers(0, 6, shape + (n_classes,))
+        nll = 0.5 * rng.integers(0, 6, (n_classes,) + shape)
         labels = rng.integers(0, n_classes, shape)
         before = labels.copy()
-        monkeypatch.setattr(hmrf, "_nll_table", lambda img, model: nll)
+        monkeypatch.setattr(hmrf, "_class_costs", lambda values, model: nll.reshape(n_classes, -1))
         out, changed = icm_sweep(img, labels, model)
         want, want_changed = checkerboard_reference(nll, labels, beta)
         assert np.array_equal(out, want)
@@ -325,19 +354,20 @@ def test_icm_sweep_matches_scalar_checkerboard_reference(monkeypatch, shape, n_c
 
 
 def argmin_sweep_reference(nll, labels, beta):
-    """One checkerboard sweep as one-hot neighbor counts and np.argmin over
-    the class axis of nll - beta * agree, per half-sweep."""
-    classes = np.arange(nll.shape[2])
+    """One checkerboard sweep over the (K, H, W) table `nll` as one-hot
+    neighbor counts and np.argmin over the class axis of nll - beta * agree,
+    per half-sweep."""
+    classes = np.arange(nll.shape[0])[:, None, None]
     odd = np.indices(labels.shape).sum(axis=0) % 2 == 1
     lab = labels
     for color in (~odd, odd):
-        onehot = lab[:, :, None] == classes
+        onehot = lab == classes
         agree = np.zeros(nll.shape)
-        agree[1:] += onehot[:-1]
-        agree[:-1] += onehot[1:]
         agree[:, 1:] += onehot[:, :-1]
         agree[:, :-1] += onehot[:, 1:]
-        lab = np.where(color, np.argmin(nll - beta * agree, axis=2), lab)
+        agree[:, :, 1:] += onehot[:, :, :-1]
+        agree[:, :, :-1] += onehot[:, :, 1:]
+        lab = np.where(color, np.argmin(nll - beta * agree, axis=0), lab)
     return lab, int(np.count_nonzero(lab != labels))
 
 
@@ -353,7 +383,7 @@ def test_icm_kernel_matches_argmin_reference(shape, n_classes, table):
     # sweep after the first re-scores only the pixels next to a relabelled one.
     rng = np.random.default_rng([shape[0], shape[1], n_classes, table == "finite"])
     for beta in (0.0, 0.7, 3.0, 1e308):
-        nll = rng.normal(0.0, 2.0, shape + (n_classes,))
+        nll = rng.normal(0.0, 2.0, (n_classes,) + shape)
         if table == "nonfinite":
             pick = rng.random(nll.shape)
             nll[pick < 0.15] = np.inf
@@ -363,7 +393,7 @@ def test_icm_kernel_matches_argmin_reference(shape, n_classes, table):
         before = labels.copy()
         want = labels
         with np.errstate(over="ignore", invalid="ignore"):  # both formulas warn alike
-            for got, changed in islice(hmrf._icm_sweeps(nll, labels, beta), 6):
+            for got, changed in islice(icm_sweeps(nll, labels, beta), 6):
                 want, want_changed = argmin_sweep_reference(nll, want, beta)
                 assert np.array_equal(got, want)
                 assert changed == want_changed
@@ -454,8 +484,7 @@ def test_segment_energy_trace_non_increasing_within_icm():
 def test_segment_stops_at_the_first_round_that_relabels_nothing(likelihood, n_classes, beta):
     img, _ = two_region_image(seed=4, size=32)
     result = segment(img, n_classes, likelihood, beta=beta, seed=4)
-    nll = hmrf._nll_table(img, result.model)
-    _, changed = next(hmrf._icm_sweeps(nll, result.labels, beta))
+    _, changed = icm_sweep(img, result.labels, result.model)
     assert changed == 0
     # a repeated final round would refit the same parameters and redo the same sweep
     rows = [row[1:] for row in result.trace]
@@ -488,11 +517,11 @@ def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
     for _ in range(hmrf._MAX_OUTER):
         model = update_params(img, labels, model)
         starved.update(model.starved)
-        nll = hmrf._nll_table(img, model)
-        want.append(hmrf._energy_given_table(nll, labels, 1.0))
+        costs = hmrf._class_costs(img, model)
+        want.append(full_gather_energy(costs, labels, 1.0))
         round_changed = 0
-        for labels, changed in islice(hmrf._icm_sweeps(nll, labels, 1.0), hmrf._MAX_SWEEPS):
-            want.append(hmrf._energy_given_table(nll, labels, 1.0))
+        for labels, changed in islice(icm_sweeps(costs, labels, 1.0), hmrf._MAX_SWEEPS):
+            want.append(full_gather_energy(costs, labels, 1.0))
             round_changed += changed
             if changed == 0:
                 break
@@ -508,10 +537,8 @@ def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
 def test_segment_beta_zero_is_pixelwise_ml():
     img, _ = two_region_image(seed=5, size=16)
     result = segment(img, 2, Likelihood.NAKAGAMI, beta=0.0, seed=5)
-    from nakafit.hmrf import _nll_table
-
-    nll = _nll_table(img, result.model)
-    assert np.array_equal(result.labels, np.argmin(nll, axis=2))
+    costs = hmrf._class_costs(img, result.model)
+    assert np.array_equal(result.labels, np.argmin(costs, axis=0))
 
 
 @pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])

@@ -99,6 +99,27 @@ def test_pgm_rejects_16_bit(tmp_path):
         pgm.read_pgm(path)
 
 
+@pytest.mark.parametrize(
+    "header", [b"P5 ab 2 255", b"P5 +2 1_0 255", b"P5 2 2 \xd9\xa3", b"P5 2 -2 255", b"P5 0x2 2 255"]
+)
+def test_pgm_header_fields_are_decimal_digits_only(tmp_path, header):
+    # int() would take a sign, underscores and non-ASCII digits, or fail
+    # with a message that names no file
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + b"\n" + bytes(40))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: bad PGM header")):
+        pgm.read_pgm(path)
+
+
+def test_pgm_rejects_raster_byte_above_maxval(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n2 1\n100\n" + bytes([100, 255]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: PGM raster byte 255 above maxval 100")):
+        pgm.read_pgm(path)
+    path.write_bytes(b"P5\n2 1\n100\n" + bytes([0, 100]))
+    assert np.array_equal(pgm.read_pgm(path), [[0.0, 100.0]])
+
+
 def test_write_pgm_rejects_out_of_range(tmp_path):
     for image in (np.array([[300.0]]), np.array([[0.0, np.nan]])):
         with pytest.raises(ValueError):
@@ -127,6 +148,13 @@ def test_matrix_rejects_dimensions_below_one_or_not_integers(tmp_path, header):
     path = tmp_path / "bad.txt"
     path.write_text(header + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: bad matrix dimensions {header}")):
+        pgm.read_matrix(path)
+
+
+def test_matrix_rejects_non_ascii_bytes(tmp_path):
+    path = tmp_path / "u.txt"
+    path.write_bytes("1 2\n0.5 \u00bd\n".encode("utf-8"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not ASCII text")):
         pgm.read_matrix(path)
 
 

@@ -48,6 +48,12 @@ MATRIX_NEGATIVE_DIMS = "inputs/negative_dims.txt"
 MATRIX_SUBNORMAL_SQUARES = "inputs/subnormal_squares.txt"
 # a bench config whose last byte is not ASCII
 CONFIG_NOT_ASCII = "inputs/not_ascii.cfg"
+# a PGM whose width and height are "+2" and "1_0", which int() would read as 2 and 10
+PGM_SIGNED_DIMS = "inputs/signed_dims.pgm"
+# a maxval-100 PGM holding a 255 byte
+PGM_ABOVE_MAXVAL = "inputs/above_maxval.pgm"
+# a 2x2 text matrix whose last value is written in UTF-8, not ASCII
+MATRIX_NOT_ASCII = "inputs/not_ascii.txt"
 
 
 def _nakagami(rng, m, omega, n):
@@ -81,6 +87,12 @@ def make_inputs():
         fh.write("4 4\n" + "1.5e-161 1.5e-161 1.5e-161 1.5e-161\n" * 2 + "5 5 5 5\n5 5 5 6\n")
     with open(CONFIG_NOT_ASCII, "wb") as fh:
         fh.write(b"trials = 5\xff\n")
+    with open(PGM_SIGNED_DIMS, "wb") as fh:
+        fh.write(b"P5 +2 1_0 255\n" + bytes(range(10, 210, 10)))
+    with open(PGM_ABOVE_MAXVAL, "wb") as fh:
+        fh.write(b"P5\n4 4\n100\n" + bytes([10, 20, 30, 40] * 3 + [50, 60, 70, 255]))
+    with open(MATRIX_NOT_ASCII, "wb") as fh:
+        fh.write("2 2\n1 2\n3 \u00bd\n".encode("utf-8"))
 
     # 64x64: m = 1 on the left half, m = 8 on the right, scaled into [0, 255]
     img = np.hstack([_nakagami(rng, 1.0, 1.0, 64 * 32).reshape(64, 32),
@@ -171,9 +183,15 @@ def cases():
         ("segment_huge_beta_fails",
          ["segment", "--in", PGM4, "--k", "2", "--beta", "1e308", "--out-labels", "{out}/labels",
           "--out-trace", "{out}/trace.csv"]),
-        ("segment_matrix_negative_dims_fails",
-         ["segment", "--in", MATRIX_NEGATIVE_DIMS, "--k", "2", "--out-labels", "{out}/labels",
-          "--out-trace", "{out}/trace.csv"]),
+    ]
+    out += [
+        (f"segment_{name}_fails",
+         ["segment", "--in", path, "--k", "2", "--out-labels", "{out}/labels",
+          "--out-trace", "{out}/trace.csv"])
+        for name, path in (("matrix_negative_dims", MATRIX_NEGATIVE_DIMS),
+                           ("pgm_signed_dims", PGM_SIGNED_DIMS),
+                           ("pgm_above_maxval", PGM_ABOVE_MAXVAL),
+                           ("matrix_not_ascii", MATRIX_NOT_ASCII))
     ]
     out += [
         ("usage_sample_negative_m", ["sample", "--m", "-1", "--n", "5"]),
