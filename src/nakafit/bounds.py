@@ -32,7 +32,7 @@ OutOfRangeError.
 import math
 
 from .errors import OutOfRangeError
-from .specfun import _BERNOULLI
+from .specfun import _BERNOULLI, _positive
 
 # From here up the curvature sums come from their asymptotic series.
 _SERIES_M = 32.0
@@ -44,9 +44,7 @@ _MODIFIED_COEFFS = tuple(
 
 
 def _validate(m, n):
-    m = float(m)
-    if not math.isfinite(m) or m <= 0.0:
-        raise ValueError(f"m must be a positive finite real, got {m!r}")
+    m = _positive(m, "m")
     try:
         whole = n == int(n)  # int() truncates 2.7 and rejects inf and nan
     except (OverflowError, ValueError):
@@ -122,9 +120,7 @@ def normalized(bound_value, m):
     bound_value = float(bound_value)
     if not math.isfinite(bound_value) or bound_value < 0.0:
         raise ValueError(f"bound_value must be a finite real >= 0, got {bound_value!r}")
-    m = float(m)
-    if not math.isfinite(m) or m <= 0.0:
-        raise ValueError(f"m must be a positive finite real, got {m!r}")
+    m = _positive(m, "m")
     if m * m == 0.0:
         raise OutOfRangeError(f"m={m!r}: m^2 underflows to 0")
     return bound_value / (m * m)

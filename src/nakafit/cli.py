@@ -120,6 +120,8 @@ def cmd_estimate(args):
             )
         except DegenerateBlockError:
             print(f"block={index} skipped degenerate")
+        except NakafitError as exc:
+            raise NakafitError(f"{path}: {exc}") from None
         state = ingest_block(state, block)
     final = finalize(state)
     print(

@@ -6,26 +6,16 @@ A label field over the pixel grid is scored by the posterior energy
 
 where <a,b> ranges over 4-neighbor pairs, each counted once. Labels start
 from 1-D k-means on the distinct intensities weighted by their pixel
-counts, and are refined by iterated conditional modes (ICM, checkerboard
-order: pixels with even i + j, then those with odd i + j), alternating
-with per-class parameter re-estimation: sample mean/variance for the
-Gaussian likelihood, exact ML on all of a class's pixels for the Nakagami
-likelihood. Every stage runs on one `_Icm`: K contiguous (H, W) cost
-planes, filled from the class costs evaluated once per distinct intensity,
-a framed label field, and the energy's two terms (each pixel's own-class
-cost, the count of unlike pairs), which every sweep keeps current at the
-pixels it relabels. `total_energy` and `icm_sweep` build one per call;
-`segment` builds one and refills it each round, from what no round
-changes, computed once per call: one np.unique of the image, which also
-feeds k-means, and each pixel's x^2 and ln x^2, from which every Nakagami
-refit takes its class means, gathering each class by index. The tests
-hold the full-gather energy and the one-hot argmin sweep as references.
-`segment` runs at most _MAX_SWEEPS sweeps per round and _MAX_OUTER
-rounds, stops after the first round whose sweeps relabel no pixel, lifts
-zero pixels by _ZERO_SHIFT times the peak for the Nakagami likelihood,
-and refuses a beta whose product with the pair count is not finite.
-Images must be >= 0 with peak^2 * pixel count finite; the Nakagami
-likelihood also needs every square positive. A cost that overflows is +inf.
+counts, and are refined by iterated conditional modes (ICM) on one `_Icm`,
+alternating with per-class parameter re-estimation: sample mean/variance
+for the Gaussian likelihood, exact ML on all of a class's pixels for the
+Nakagami likelihood. `segment` computes what no round changes once per
+call: the image's np.unique, whose distinct intensities are the only
+values each class cost is evaluated at, and each pixel's x^2 and ln x^2.
+The tests hold the full-gather energy and the one-hot argmin sweep as
+references. Images must be >= 0 with peak^2 * pixel count finite; the
+Nakagami likelihood also needs every square positive. A cost that
+overflows is +inf.
 """
 
 import math
@@ -195,13 +185,6 @@ def _class_costs(values, model):
     return out
 
 
-def _unlike_pairs(labels):
-    """Number of 4-neighbor pairs with different labels, each counted once."""
-    return np.count_nonzero(labels[:, 1:] != labels[:, :-1]) + np.count_nonzero(
-        labels[1:, :] != labels[:-1, :]
-    )
-
-
 def total_energy(image, labels, model):
     """Posterior energy of a labeling; each 4-neighbor pair counted once."""
     img = _as_image(image)
@@ -294,7 +277,7 @@ class _Icm:
         """Make `labels` the current field and count its unlike pairs in
         full; `gather` then fills `own`. Sweeps keep both terms current."""
         self.inner[...] = labels
-        self.pairs = _unlike_pairs(labels)
+        self.pairs = sum(np.count_nonzero(np.diff(self.inner, axis=axis)) for axis in (0, 1))
 
     def fill(self, model, distinct, inverse):
         """Fill the planes with `model`'s class costs, evaluated once per
@@ -318,10 +301,9 @@ class _Icm:
         return float(self.own.sum()) + beta * self.pairs
 
     def sweeps(self, beta):
-        """Checkerboard sweeps from the current field, one per step; yields
-        (new label field, pixels changed). Each half-sweep updates the
-        energy terms at the pixels it relabels, so they stay those of the
-        yielded field and no full gather runs."""
+        """Checkerboard sweeps of the current field, one per step; yields the
+        number of pixels each changed. Each half-sweep updates the energy
+        terms at the pixels it relabels, so no full gather runs."""
         beta = float(beta)  # an int beta would keep beta * agree in int8
         width = self.inner.shape[1]
         changed = 0
@@ -332,16 +314,15 @@ class _Icm:
             pixels = np.flatnonzero(self.better)
             # raster index i * W + j to frame cell (i + 1) * (W + 2) + j + 1
             moved = pixels + 2 * (pixels // width) + (width + 3)
-            around = self.cells[moved + self.steps[:, None]]
-            self._relabel(moved, pixels, self.arg.reshape(-1)[pixels], around)
+            self._relabel(moved, self.arg.reshape(-1)[pixels])
             changed += pixels.size
-        yield self.inner.copy(), changed
+        yield changed
         while True:
             changed = 0
             for _ in self.colors:
                 moved = self._sparse_half(moved, beta)
                 changed += moved.size
-            yield self.inner.copy(), changed
+            yield changed
 
     def _dense_costs(self, beta):
         """Yield each class's (H, W) plane of nll_k - beta * (neighbors
@@ -379,13 +360,14 @@ class _Icm:
         new = work[1]
         move = np.flatnonzero(new != self.cells[cells])
         moved = cells[move]
-        self._relabel(moved, pixels[move], new[move], around[:, move])
+        self._relabel(moved, new[move])
         return moved
 
-    def _relabel(self, cells, pixels, new, around):
-        """Give the frame cells `cells` (raster indices `pixels`), all of one
-        color, the labels `new`, and update both energy terms there;
-        `around` holds their (4, n) neighbor labels."""
+    def _relabel(self, cells, new):
+        """Give the frame cells `cells`, all of one color, the labels `new`,
+        and update both energy terms there."""
+        pixels = self.pixel_of[cells]
+        around = self.cells[cells + self.steps[:, None]]  # (4, n) neighbor labels
         old = self.cells[cells]
         # neighbors keep their labels within a half-sweep; the -1 border cancels
         self.pairs += int(np.count_nonzero(around != new)) - int(np.count_nonzero(around != old))
@@ -411,7 +393,9 @@ def icm_sweep(image, labels, model):
     """
     img = _as_image(image)
     lab = _as_labels(labels, img.shape, model.n_classes)
-    return next(_icm_on(img, lab, model).sweeps(model.beta))
+    icm = _icm_on(img, lab, model)
+    changed = next(icm.sweeps(model.beta))
+    return icm.inner.copy(), changed
 
 
 def _fit_columns(img, likelihood):
@@ -473,7 +457,7 @@ def _bootstrap_class(columns, likelihood):
 
 def _refit(columns, labels, model):
     """`update_params` on checked inputs: `columns` from `_fit_columns`, and
-    the flat label field. Each class is gathered by index, in raster order."""
+    the label field. Each class is gathered by index, in raster order."""
     new_params = []
     starved = []
     for k in range(model.n_classes):
@@ -497,7 +481,7 @@ def update_params(image, labels, model):
     """
     img = _as_image(image)
     lab = _as_labels(labels, img.shape, model.n_classes)
-    return _refit(_fit_columns(img, model.likelihood), lab.reshape(-1), model)
+    return _refit(_fit_columns(img, model.likelihood), lab, model)
 
 
 def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
@@ -529,28 +513,24 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     # are evaluated once per distinct intensity
     vals = img.reshape(-1)
     distinct, inverse, counts = np.unique(vals, return_inverse=True, return_counts=True)
-    labels = _kmeans(vals, distinct, inverse, counts, n_classes, seed).reshape(img.shape)
+    labels = _kmeans(vals, distinct, inverse, counts, n_classes, seed)
     model = SegModel.empty(n_classes, likelihood, beta=beta)
     columns = _fit_columns(img, likelihood)
     inverse = inverse.reshape(img.shape)
     icm = _Icm(img.shape, n_classes)
-    icm.load(labels)
+    icm.load(labels.reshape(img.shape))
     trace = []
-    step = 0
-    sweeps = 0
     for _ in range(_MAX_OUTER):
-        model = _refit(columns, labels.reshape(-1), model)
+        model = _refit(columns, icm.inner, model)
         icm.fill(model, distinct, inverse)
-        trace.append((step, "params", icm.energy(model.beta)))
-        step += 1
+        trace.append((len(trace), "params", icm.energy(model.beta)))
         round_changed = 0
-        for labels, changed in islice(icm.sweeps(model.beta), _MAX_SWEEPS):
+        for changed in islice(icm.sweeps(model.beta), _MAX_SWEEPS):
             round_changed += changed
-            sweeps += 1
-            trace.append((step, "icm", icm.energy(model.beta)))
-            step += 1
+            trace.append((len(trace), "icm", icm.energy(model.beta)))
             if changed == 0:
                 break
         if round_changed == 0:
             break
-    return SegmentResult(labels=labels, model=model, trace=tuple(trace), sweeps=sweeps)
+    sweeps = sum(phase == "icm" for _, phase, _ in trace)
+    return SegmentResult(labels=icm.inner.copy(), model=model, trace=tuple(trace), sweeps=sweeps)

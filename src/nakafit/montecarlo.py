@@ -9,7 +9,8 @@ are seeded from (base_seed, m-index, trial); results are bit-reproducible.
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from enum import Enum
 
 import numpy as np
 
@@ -19,18 +20,7 @@ from .errors import NakafitError, OutOfRangeError
 from .estimators import EstimatorKind
 from .nakagami import NakagamiParams, sample
 
-ALL_ESTIMATORS = (
-    EstimatorKind.EXACT_ML,
-    EstimatorKind.CHENG_BEAULIEU_1,
-    EstimatorKind.CHENG_BEAULIEU_2,
-    EstimatorKind.GREENWOOD_DURAND,
-    EstimatorKind.MOMENT_BASED,
-)
-
-CSV_HEADER = (
-    "m_true,estimator,mean_m_hat,variance,normalized_variance,failures,"
-    "crlb_block,crlb_total,crlb_modified_total"
-)
+ALL_ESTIMATORS = tuple(EstimatorKind)
 
 
 @dataclass(frozen=True)
@@ -82,6 +72,10 @@ class BenchRow:
     crlb_modified_total: float
 
 
+# the CSV columns are BenchRow's fields, in order
+CSV_HEADER = ",".join(field.name for field in fields(BenchRow))
+
+
 @dataclass(frozen=True)
 class BenchResult:
     config: BenchConfig
@@ -95,14 +89,11 @@ def run_bench(cfg):
     for m_index, m_true in enumerate(cfg.m_grid):
         params = NakagamiParams.from_omega(m_true, cfg.omega)
         finals = {kind: [] for kind in cfg.estimators}
-        failures = {kind: 0 for kind in cfg.estimators}
         for trial in range(cfg.trials):
             rng = np.random.default_rng([cfg.base_seed, m_index, trial])
             try:
                 data = sample(params, total_n, rng).reshape(cfg.num_blocks, cfg.block_size)
             except OutOfRangeError:  # no data for this trial: every estimator fails
-                for kind in cfg.estimators:
-                    failures[kind] += 1
                 continue
             for kind in cfg.estimators:
                 state = BlockEstimatorState(method=kind)
@@ -110,8 +101,8 @@ def run_bench(cfg):
                     for block in data:
                         state = ingest_block(state, block)
                     finals[kind].append(finalize(state).m_hat)
-                except NakafitError:
-                    failures[kind] += 1
+                except NakafitError:  # counted as a failure: the trial adds no estimate
+                    pass
         crlb_block = bounds.crlb(m_true, cfg.block_size)
         crlb_total = bounds.crlb(m_true, total_n)
         crlb_mod_total = bounds.crlb_modified(m_true, total_n)
@@ -126,7 +117,7 @@ def run_bench(cfg):
                     mean_m_hat=mean,
                     variance=variance,
                     normalized_variance=variance / (m_true * m_true),
-                    failures=failures[kind],
+                    failures=cfg.trials - len(values),
                     crlb_block=crlb_block,
                     crlb_total=crlb_total,
                     crlb_modified_total=crlb_mod_total,
@@ -135,8 +126,8 @@ def run_bench(cfg):
     return BenchResult(config=cfg, rows=tuple(rows))
 
 
-def _fmt(v):
-    return format(v, ".12g")
+def _cell(value):
+    return value.value if isinstance(value, Enum) else format(value, ".12g")
 
 
 def emit_csv(result, sink):
@@ -145,19 +136,4 @@ def emit_csv(result, sink):
         raise ValueError("result has no rows")
     sink.write(CSV_HEADER + "\n")
     for row in sorted(result.rows, key=lambda r: (r.m_true, r.estimator.value)):
-        sink.write(
-            ",".join(
-                (
-                    _fmt(row.m_true),
-                    row.estimator.value,
-                    _fmt(row.mean_m_hat),
-                    _fmt(row.variance),
-                    _fmt(row.normalized_variance),
-                    str(row.failures),
-                    _fmt(row.crlb_block),
-                    _fmt(row.crlb_total),
-                    _fmt(row.crlb_modified_total),
-                )
-            )
-            + "\n"
-        )
+        sink.write(",".join(_cell(value) for value in astuple(row)) + "\n")

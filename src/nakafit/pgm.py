@@ -14,11 +14,26 @@ writes one row per line with 12 significant digits, byte for byte as
 """
 
 import re
+from contextlib import contextmanager
 
 import numpy as np
 
 
-_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)")
+# The four header tokens, each after a gap of whitespace bytes and comments.
+# The gap before each token after the first holds at least one of them, so
+# no token can split in two.
+_HEADER = re.compile(
+    rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)" + 3 * rb"(?:\s|#[^\n]*(?:\n|\Z))+([^\s#]+)"
+)
+
+
+@contextmanager
+def _refusals_naming(path):
+    """Put `path: ` before the message of any ValueError raised in the block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _decimal(token):
@@ -27,40 +42,33 @@ def _decimal(token):
     return int(token) if token.isdigit() else None
 
 
-def _tokenize_pgm_header(data):
-    """Return the four header tokens and the offset of the raster."""
-    tokens, end = [], 0
-    for _ in range(4):
-        match = _HEADER_TOKEN.match(data, end)
-        if match is None:
-            raise ValueError("truncated PGM header")
-        tokens.append(match[1])
-        end = match.end()
-    # exactly one whitespace byte separates the header from the raster
-    return tokens, end + 1
-
-
 def read_pgm(path):
     """Read an 8-bit binary PGM into a float64 (height, width) array."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens, offset = _tokenize_pgm_header(data)
-    if tokens[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    width, height, maxval = fields = [_decimal(t) for t in tokens[1:]]
-    if None in fields:
-        raise ValueError(f"{path}: bad PGM header {tokens[1:]}: width, height and maxval "
-                         "must be decimal digits")
-    if width < 1 or height < 1:
-        raise ValueError(f"{path}: bad PGM dimensions {width}x{height}")
-    if not (0 < maxval < 256):
-        raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
-    raster = data[offset : offset + width * height]
-    if len(raster) != width * height:
-        raise ValueError(f"{path}: truncated PGM raster")
-    pixels = np.frombuffer(raster, dtype=np.uint8)
-    if pixels.max() > maxval:
-        raise ValueError(f"{path}: PGM raster byte {pixels.max()} above maxval {maxval}")
+    with _refusals_naming(path):
+        header = _HEADER.match(data)
+        if header is None:
+            raise ValueError("truncated PGM header")
+        magic, *tokens = header.groups()
+        if magic != b"P5":
+            raise ValueError(f"not a binary PGM (magic {magic!r})")
+        width, height, maxval = fields = [_decimal(t) for t in tokens]
+        if None in fields:
+            raise ValueError(
+                f"bad PGM header {tokens}: width, height and maxval must be decimal digits"
+            )
+        if width < 1 or height < 1:
+            raise ValueError(f"bad PGM dimensions {width}x{height}")
+        if not (0 < maxval < 256):
+            raise ValueError(f"only 8-bit PGM supported (maxval {maxval})")
+        # exactly one whitespace byte separates the header from the raster
+        raster = data[header.end() + 1 : header.end() + 1 + width * height]
+        if len(raster) != width * height:
+            raise ValueError("truncated PGM raster")
+        pixels = np.frombuffer(raster, dtype=np.uint8)
+        if pixels.max() > maxval:
+            raise ValueError(f"PGM raster byte {pixels.max()} above maxval {maxval}")
     return pixels.astype(float).reshape(height, width)
 
 
@@ -91,16 +99,15 @@ def read_matrix(path):
             tokens = fh.read().split()
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not ASCII text") from None
-    if len(tokens) < 2:
-        raise ValueError(f"{path}: missing 'rows cols' header")
-    rows, cols = (_decimal(t) or 0 for t in tokens[:2])
-    if rows < 1 or cols < 1:
-        raise ValueError(f"{path}: bad matrix dimensions {tokens[0]} {tokens[1]}")
-    values = np.array([float(t) for t in tokens[2:]], dtype=float)
-    if values.size != rows * cols:
-        raise ValueError(
-            f"{path}: expected {rows * cols} values, found {values.size}"
-        )
+    with _refusals_naming(path):
+        if len(tokens) < 2:
+            raise ValueError("missing 'rows cols' header")
+        rows, cols = (_decimal(t) or 0 for t in tokens[:2])
+        if rows < 1 or cols < 1:
+            raise ValueError(f"bad matrix dimensions {tokens[0]} {tokens[1]}")
+        values = np.array([float(t) for t in tokens[2:]], dtype=float)
+        if values.size != rows * cols:
+            raise ValueError(f"expected {rows * cols} values, found {values.size}")
     return values.reshape(rows, cols)
 
 

@@ -118,6 +118,17 @@ def test_estimate_sigma_beyond_float_range_is_domain_error(tmp_path, capsys, met
     assert "sigma_hat" in err
 
 
+def test_estimate_failure_names_the_block_file(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    run_cli(["sample", "--m", "2", "--n", "30", "--seed", "1", "--out", str(good)])
+    spread = tmp_path / "spread.txt"
+    spread.write_text("4.378337766510523e-07\n3.149214563336647e-20\n3.019744578969957e+153\n")
+    assert run_cli(["estimate", "--in", str(good), str(spread)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("block=1 m_hat=")
+    assert err.startswith(f"error: {spread}: sigma_hat = ")
+
+
 def test_estimate_missing_file_is_domain_error(capsys):
     assert run_cli(["estimate", "--in", "/nonexistent/file.txt"]) == 1
     assert "file.txt" in capsys.readouterr().err

@@ -66,7 +66,8 @@ def icm_sweeps(costs, labels, beta):
     np.copyto(icm.planes, costs)
     icm.load(labels)
     icm.gather()
-    return icm.sweeps(beta)
+    for changed in icm.sweeps(beta):
+        yield icm.inner.copy(), changed
 
 
 # --- k-means -----------------------------------------------------------------

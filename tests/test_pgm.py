@@ -51,6 +51,14 @@ def tokenize_reference(data):
     return tokens, i + 1
 
 
+def tokenize_one_match(data):
+    """`pgm._HEADER`'s four tokens and the raster offset, in the reference's form."""
+    header = pgm._HEADER.match(data)
+    if header is None:
+        raise ValueError("truncated PGM header")
+    return list(header.groups()), header.end() + 1
+
+
 def lex(tokenize, data):
     try:
         return tokenize(data)
@@ -75,7 +83,25 @@ _HEADER_PIECE = st.one_of(
 @example(b"P5 1 2 #55")  # a comment that ends the data holds no token
 @example(b"P5\r\n# two regions\n64\t64 # w h\n255\n\x00")
 def test_header_lexer_matches_byte_loop_reference(data):
-    assert lex(pgm._tokenize_pgm_header, data) == lex(tokenize_reference, data)
+    assert lex(tokenize_one_match, data) == lex(tokenize_reference, data)
+
+
+@pytest.mark.parametrize(
+    "name, data, message",
+    [
+        ("h.pgm", b"P5 2", "truncated PGM header"),
+        ("x.txt", b"1 2\n0.5 x\n", "could not convert string to float: 'x'"),
+        # int() refuses more than 4,300 digits, with a message that names no file
+        ("w.pgm", b"P5 " + b"1" * 5000 + b" 2 255\n" + bytes(40), ""),
+        ("r.txt", b"1" * 5000 + b" 2\n", ""),
+    ],
+    ids=["pgm_truncated_header", "matrix_not_a_number", "pgm_huge_width", "matrix_huge_rows"],
+)
+def test_refusals_name_the_file(tmp_path, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+        pgm.read_image(path)
 
 
 def test_pgm_rejects_bad_magic(tmp_path):

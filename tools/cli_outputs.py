@@ -54,6 +54,12 @@ PGM_SIGNED_DIMS = "inputs/signed_dims.pgm"
 PGM_ABOVE_MAXVAL = "inputs/above_maxval.pgm"
 # a 2x2 text matrix whose last value is written in UTF-8, not ASCII
 MATRIX_NOT_ASCII = "inputs/not_ascii.txt"
+# a PGM that ends after its height: the header has no maxval
+PGM_TRUNCATED_HEADER = "inputs/truncated_header.pgm"
+# a PGM whose width is 5,000 digits, more than int() converts
+PGM_HUGE_WIDTH = "inputs/huge_width.pgm"
+# a 1x2 text matrix whose last value is not a number
+MATRIX_NOT_A_NUMBER = "inputs/not_a_number.txt"
 
 
 def _nakagami(rng, m, omega, n):
@@ -93,6 +99,12 @@ def make_inputs():
         fh.write(b"P5\n4 4\n100\n" + bytes([10, 20, 30, 40] * 3 + [50, 60, 70, 255]))
     with open(MATRIX_NOT_ASCII, "wb") as fh:
         fh.write("2 2\n1 2\n3 \u00bd\n".encode("utf-8"))
+    with open(PGM_TRUNCATED_HEADER, "wb") as fh:
+        fh.write(b"P5 2")
+    with open(PGM_HUGE_WIDTH, "wb") as fh:
+        fh.write(b"P5 " + b"1" * 5000 + b" 2 255\n" + bytes(40))
+    with open(MATRIX_NOT_A_NUMBER, "w", encoding="ascii") as fh:
+        fh.write("1 2\n0.5 x\n")
 
     # 64x64: m = 1 on the left half, m = 8 on the right, scaled into [0, 255]
     img = np.hstack([_nakagami(rng, 1.0, 1.0, 64 * 32).reshape(64, 32),
@@ -191,7 +203,10 @@ def cases():
         for name, path in (("matrix_negative_dims", MATRIX_NEGATIVE_DIMS),
                            ("pgm_signed_dims", PGM_SIGNED_DIMS),
                            ("pgm_above_maxval", PGM_ABOVE_MAXVAL),
-                           ("matrix_not_ascii", MATRIX_NOT_ASCII))
+                           ("matrix_not_ascii", MATRIX_NOT_ASCII),
+                           ("pgm_truncated_header", PGM_TRUNCATED_HEADER),
+                           ("pgm_huge_width", PGM_HUGE_WIDTH),
+                           ("matrix_not_a_number", MATRIX_NOT_A_NUMBER))
     ]
     out += [
         ("usage_sample_negative_m", ["sample", "--m", "-1", "--n", "5"]),
