@@ -27,17 +27,7 @@ from .estimators import (
     estimate_ml,
     estimate_moment_based,
 )
-from .hmrf import (
-    GaussianParams,
-    Likelihood,
-    SegModel,
-    SegmentResult,
-    icm_sweep,
-    kmeans_init,
-    segment,
-    total_energy,
-    update_params,
-)
+from .hmrf import GaussianParams, Likelihood, SegModel, SegmentResult, segment
 from .montecarlo import ALL_ESTIMATORS, BenchConfig, BenchResult, BenchRow, emit_csv, run_bench
 from .nakagami import NakagamiParams, as_block, log_pdf, sample
 from .specfun import digamma, log_gamma, trigamma

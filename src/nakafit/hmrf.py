@@ -115,33 +115,13 @@ def _as_image(image):
     return img
 
 
-def _as_labels(labels, shape, n_classes):
-    lab = np.asarray(labels)
-    if lab.shape != shape:
-        raise ValueError(f"label field shape {lab.shape} != image shape {shape}")
-    if not np.all(np.isfinite(lab)) or np.any(lab != np.round(lab)):
-        raise ValueError("labels must be finite integers")
-    if lab.min() < 0 or lab.max() >= n_classes:
-        raise ValueError("labels must lie in [0, n_classes)")
-    return lab.astype(np.intp)
-
-
-def kmeans_init(image, n_classes, seed):
-    """1-D k-means on the count-weighted distinct intensities; classes are
-    ordered by center value. Assignments are per distinct value (nearest
-    center, ties to the lower index) and reach the pixels once, at the end.
-    """
-    img = _as_image(image)
-    vals = img.reshape(-1)
-    unique = np.unique(vals, return_inverse=True, return_counts=True)
-    return _kmeans(vals, *unique, n_classes, seed).reshape(img.shape)
-
-
 def _kmeans(vals, distinct, inverse, counts, n_classes, seed):
-    """`kmeans_init` on the flat image `vals`, given its np.unique with the
-    inverse index and the counts; returns the flat labels."""
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
+    """1-D k-means on the flat image `vals`, given its np.unique with the
+    inverse index and the counts; returns the flat labels, classes ordered
+    by center value. Runs on the count-weighted distinct intensities:
+    assignments are per distinct value (nearest center, ties to the lower
+    index) and reach the pixels once, at the end.
+    """
     if distinct.size < n_classes:
         raise ValueError(
             f"image has {distinct.size} distinct intensities, fewer than {n_classes} classes"
@@ -174,8 +154,6 @@ def _class_costs(values, model):
     # a pixel far outside a narrow class costs +inf there: the overflow is the answer
     with np.errstate(over="ignore"):
         for k, p in enumerate(model.class_params):
-            if p is None:
-                raise ValueError(f"class {k} has no parameters; run update_params first")
             if model.likelihood is Likelihood.GAUSSIAN:
                 out[k] = 0.5 * math.log(2.0 * math.pi * p.var) + (values - p.mu) ** 2 / (
                     2.0 * p.var
@@ -183,13 +161,6 @@ def _class_costs(values, model):
             else:
                 out[k] = -log_pdf(p, values)
     return out
-
-
-def total_energy(image, labels, model):
-    """Posterior energy of a labeling; each 4-neighbor pair counted once."""
-    img = _as_image(image)
-    lab = _as_labels(labels, img.shape, model.n_classes)
-    return _icm_on(img, lab, model).energy(model.beta)
 
 
 def _argmin_classes(costs, best, arg, better, nan_best, marked):
@@ -217,7 +188,7 @@ def _argmin_classes(costs, best, arg, better, nan_best, marked):
 
 class _Icm:
     """ICM on one image shape and class count, with its energy kept current;
-    `segment`, `icm_sweep` and `total_energy` all run on it.
+    `segment` runs every stage on one.
 
     Holds the K contiguous (H, W) cost planes, which `fill` fills, the
     current label field in a (H+2, W+2) frame with a -1 border, and the two
@@ -375,29 +346,6 @@ class _Icm:
         self.cells[cells] = new
 
 
-def _icm_on(img, lab, model):
-    """An `_Icm` holding the checked label field `lab`, with the planes
-    filled from `model`'s costs on the checked image `img`."""
-    icm = _Icm(img.shape, model.n_classes)
-    icm.load(lab)
-    distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
-    icm.fill(model, distinct, inverse.reshape(img.shape))
-    return icm
-
-
-def icm_sweep(image, labels, model):
-    """One checkerboard ICM sweep (both colors); returns (new label field,
-    number of changed pixels).
-
-    The total energy never increases across a sweep.
-    """
-    img = _as_image(image)
-    lab = _as_labels(labels, img.shape, model.n_classes)
-    icm = _icm_on(img, lab, model)
-    changed = next(icm.sweeps(model.beta))
-    return icm.inner.copy(), changed
-
-
 def _fit_columns(img, likelihood):
     """What a class fit reads at each pixel, as flat arrays in raster order:
     the intensities for the Gaussian likelihood, x^2 and ln x^2 for the
@@ -456,8 +404,12 @@ def _bootstrap_class(columns, likelihood):
 
 
 def _refit(columns, labels, model):
-    """`update_params` on checked inputs: `columns` from `_fit_columns`, and
-    the label field. Each class is gathered by index, in raster order."""
+    """Re-estimate per-class parameters from the label field `labels`, given
+    `columns` from `_fit_columns`. Each class is gathered by index, in raster
+    order. Classes with fewer than 2 pixels or a degenerate fit keep their
+    previous parameters and are listed in the returned model's `starved`
+    field (bootstrapped if they never had parameters).
+    """
     new_params = []
     starved = []
     for k in range(model.n_classes):
@@ -470,18 +422,6 @@ def _refit(columns, labels, model):
             fitted = prev if prev is not None else _bootstrap_class(values, model.likelihood)
         new_params.append(fitted)
     return replace(model, class_params=tuple(new_params), starved=tuple(starved))
-
-
-def update_params(image, labels, model):
-    """Re-estimate per-class parameters from the hard assignment.
-
-    Classes with fewer than 2 pixels or a degenerate fit keep their previous
-    parameters and are reported in the returned model's `starved` field
-    (bootstrapped if they never had parameters).
-    """
-    img = _as_image(image)
-    lab = _as_labels(labels, img.shape, model.n_classes)
-    return _refit(_fit_columns(img, model.likelihood), lab, model)
 
 
 def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
@@ -513,8 +453,8 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     # are evaluated once per distinct intensity
     vals = img.reshape(-1)
     distinct, inverse, counts = np.unique(vals, return_inverse=True, return_counts=True)
-    labels = _kmeans(vals, distinct, inverse, counts, n_classes, seed)
     model = SegModel.empty(n_classes, likelihood, beta=beta)
+    labels = _kmeans(vals, distinct, inverse, counts, n_classes, seed)
     columns = _fit_columns(img, likelihood)
     inverse = inverse.reshape(img.shape)
     icm = _Icm(img.shape, n_classes)

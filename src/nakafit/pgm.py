@@ -38,8 +38,14 @@ def _refusals_naming(path):
 
 def _decimal(token):
     """The value of a header token made of ASCII decimal digits only (str or
-    bytes), else None: no sign, no underscore, no space."""
-    return int(token) if token.isdigit() else None
+    bytes), else None: no sign, no underscore, no space. A token of more
+    digits than int() converts (4,300 by default) is refused."""
+    if not token.isdigit():
+        return None
+    try:
+        return int(token)
+    except ValueError:  # the digit limit: nothing else fails on ASCII digits
+        raise ValueError(f"header field of {len(token)} digits is too large") from None
 
 
 def read_pgm(path):

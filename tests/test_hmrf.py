@@ -5,30 +5,12 @@ import numpy as np
 import pytest
 
 from nakafit import hmrf
-from nakafit import (
-    GaussianParams,
-    Likelihood,
-    NakagamiParams,
-    SegModel,
-    icm_sweep,
-    kmeans_init,
-    sample,
-    segment,
-    total_energy,
-    update_params,
-)
+from nakafit import GaussianParams, Likelihood, NakagamiParams, SegModel, sample, segment
 
 
 def gaussian_model(params, beta=1.0):
     return SegModel(
         n_classes=len(params), likelihood=Likelihood.GAUSSIAN,
-        class_params=tuple(params), beta=beta,
-    )
-
-
-def nakagami_model(params, beta=1.0):
-    return SegModel(
-        n_classes=len(params), likelihood=Likelihood.NAKAGAMI,
         class_params=tuple(params), beta=beta,
     )
 
@@ -70,6 +52,40 @@ def icm_sweeps(costs, labels, beta):
         yield icm.inner.copy(), changed
 
 
+def filled_icm(img, labels, model):
+    """An `hmrf._Icm` holding `labels`, its planes filled as `segment` fills
+    them: `model`'s costs at the distinct intensities of `img`."""
+    icm = hmrf._Icm(img.shape, model.n_classes)
+    icm.load(labels)
+    distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
+    icm.fill(model, distinct, inverse.reshape(img.shape))
+    return icm
+
+
+def total_energy(img, labels, model):
+    """Posterior energy of the label field `labels` on `img` under `model`."""
+    return filled_icm(img, labels, model).energy(model.beta)
+
+
+def icm_sweep(img, labels, model):
+    """One checkerboard sweep from `labels`: (new label field, pixels changed)."""
+    icm = filled_icm(img, labels, model)
+    changed = next(icm.sweeps(model.beta))
+    return icm.inner.copy(), changed
+
+
+def kmeans_init(img, n_classes, seed):
+    """`hmrf._kmeans` on the 2-D image `img`; labels in the image's shape."""
+    vals = img.reshape(-1)
+    unique = np.unique(vals, return_inverse=True, return_counts=True)
+    return hmrf._kmeans(vals, *unique, n_classes, seed).reshape(img.shape)
+
+
+def update_params(img, labels, model):
+    """`hmrf._refit` of `model` from the label field `labels` on `img`."""
+    return hmrf._refit(hmrf._fit_columns(img, model.likelihood), labels, model)
+
+
 # --- k-means -----------------------------------------------------------------
 
 
@@ -80,8 +96,9 @@ def test_kmeans_separated_clusters():
 
 
 def test_kmeans_rejects_constant_image():
-    with pytest.raises(ValueError):
-        kmeans_init(np.ones((4, 4)), 2, seed=0)
+    for likelihood in Likelihood:
+        with pytest.raises(ValueError, match="fewer than 2 classes"):
+            segment(np.ones((4, 4)), 2, likelihood, seed=0)
 
 
 def test_kmeans_deterministic():
@@ -215,34 +232,6 @@ def test_total_energy_equals_take_along_axis_sum(likelihood, quantized):
     assert total_energy(img, labels, model) == data + 0.3 * int(pairs)
 
 
-def test_total_energy_rejects_zero_pixel_for_nakagami():
-    model = nakagami_model([NakagamiParams(1.0, 1.0)] * 2)
-    with pytest.raises(ValueError):
-        total_energy(np.array([[0.0, 1.0]]), np.array([[0, 0]]), model)
-
-
-@pytest.mark.parametrize("entry", [total_energy, icm_sweep, update_params])
-def test_labels_must_be_finite_integers(entry):
-    img = np.array([[1.0, 2.0], [3.0, 4.0]])
-    model = gaussian_model([GaussianParams(1.0, 1.0), GaussianParams(4.0, 1.0)])
-    for bad in (np.nan, np.inf, 0.7):
-        with pytest.raises(ValueError, match="finite integers"):
-            entry(img, np.array([[0.0, bad], [1.0, 1.0]]), model)
-    # integer-valued floats are labels like any other
-    as_float = entry(img, np.array([[0.0, 0.0], [1.0, 1.0]]), model)
-    as_int = entry(img, np.array([[0, 0], [1, 1]]), model)
-    if entry is icm_sweep:
-        assert np.array_equal(as_float[0], as_int[0]) and as_float[1] == as_int[1]
-    else:
-        assert as_float == as_int
-
-
-def test_total_energy_shape_mismatch():
-    model = gaussian_model([GaussianParams(0.0, 1.0)] * 2)
-    with pytest.raises(ValueError):
-        total_energy(np.ones((2, 2)), np.zeros((3, 3), dtype=int), model)
-
-
 # --- ICM ----------------------------------------------------------------------
 
 
@@ -337,7 +326,7 @@ def checkerboard_reference(nll, labels, beta):
 def test_icm_sweep_matches_scalar_checkerboard_reference(monkeypatch, shape, n_classes, beta):
     # multiples of 0.5 make every cost exact, so ties are real ties and the
     # lowest-index rule is what decides them. The image's distinct
-    # intensities come in raster order, so the costs `icm_sweep` asks of
+    # intensities come in raster order, so the costs `_Icm.fill` asks of
     # `_class_costs` for them are the table's own pixels.
     rng = np.random.default_rng([shape[0], shape[1], n_classes, int(2 * beta)])
     img = np.arange(shape[0] * shape[1], dtype=float).reshape(shape)
@@ -500,9 +489,8 @@ def test_segment_stops_at_the_first_round_that_relabels_nothing(likelihood, n_cl
 def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
     likelihood, n_classes, shape, flat_band
 ):
-    # segment keeps the energy up to date at the relabelled pixels only and
-    # refits through its own gather; a replay of its rounds through the public
-    # update_params recomputes every energy from the whole table
+    # segment keeps the energy up to date at the relabelled pixels only; a
+    # replay of its rounds recomputes every energy from the whole table
     rng = np.random.default_rng([*shape, n_classes])
     height, width = shape
     x = np.hstack([np.sqrt(rng.gamma(1.0, 1.0, (height, width // 2))),
@@ -540,6 +528,13 @@ def test_segment_beta_zero_is_pixelwise_ml():
     result = segment(img, 2, Likelihood.NAKAGAMI, beta=0.0, seed=5)
     costs = hmrf._class_costs(img, result.model)
     assert np.array_equal(result.labels, np.argmin(costs, axis=0))
+
+
+@pytest.mark.parametrize("n_classes", [-1, 0, 1])
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+def test_segment_rejects_fewer_than_two_classes(likelihood, n_classes):
+    with pytest.raises(ValueError, match="n_classes must be >= 2"):
+        segment(np.arange(1.0, 17.0).reshape(4, 4), n_classes, likelihood, seed=0)
 
 
 @pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])

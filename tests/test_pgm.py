@@ -91,16 +91,21 @@ def test_header_lexer_matches_byte_loop_reference(data):
     [
         ("h.pgm", b"P5 2", "truncated PGM header"),
         ("x.txt", b"1 2\n0.5 x\n", "could not convert string to float: 'x'"),
-        # int() refuses more than 4,300 digits, with a message that names no file
-        ("w.pgm", b"P5 " + b"1" * 5000 + b" 2 255\n" + bytes(40), ""),
-        ("r.txt", b"1" * 5000 + b" 2\n", ""),
+        # int() converts at most 4,300 digits
+        ("w.pgm", b"P5 " + b"1" * 5000 + b" 2 255\n" + bytes(40),
+         "header field of 5000 digits is too large"),
+        ("r.txt", b"1" * 5000 + b" 2\n", "header field of 5000 digits is too large"),
+        ("m.pgm", b"P5 2 2 " + b"0" * 4300 + b"1\n" + bytes(4),
+         "header field of 4301 digits is too large"),
+        ("c.txt", b"1 " + b"9" * 4301 + b"\n", "header field of 4301 digits is too large"),
     ],
-    ids=["pgm_truncated_header", "matrix_not_a_number", "pgm_huge_width", "matrix_huge_rows"],
+    ids=["pgm_truncated_header", "matrix_not_a_number", "pgm_huge_width", "matrix_huge_rows",
+         "pgm_maxval_past_digit_limit", "matrix_cols_past_digit_limit"],
 )
 def test_refusals_name_the_file(tmp_path, name, data, message):
     path = tmp_path / name
     path.write_bytes(data)
-    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
         pgm.read_image(path)
 
 
