@@ -27,8 +27,8 @@ from .estimators import (
     estimate_ml,
     estimate_moment_based,
 )
-from .hmrf import GaussianParams, Likelihood, SegModel, SegmentResult, segment
-from .montecarlo import ALL_ESTIMATORS, BenchConfig, BenchResult, BenchRow, emit_csv, run_bench
+from .hmrf import GaussianParams, Likelihood, SegmentResult, segment
+from .montecarlo import ALL_ESTIMATORS, BenchConfig, BenchRow, emit_csv, run_bench
 from .nakagami import NakagamiParams, as_block, log_pdf, sample
 from .specfun import digamma, log_gamma, trigamma
 

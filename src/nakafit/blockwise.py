@@ -56,11 +56,8 @@ def ingest_block(state, block):
 
 
 def finalize(state):
-    """Read out the smoothed estimate after the final block."""
+    """Read out the smoothed estimate after the final block: the running
+    means of m_hat and sigma_hat over the blocks ingested."""
     if state.blocks_seen == 0:
         raise NoBlocksError("no usable blocks were ingested")
-    return Estimate(
-        m_hat=state.running_m,
-        sigma_hat=state.running_sigma,
-        method=state.method,
-    )
+    return Estimate(m_hat=state.running_m, sigma_hat=state.running_sigma)

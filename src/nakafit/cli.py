@@ -173,9 +173,9 @@ def _build_bench_config(args, parser):
 
 
 def cmd_bench(args):
-    result = run_bench(args.bench_config)
+    rows = run_bench(args.bench_config)
     with _open_sink(args.out) as sink:
-        emit_csv(result, sink)
+        emit_csv(rows, sink)
     return 0
 
 
@@ -196,13 +196,10 @@ def cmd_bounds(args):
 
 def cmd_segment(args):
     image = pgm.read_image(args.infile)
-    result = segment(
-        image,
-        args.k,
-        args.likelihood,
-        beta=args.beta,
-        seed=args.seed,
-    )
+    try:
+        result = segment(image, args.k, args.likelihood, beta=args.beta, seed=args.seed)
+    except ValueError as exc:
+        raise ValueError(f"{args.infile}: {exc}") from None
     pgm.write_pgm(args.out_labels + ".pgm", pgm.labels_to_gray(result.labels, args.k))
     pgm.write_matrix(args.out_labels + ".txt", result.labels)
     with open(args.out_trace, "w", encoding="ascii") as fh:

@@ -58,7 +58,6 @@ class SufficientStats:
 class Estimate:
     m_hat: float
     sigma_hat: float
-    method: EstimatorKind
     iterations: int = 0
 
 
@@ -161,7 +160,6 @@ def estimate_ml(stats):
     return Estimate(
         m_hat=m,
         sigma_hat=_sigma_hat(stats.mean_x2, m),
-        method=EstimatorKind.EXACT_ML,
         iterations=iterations,
     )
 
@@ -170,14 +168,14 @@ def estimate_cheng_beaulieu_1(stats):
     """First-order closed form m_hat = 1 / (2 delta)."""
     _require_informative(stats.delta)
     m = 1.0 / (2.0 * stats.delta)
-    return Estimate(m, _sigma_hat(stats.mean_x2, m), EstimatorKind.CHENG_BEAULIEU_1)
+    return Estimate(m, _sigma_hat(stats.mean_x2, m))
 
 
 def estimate_cheng_beaulieu_2(stats):
     """Second-order closed form: positive root of 12*delta*m^2 - 6m - 1 = 0."""
     _require_informative(stats.delta)
     m = _cb2_root(stats.delta)
-    return Estimate(m, _sigma_hat(stats.mean_x2, m), EstimatorKind.CHENG_BEAULIEU_2)
+    return Estimate(m, _sigma_hat(stats.mean_x2, m))
 
 
 def estimate_greenwood_durand(stats):
@@ -197,7 +195,7 @@ def estimate_greenwood_durand(stats):
         num = 8.898919 + 9.059950 * y + 0.9775373 * y * y
         den = y * (17.79728 + 11.968477 * y + y * y)
         m = num / den
-    return Estimate(m, _sigma_hat(stats.mean_x2, m), EstimatorKind.GREENWOOD_DURAND)
+    return Estimate(m, _sigma_hat(stats.mean_x2, m))
 
 
 def estimate_moment_based(block):
@@ -222,7 +220,7 @@ def estimate_moment_based(block):
             f"variance of x^2 ({denom!r}) too small for the moment estimator"
         )
     m = square / denom
-    return Estimate(m, _sigma_hat(mean_x2, m), EstimatorKind.MOMENT_BASED)
+    return Estimate(m, _sigma_hat(mean_x2, m))
 
 
 _DELTA_ESTIMATORS = {

@@ -19,7 +19,7 @@ overflows is +inf.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
@@ -64,42 +64,14 @@ class GaussianParams:
 
 
 @dataclass(frozen=True)
-class SegModel:
-    """Class count, likelihood family, per-class parameters, and MRF weight.
-
-    class_params entries may be None before the first parameter update;
-    `starved` lists classes whose parameters were frozen (too few pixels,
-    or a degenerate fit) in the most recent update.
-    """
-
-    n_classes: int
-    likelihood: Likelihood
-    class_params: tuple
-    beta: float = 1.0
-    starved: tuple = ()
-
-    def __post_init__(self):
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if len(self.class_params) != self.n_classes:
-            raise ValueError("class_params must have one entry per class")
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError("beta must be a finite non-negative real")
-
-    @classmethod
-    def empty(cls, n_classes, likelihood, beta=1.0):
-        return cls(
-            n_classes=n_classes,
-            likelihood=likelihood,
-            class_params=(None,) * n_classes,
-            beta=beta,
-        )
-
-
-@dataclass(frozen=True)
 class SegmentResult:
+    """The final label field, each class's fitted parameters, the classes
+    whose parameters the last refit froze (too few pixels, or a degenerate
+    fit), the trace and the number of ICM sweeps run."""
+
     labels: np.ndarray
-    model: SegModel
+    class_params: tuple
+    starved: tuple
     trace: tuple  # (step, phase, energy) rows; phases "params" and "icm"
     sweeps: int
 
@@ -148,13 +120,13 @@ def _kmeans(vals, distinct, inverse, counts, n_classes, seed):
     return rank[assign][inverse]
 
 
-def _class_costs(values, model):
+def _class_costs(values, likelihood, class_params):
     """Negative log-likelihood of every value under every class, shape (K,) + values.shape."""
-    out = np.empty((model.n_classes,) + values.shape)
+    out = np.empty((len(class_params),) + values.shape)
     # a pixel far outside a narrow class costs +inf there: the overflow is the answer
     with np.errstate(over="ignore"):
-        for k, p in enumerate(model.class_params):
-            if model.likelihood is Likelihood.GAUSSIAN:
+        for k, p in enumerate(class_params):
+            if likelihood is Likelihood.GAUSSIAN:
                 out[k] = 0.5 * math.log(2.0 * math.pi * p.var) + (values - p.mu) ** 2 / (
                     2.0 * p.var
                 )
@@ -250,12 +222,13 @@ class _Icm:
         self.inner[...] = labels
         self.pairs = sum(np.count_nonzero(np.diff(self.inner, axis=axis)) for axis in (0, 1))
 
-    def fill(self, model, distinct, inverse):
-        """Fill the planes with `model`'s class costs, evaluated once per
-        distinct intensity and taken to the pixels through `inverse`, the
-        image's np.unique inverse index in the image's shape; then `gather`.
-        A refit refills the planes without relabelling any pixel."""
-        for plane, costs in zip(self.planes, _class_costs(distinct, model)):
+    def fill(self, likelihood, class_params, distinct, inverse):
+        """Fill the planes with the class costs under `likelihood` and
+        `class_params`, evaluated once per distinct intensity and taken to
+        the pixels through `inverse`, the image's np.unique inverse index in
+        the image's shape; then `gather`. A refit refills the planes without
+        relabelling any pixel."""
+        for plane, costs in zip(self.planes, _class_costs(distinct, likelihood, class_params)):
             np.take(costs, inverse, out=plane, mode="clip")
         self.gather()
 
@@ -403,25 +376,25 @@ def _bootstrap_class(columns, likelihood):
     return NakagamiParams(m=mean_x2 / _SIGMA_MIN, sigma=_SIGMA_MIN)
 
 
-def _refit(columns, labels, model):
+def _refit(columns, labels, likelihood, class_params):
     """Re-estimate per-class parameters from the label field `labels`, given
-    `columns` from `_fit_columns`. Each class is gathered by index, in raster
-    order. Classes with fewer than 2 pixels or a degenerate fit keep their
-    previous parameters and are listed in the returned model's `starved`
-    field (bootstrapped if they never had parameters).
+    `columns` from `_fit_columns`; returns the new parameters and the
+    starved classes. Each class is gathered by index, in raster order.
+    Classes with fewer than 2 pixels or a degenerate fit keep their entry
+    of `class_params` and are listed as starved; a None entry (no previous
+    fit) is bootstrapped.
     """
     new_params = []
     starved = []
-    for k in range(model.n_classes):
+    for k, prev in enumerate(class_params):
         index = np.flatnonzero(labels == k)
         values = [column.take(index) for column in columns]
-        fitted = _fit_class(values, model.likelihood)
+        fitted = _fit_class(values, likelihood)
         if fitted is None:
             starved.append(k)
-            prev = model.class_params[k]
-            fitted = prev if prev is not None else _bootstrap_class(values, model.likelihood)
+            fitted = prev if prev is not None else _bootstrap_class(values, likelihood)
         new_params.append(fitted)
-    return replace(model, class_params=tuple(new_params), starved=tuple(starved))
+    return tuple(new_params), tuple(starved)
 
 
 def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
@@ -435,9 +408,11 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     the same parameters from the same labels and repeat that round exactly.
 
     For the Nakagami likelihood, images containing zeros are shifted up by
-    _ZERO_SHIFT * max intensity to restore positive support. Returns labels,
-    the fitted model, the (step, phase, energy) trace, and the number of
-    ICM sweeps executed.
+    _ZERO_SHIFT * max intensity to restore positive support. Returns a
+    `SegmentResult`: the labels, each class's parameters and the classes
+    the last refit starved, the (step, phase, energy) trace, and the
+    number of ICM sweeps executed. Raises ValueError for n_classes < 2 or
+    a beta that is negative or not finite.
     """
     img = _as_image(image)
     # beta * (H(W-1) + (H-1)W pairs) bounds the energy's pair term and ICM's beta * agree
@@ -449,28 +424,38 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
             raise ValueError("cannot use the Nakagami likelihood on an all-zero image")
         # the lift can take peak^2 * pixel count past the float range
         img = _as_image(img + _ZERO_SHIFT * peak)
+    if n_classes < 2:
+        raise ValueError("n_classes must be >= 2")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError("beta must be a finite non-negative real")
     # one np.unique serves k-means and the cost-plane gather: the class costs
     # are evaluated once per distinct intensity
     vals = img.reshape(-1)
     distinct, inverse, counts = np.unique(vals, return_inverse=True, return_counts=True)
-    model = SegModel.empty(n_classes, likelihood, beta=beta)
     labels = _kmeans(vals, distinct, inverse, counts, n_classes, seed)
     columns = _fit_columns(img, likelihood)
     inverse = inverse.reshape(img.shape)
     icm = _Icm(img.shape, n_classes)
     icm.load(labels.reshape(img.shape))
+    class_params = (None,) * n_classes
     trace = []
     for _ in range(_MAX_OUTER):
-        model = _refit(columns, icm.inner, model)
-        icm.fill(model, distinct, inverse)
-        trace.append((len(trace), "params", icm.energy(model.beta)))
+        class_params, starved = _refit(columns, icm.inner, likelihood, class_params)
+        icm.fill(likelihood, class_params, distinct, inverse)
+        trace.append((len(trace), "params", icm.energy(beta)))
         round_changed = 0
-        for changed in islice(icm.sweeps(model.beta), _MAX_SWEEPS):
+        for changed in islice(icm.sweeps(beta), _MAX_SWEEPS):
             round_changed += changed
-            trace.append((len(trace), "icm", icm.energy(model.beta)))
+            trace.append((len(trace), "icm", icm.energy(beta)))
             if changed == 0:
                 break
         if round_changed == 0:
             break
     sweeps = sum(phase == "icm" for _, phase, _ in trace)
-    return SegmentResult(labels=icm.inner.copy(), model=model, trace=tuple(trace), sweeps=sweeps)
+    return SegmentResult(
+        labels=icm.inner.copy(),
+        class_params=class_params,
+        starved=starved,
+        trace=tuple(trace),
+        sweeps=sweeps,
+    )

@@ -57,6 +57,11 @@ class BenchConfig:
             raise ValueError("estimators must be non-empty")
         object.__setattr__(self, "m_grid", tuple(float(m) for m in self.m_grid))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        # a row is keyed by (m_true, estimator): a repeat would merge two rows' trials
+        if len(set(self.m_grid)) != len(self.m_grid):
+            raise ValueError("m_grid values must be distinct")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ValueError("estimators must be distinct")
 
 
 @dataclass(frozen=True)
@@ -76,14 +81,10 @@ class BenchRow:
 CSV_HEADER = ",".join(field.name for field in fields(BenchRow))
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    config: BenchConfig
-    rows: tuple
-
-
 def run_bench(cfg):
-    """Execute the study described by cfg; deterministic given cfg."""
+    """Execute the study described by cfg; returns its tuple of BenchRows,
+    one per true shape and estimator, in grid then estimator order.
+    Deterministic given cfg."""
     rows = []
     total_n = cfg.block_size * cfg.num_blocks
     for m_index, m_true in enumerate(cfg.m_grid):
@@ -123,17 +124,17 @@ def run_bench(cfg):
                     crlb_modified_total=crlb_mod_total,
                 )
             )
-    return BenchResult(config=cfg, rows=tuple(rows))
+    return tuple(rows)
 
 
 def _cell(value):
     return value.value if isinstance(value, Enum) else format(value, ".12g")
 
 
-def emit_csv(result, sink):
-    """Write the result table as CSV, sorted by (m_true, estimator name)."""
-    if not result.rows:
+def emit_csv(rows, sink):
+    """Write the BenchRows `rows` as CSV, sorted by (m_true, estimator name)."""
+    if not rows:
         raise ValueError("result has no rows")
     sink.write(CSV_HEADER + "\n")
-    for row in sorted(result.rows, key=lambda r: (r.m_true, r.estimator.value)):
+    for row in sorted(rows, key=lambda r: (r.m_true, r.estimator.value)):
         sink.write(",".join(_cell(value) for value in astuple(row)) + "\n")

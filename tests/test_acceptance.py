@@ -92,7 +92,7 @@ def test_criterion_4_sandwich_claim():
         m_grid=(1.0, 2.0, 4.0), omega=1.0, block_size=30, num_blocks=5,
         trials=2000, estimators=(EstimatorKind.EXACT_ML,), base_seed=0,
     )
-    for row in run_bench(cfg).rows:
+    for row in run_bench(cfg):
         lo = 0.85 * crlb(row.m_true, 150)
         hi = 1.15 * crlb(row.m_true, 30)
         assert lo <= row.variance <= hi, (row.m_true, row.variance, lo, hi)
@@ -116,7 +116,7 @@ def test_criterion_5_ordering_claims_20x7():
         base_seed=0,
     )
     variances = {}
-    for row in run_bench(cfg).rows:
+    for row in run_bench(cfg):
         variances[(row.m_true, row.estimator)] = row.variance
     for m in (1.0, 2.0, 4.0):
         ml = variances[(m, EstimatorKind.EXACT_ML)]
@@ -134,7 +134,7 @@ def test_criterion_6_modified_bound_tracking():
         m_grid=(0.5, 1.0, 2.0, 4.0, 8.0), omega=1.0, block_size=150, num_blocks=1,
         trials=2000, estimators=(EstimatorKind.EXACT_ML,), base_seed=0,
     )
-    for row in run_bench(cfg).rows:
+    for row in run_bench(cfg):
         lo = 0.8 * crlb(row.m_true, 150)
         hi = 1.5 * crlb_modified(row.m_true, 150)
         assert lo <= row.variance <= hi, (row.m_true, row.variance, lo, hi)

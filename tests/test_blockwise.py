@@ -10,6 +10,7 @@ from nakafit import (
     NakagamiParams,
     NoBlocksError,
     estimate_block,
+    estimate_moment_based,
     finalize,
     ingest_block,
     sample,
@@ -90,9 +91,11 @@ def test_finalize_without_blocks_raises():
 
 def test_finalize_reports_method_and_sigma():
     p = NakagamiParams(m=2.0, sigma=3.0)
-    state = run_blocks([sample(p, 400, seed=9)], method=EstimatorKind.MOMENT_BASED)
+    block = sample(p, 400, seed=9)
+    state = run_blocks([block], method=EstimatorKind.MOMENT_BASED)
     est = finalize(state)
-    assert est.method is EstimatorKind.MOMENT_BASED
+    # one block: the running mean is the moment estimator's own estimate
+    assert est.m_hat == estimate_moment_based(block).m_hat
     assert est.sigma_hat == pytest.approx(3.0, rel=0.4)
 
 

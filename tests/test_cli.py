@@ -204,6 +204,19 @@ def test_bench_non_ascii_config_is_usage_error(tmp_path, capsys):
     assert str(cfg) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--m-grid", "1", "--estimators", "exact_ml,exact_ml"],
+    ["--m-grid", "1,2,1.0"],
+    ["--m-grid", "4,4e0"],
+], ids=["estimator", "shape", "shape_spelled_twice"])
+def test_bench_repeated_shape_or_estimator_is_usage_error(capsys, argv):
+    # a repeat would give two rows with one (m_true, estimator) key
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bench", "--trials", "5", *argv])
+    assert exc.value.code == 2
+    assert "must be distinct" in capsys.readouterr().err
+
+
 # field: (config-file text, its value, flag text, its value)
 BENCH_SETTINGS = {
     "m_grid": ("0.7, 3", (0.7, 3.0), "5", (5.0,)),
@@ -420,6 +433,20 @@ def test_segment_bad_beta_is_usage_error(tmp_path, capsys, beta):
     assert "--beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("-3", "pixel intensities"), ("nan", "pixel intensities"), ("inf", "pixel intensities"),
+    ("1e200", "pixel intensities"), ("1", "distinct intensities"),
+])
+def test_segment_image_value_refusal_names_the_file(tmp_path, capsys, value, message):
+    path = tmp_path / "img.txt"
+    path.write_text(f"2 2\n1 2\n1 {value}\n")
+    code = run_cli(["segment", "--in", str(path), "--k", "3",
+                    "--out-labels", str(tmp_path / "l"), "--out-trace", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
 # Images of at most 4x4 pixels for `segment`: a PGM or a text matrix, well
 # formed or with one header field or value broken, or arbitrary bytes.
 _SEPARATOR = st.lists(
@@ -468,4 +495,4 @@ def test_segment_malformed_image_exits_cleanly(tmp_path, capsys, data, likelihoo
     code = run_cli(["segment", "--in", str(path), "--k", "2", "--likelihood", likelihood,
                     "--out-labels", str(tmp_path / "l"), "--out-trace", str(tmp_path / "t.csv")])
     err = capsys.readouterr().err
-    assert code == 0 or (code == 1 and err.startswith("error: ")), (code, err)
+    assert code == 0 or (code == 1 and err.startswith(f"error: {path}: ")), (code, err)

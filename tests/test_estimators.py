@@ -225,9 +225,16 @@ def test_consistency_500_trials(kind, m):
 def test_estimate_block_dispatch():
     p = NakagamiParams(m=2.0, sigma=1.0)
     block = sample(p, 500, seed=3)
+    own = {
+        EstimatorKind.EXACT_ML: lambda b: estimate_ml(compute_stats(b)),
+        EstimatorKind.CHENG_BEAULIEU_1: lambda b: estimate_cheng_beaulieu_1(compute_stats(b)),
+        EstimatorKind.CHENG_BEAULIEU_2: lambda b: estimate_cheng_beaulieu_2(compute_stats(b)),
+        EstimatorKind.GREENWOOD_DURAND: lambda b: estimate_greenwood_durand(compute_stats(b)),
+        EstimatorKind.MOMENT_BASED: estimate_moment_based,
+    }
     for kind in ALL_KINDS:
         est = estimate_block(kind, block)
-        assert est.method is kind
+        assert est == own[kind](block)
         assert est.m_hat > 0
         assert est.sigma_hat > 0
 

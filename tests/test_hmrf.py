@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from nakafit import hmrf
-from nakafit import GaussianParams, Likelihood, NakagamiParams, SegModel, sample, segment
+from nakafit import GaussianParams, Likelihood, NakagamiParams, sample, segment
 
 
 def gaussian_model(params, beta=1.0):
-    return SegModel(
-        n_classes=len(params), likelihood=Likelihood.GAUSSIAN,
-        class_params=tuple(params), beta=beta,
-    )
+    """A (likelihood, class params, beta) triple, as the helpers below take."""
+    return Likelihood.GAUSSIAN, tuple(params), beta
 
 
 def two_region_image(seed, m_low=1.0, m_high=8.0, size=64):
@@ -52,25 +50,29 @@ def icm_sweeps(costs, labels, beta):
         yield icm.inner.copy(), changed
 
 
-def filled_icm(img, labels, model):
+def filled_icm(img, labels, likelihood, params):
     """An `hmrf._Icm` holding `labels`, its planes filled as `segment` fills
-    them: `model`'s costs at the distinct intensities of `img`."""
-    icm = hmrf._Icm(img.shape, model.n_classes)
+    them: the class costs at the distinct intensities of `img`."""
+    icm = hmrf._Icm(img.shape, len(params))
     icm.load(labels)
     distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
-    icm.fill(model, distinct, inverse.reshape(img.shape))
+    icm.fill(likelihood, params, distinct, inverse.reshape(img.shape))
     return icm
 
 
 def total_energy(img, labels, model):
-    """Posterior energy of the label field `labels` on `img` under `model`."""
-    return filled_icm(img, labels, model).energy(model.beta)
+    """Posterior energy of the label field `labels` on `img` under the
+    (likelihood, params, beta) triple `model`."""
+    likelihood, params, beta = model
+    return filled_icm(img, labels, likelihood, params).energy(beta)
 
 
 def icm_sweep(img, labels, model):
-    """One checkerboard sweep from `labels`: (new label field, pixels changed)."""
-    icm = filled_icm(img, labels, model)
-    changed = next(icm.sweeps(model.beta))
+    """One checkerboard sweep from `labels` under the (likelihood, params,
+    beta) triple `model`: (new label field, pixels changed)."""
+    likelihood, params, beta = model
+    icm = filled_icm(img, labels, likelihood, params)
+    changed = next(icm.sweeps(beta))
     return icm.inner.copy(), changed
 
 
@@ -81,9 +83,10 @@ def kmeans_init(img, n_classes, seed):
     return hmrf._kmeans(vals, *unique, n_classes, seed).reshape(img.shape)
 
 
-def update_params(img, labels, model):
-    """`hmrf._refit` of `model` from the label field `labels` on `img`."""
-    return hmrf._refit(hmrf._fit_columns(img, model.likelihood), labels, model)
+def update_params(img, labels, likelihood, params):
+    """`hmrf._refit` of `params` from the label field `labels` on `img`:
+    (new params, starved classes)."""
+    return hmrf._refit(hmrf._fit_columns(img, likelihood), labels, likelihood, params)
 
 
 # --- k-means -----------------------------------------------------------------
@@ -224,9 +227,9 @@ def test_total_energy_equals_take_along_axis_sum(likelihood, quantized):
         params = [GaussianParams(1.0, 0.5), GaussianParams(2.0, 1.5), GaussianParams(4.0, 3.0)]
     else:
         params = [NakagamiParams(0.8, 1.0), NakagamiParams(2.0, 4.0), NakagamiParams(9.0, 16.0)]
-    model = SegModel(3, likelihood, tuple(params), beta=0.3)
+    model = (likelihood, tuple(params), 0.3)
     labels = rng.integers(0, 3, img.shape)
-    costs = hmrf._class_costs(img, model)
+    costs = hmrf._class_costs(img, likelihood, tuple(params))
     data = float(np.take_along_axis(costs, labels[None], axis=0).sum())
     pairs = (labels[:, 1:] != labels[:, :-1]).sum() + (labels[1:, :] != labels[:-1, :]).sum()
     assert total_energy(img, labels, model) == data + 0.3 * int(pairs)
@@ -335,7 +338,8 @@ def test_icm_sweep_matches_scalar_checkerboard_reference(monkeypatch, shape, n_c
         nll = 0.5 * rng.integers(0, 6, (n_classes,) + shape)
         labels = rng.integers(0, n_classes, shape)
         before = labels.copy()
-        monkeypatch.setattr(hmrf, "_class_costs", lambda values, model: nll.reshape(n_classes, -1))
+        monkeypatch.setattr(hmrf, "_class_costs",
+                            lambda values, likelihood, params: nll.reshape(n_classes, -1))
         out, changed = icm_sweep(img, labels, model)
         want, want_changed = checkerboard_reference(nll, labels, beta)
         assert np.array_equal(out, want)
@@ -396,21 +400,20 @@ def test_icm_kernel_matches_argmin_reference(shape, n_classes, table):
 def test_update_params_gaussian_sample_moments():
     img = np.array([[1.0, 1.0, 7.0], [3.0, 3.0, 9.0]])
     labels = np.array([[0, 0, 1], [0, 0, 1]])
-    model = SegModel.empty(2, Likelihood.GAUSSIAN)
-    out = update_params(img, labels, model)
-    p = out.class_params[0]
+    params, starved = update_params(img, labels, Likelihood.GAUSSIAN, (None, None))
+    p = params[0]
     assert p.mu == pytest.approx(2.0, rel=1e-14)
     assert p.var == pytest.approx(4.0 / 3.0, rel=1e-14)  # n-1 divisor
-    assert out.starved == ()
+    assert starved == ()
 
 
 def test_update_params_freezes_starved_class():
     img = np.array([[1.0, 2.0], [3.0, 4.0]])
     labels = np.zeros((2, 2), dtype=int)
-    prev = gaussian_model([GaussianParams(1.0, 1.0), GaussianParams(9.0, 2.0)])
-    out = update_params(img, labels, prev)
-    assert out.class_params[1] == GaussianParams(9.0, 2.0)
-    assert out.starved == (1,)
+    prev = (GaussianParams(1.0, 1.0), GaussianParams(9.0, 2.0))
+    params, starved = update_params(img, labels, Likelihood.GAUSSIAN, prev)
+    assert params[1] == GaussianParams(9.0, 2.0)
+    assert starved == (1,)
 
 
 def test_update_params_nakagami_recovers_shape():
@@ -418,9 +421,8 @@ def test_update_params_nakagami_recovers_shape():
     img = px.reshape(20, 25)
     labels = np.zeros((20, 25), dtype=int)
     labels[:, -1] = 1  # give class 1 a sliver so both classes exist
-    model = SegModel.empty(2, Likelihood.NAKAGAMI)
-    out = update_params(img, labels, model)
-    assert out.class_params[0].m == pytest.approx(4.0, rel=0.25)
+    params, _ = update_params(img, labels, Likelihood.NAKAGAMI, (None, None))
+    assert params[0].m == pytest.approx(4.0, rel=0.25)
 
 
 def test_update_params_nakagami_constant_class_is_starved():
@@ -428,11 +430,10 @@ def test_update_params_nakagami_constant_class_is_starved():
     img[:, 4:] = np.abs(np.random.default_rng(1).normal(5.0, 1.0, (4, 4))) + 0.5
     labels = np.zeros((4, 8), dtype=int)
     labels[:, 4:] = 1
-    model = SegModel.empty(2, Likelihood.NAKAGAMI)
-    out = update_params(img, labels, model)
-    assert 0 in out.starved
+    params, starved = update_params(img, labels, Likelihood.NAKAGAMI, (None, None))
+    assert 0 in starved
     # bootstrap: concentrated spike with omega = mean of x^2
-    p = out.class_params[0]
+    p = params[0]
     assert p.m * p.sigma == pytest.approx(2.5**2, rel=1e-12)
 
 
@@ -474,7 +475,7 @@ def test_segment_energy_trace_non_increasing_within_icm():
 def test_segment_stops_at_the_first_round_that_relabels_nothing(likelihood, n_classes, beta):
     img, _ = two_region_image(seed=4, size=32)
     result = segment(img, n_classes, likelihood, beta=beta, seed=4)
-    _, changed = icm_sweep(img, result.labels, result.model)
+    _, changed = icm_sweep(img, result.labels, (likelihood, result.class_params, beta))
     assert changed == 0
     # a repeated final round would refit the same parameters and redo the same sweep
     rows = [row[1:] for row in result.trace]
@@ -500,13 +501,13 @@ def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
         img[:, :5] = 1000.0  # a constant class: starved, so bootstrapped, then kept
     result = segment(img, n_classes, likelihood, beta=1.0, seed=5)
     labels = kmeans_init(img, n_classes, 5)
-    model = SegModel.empty(n_classes, likelihood, beta=1.0)
+    params = (None,) * n_classes
     want = []
     starved = set()
     for _ in range(hmrf._MAX_OUTER):
-        model = update_params(img, labels, model)
-        starved.update(model.starved)
-        costs = hmrf._class_costs(img, model)
+        params, round_starved = update_params(img, labels, likelihood, params)
+        starved.update(round_starved)
+        costs = hmrf._class_costs(img, likelihood, params)
         want.append(full_gather_energy(costs, labels, 1.0))
         round_changed = 0
         for labels, changed in islice(icm_sweeps(costs, labels, 1.0), hmrf._MAX_SWEEPS):
@@ -518,7 +519,8 @@ def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
             break
     assert [energy for _, _, energy in result.trace] == want
     assert np.array_equal(result.labels, labels)
-    assert result.model == model
+    assert result.class_params == params
+    assert result.starved == round_starved
     if flat_band:
         assert starved == {n_classes - 1}
 
@@ -526,7 +528,7 @@ def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
 def test_segment_beta_zero_is_pixelwise_ml():
     img, _ = two_region_image(seed=5, size=16)
     result = segment(img, 2, Likelihood.NAKAGAMI, beta=0.0, seed=5)
-    costs = hmrf._class_costs(img, result.model)
+    costs = hmrf._class_costs(img, Likelihood.NAKAGAMI, result.class_params)
     assert np.array_equal(result.labels, np.argmin(costs, axis=0))
 
 
@@ -587,8 +589,8 @@ def test_segment_bootstraps_a_constant_class_whose_squares_are_subnormal():
     img = np.array([[1.5e-161] * 4] * 2 + [[5.0] * 4, [5.0, 5.0, 5.0, 6.0]])
     result = segment(img, 2, Likelihood.NAKAGAMI, seed=0)
     assert np.array_equal(result.labels, [[0] * 4] * 2 + [[1] * 4] * 2)
-    p = result.model.class_params[0]
-    assert result.model.starved == (0,)
+    p = result.class_params[0]
+    assert result.starved == (0,)
     assert p.sigma == math.ulp(0.0) and p.m * p.sigma == 1.5e-161**2
     assert all(math.isfinite(energy) for _, _, energy in result.trace)
 
@@ -615,10 +617,16 @@ def test_segment_deterministic():
     assert a.trace == b.trace
 
 
-def test_segmodel_validation():
-    with pytest.raises(ValueError):
-        SegModel(1, Likelihood.GAUSSIAN, (GaussianParams(0, 1),))
-    with pytest.raises(ValueError):
-        SegModel(2, Likelihood.GAUSSIAN, (GaussianParams(0, 1),) * 2, beta=-1.0)
-    with pytest.raises(ValueError):
-        SegModel(2, Likelihood.GAUSSIAN, (GaussianParams(0, 1),))
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+def test_segment_validation(likelihood):
+    img = np.arange(1.0, 17.0).reshape(4, 4)
+    with pytest.raises(ValueError, match="n_classes must be >= 2"):
+        segment(img, 1, likelihood, seed=0)
+    with pytest.raises(ValueError, match="beta must be a finite non-negative real"):
+        segment(img, 2, likelihood, beta=-1.0, seed=0)
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            segment(img, 2, likelihood, beta=beta, seed=0)
+    # the class count is checked before beta
+    with pytest.raises(ValueError, match="n_classes"):
+        segment(img, 1, likelihood, beta=-1.0, seed=0)

@@ -21,9 +21,9 @@ SMALL = BenchConfig(
     base_seed=11,
 )
 
-def csv_of(result):
+def csv_of(rows):
     sink = io.StringIO()
-    emit_csv(result, sink)
+    emit_csv(rows, sink)
     return sink.getvalue()
 
 def test_config_validation():
@@ -39,11 +39,17 @@ def test_config_validation():
         BenchConfig(estimators=())
     with pytest.raises(ValueError):
         BenchConfig(omega=0.0)
+    # each row is keyed by (m_true, estimator): no repeats, after float normalization
+    with pytest.raises(ValueError, match="m_grid values must be distinct"):
+        BenchConfig(m_grid=(1, 2.0, 1.0))
+    with pytest.raises(ValueError, match="estimators must be distinct"):
+        BenchConfig(estimators=(EstimatorKind.EXACT_ML, EstimatorKind.MOMENT_BASED,
+                                EstimatorKind.EXACT_ML))
 
 def test_row_shape_and_bounds_columns():
-    result = run_bench(SMALL)
-    assert len(result.rows) == 4  # 2 grid points x 2 estimators
-    for row in result.rows:
+    rows = run_bench(SMALL)
+    assert len(rows) == 4  # 2 grid points x 2 estimators
+    for row in rows:
         assert row.failures + 1 <= SMALL.trials + 1
         assert row.variance >= 0.0
         assert row.normalized_variance == pytest.approx(
@@ -60,7 +66,7 @@ def test_single_trial_gives_zero_variance():
         m_grid=(1.0,), block_size=25, num_blocks=2, trials=1,
         estimators=(EstimatorKind.EXACT_ML,), base_seed=3,
     )
-    row = run_bench(cfg).rows[0]
+    row = run_bench(cfg)[0]
     assert row.variance == 0.0
     assert math.isfinite(row.mean_m_hat)
     assert row.failures == 0
@@ -92,8 +98,7 @@ def test_csv_layout():
     assert digits >= 10
 
 def test_failures_plus_successes_account_for_trials():
-    result = run_bench(SMALL)
-    for row in result.rows:
+    for row in run_bench(SMALL):
         assert 0 <= row.failures <= SMALL.trials
 
 def test_mean_tracks_truth_at_moderate_size():
@@ -101,7 +106,7 @@ def test_mean_tracks_truth_at_moderate_size():
         m_grid=(2.0,), block_size=100, num_blocks=2, trials=150,
         estimators=(EstimatorKind.EXACT_ML,), base_seed=5,
     )
-    row = run_bench(cfg).rows[0]
+    row = run_bench(cfg)[0]
     assert row.mean_m_hat == pytest.approx(2.0, rel=0.08)
     assert row.failures == 0
 
@@ -113,11 +118,9 @@ def test_estimators_see_identical_data():
         estimators=(EstimatorKind.EXACT_ML, EstimatorKind.CHENG_BEAULIEU_2),
         base_seed=17,
     )
-    rows = run_bench(cfg).rows
+    rows = run_bench(cfg)
     assert rows[0].mean_m_hat == pytest.approx(rows[1].mean_m_hat, rel=0.02)
 
 def test_emit_csv_rejects_empty():
-    from nakafit import BenchResult
-
     with pytest.raises(ValueError):
-        emit_csv(BenchResult(config=SMALL, rows=()), io.StringIO())
+        emit_csv((), io.StringIO())

@@ -60,6 +60,8 @@ PGM_TRUNCATED_HEADER = "inputs/truncated_header.pgm"
 PGM_HUGE_WIDTH = "inputs/huge_width.pgm"
 # a 1x2 text matrix whose last value is not a number
 MATRIX_NOT_A_NUMBER = "inputs/not_a_number.txt"
+# a 2x2 text matrix holding a negative value, which segment refuses
+MATRIX_NEGATIVE_VALUE = "inputs/negative_value.txt"
 
 
 def _nakagami(rng, m, omega, n):
@@ -105,6 +107,8 @@ def make_inputs():
         fh.write(b"P5 " + b"1" * 5000 + b" 2 255\n" + bytes(40))
     with open(MATRIX_NOT_A_NUMBER, "w", encoding="ascii") as fh:
         fh.write("1 2\n0.5 x\n")
+    with open(MATRIX_NEGATIVE_VALUE, "w", encoding="ascii") as fh:
+        fh.write("2 2\n1 2\n3 -3\n")
 
     # 64x64: m = 1 on the left half, m = 8 on the right, scaled into [0, 255]
     img = np.hstack([_nakagami(rng, 1.0, 1.0, 64 * 32).reshape(64, 32),
@@ -206,11 +210,14 @@ def cases():
                            ("matrix_not_ascii", MATRIX_NOT_ASCII),
                            ("pgm_truncated_header", PGM_TRUNCATED_HEADER),
                            ("pgm_huge_width", PGM_HUGE_WIDTH),
-                           ("matrix_not_a_number", MATRIX_NOT_A_NUMBER))
+                           ("matrix_not_a_number", MATRIX_NOT_A_NUMBER),
+                           ("matrix_negative_value", MATRIX_NEGATIVE_VALUE))
     ]
     out += [
         ("usage_sample_negative_m", ["sample", "--m", "-1", "--n", "5"]),
         ("usage_bench_bad_estimator", ["bench", "--estimators", "bogus"]),
+        ("usage_bench_repeated_estimator",
+         ["bench", "--m-grid", "1", "--trials", "5", "--estimators", "exact_ml,exact_ml"]),
         ("usage_bounds_empty_grid", ["bounds", "--m-grid", "", "--n", "10"]),
         ("usage_bench_config_not_ascii", ["bench", "--config", CONFIG_NOT_ASCII]),
     ]
