@@ -88,8 +88,9 @@ def _open_sink(path):
 
 def _load_block(path):
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            values = [float(tok) for tok in fh.read().split()]
+        # decoded before the split: str.split also splits on \x1c-\x1f, bytes.split does not
+        with open(path, "rb", buffering=0) as fh:
+            values = [float(tok) for tok in fh.read().decode("ascii").split()]
     except OSError as exc:
         raise NakafitError(f"cannot read {path}: {exc.strerror}")
     except ValueError:
@@ -150,6 +151,8 @@ def _read_config_file(path, parser):
         key = key.strip()
         if key not in _BENCH_FIELDS:
             parser.error(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            parser.error(f"{path}:{lineno}: repeated config key {key!r}")
         values[key] = val.strip()
     return values
 

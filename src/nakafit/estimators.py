@@ -16,8 +16,8 @@ sigma_hat outside the positive float range raises OutOfRangeError.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class EstimatorKind(Enum):
     MOMENT_BASED = "moment_based"
 
 
-@dataclass(frozen=True)
-class SufficientStats:
+class SufficientStats(NamedTuple):
     """Per-block statistics consumed by every delta-based estimator."""
 
     n: int
@@ -54,8 +53,7 @@ class SufficientStats:
     delta: float
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     m_hat: float
     sigma_hat: float
     iterations: int = 0
@@ -82,7 +80,7 @@ def _stats_of_squares(x2, log_x2):
     if not (0.0 < mean_x2 < math.inf and math.isfinite(mean_log_x2)):
         raise OutOfRangeError("block values square outside the float range")
     delta = math.log(mean_x2) - mean_log_x2
-    return SufficientStats(n=n, mean_x2=mean_x2, mean_log_x2=mean_log_x2, delta=max(delta, 0.0))
+    return SufficientStats(n, mean_x2, mean_log_x2, max(delta, 0.0))
 
 
 def _require_informative(delta):
@@ -157,11 +155,7 @@ def estimate_ml(stats):
         m = candidate
         g_m = g(m)
 
-    return Estimate(
-        m_hat=m,
-        sigma_hat=_sigma_hat(stats.mean_x2, m),
-        iterations=iterations,
-    )
+    return Estimate(m, _sigma_hat(stats.mean_x2, m), iterations)
 
 
 def estimate_cheng_beaulieu_1(stats):

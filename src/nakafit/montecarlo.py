@@ -47,14 +47,22 @@ class BenchConfig:
             raise ValueError("m_grid values must be positive finite reals")
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ValueError("omega must be a positive finite real")
+        for name in ("block_size", "num_blocks", "trials", "base_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.block_size < 2:
             raise ValueError("block_size must be >= 2")
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if len(self.estimators) == 0:
             raise ValueError("estimators must be non-empty")
+        if any(not isinstance(kind, EstimatorKind) for kind in self.estimators):
+            raise ValueError("estimators must be EstimatorKind members")
         object.__setattr__(self, "m_grid", tuple(float(m) for m in self.m_grid))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         # a row is keyed by (m_true, estimator): a repeat would merge two rows' trials
@@ -93,13 +101,14 @@ def run_bench(cfg):
         for trial in range(cfg.trials):
             rng = np.random.default_rng([cfg.base_seed, m_index, trial])
             try:
-                data = sample(params, total_n, rng).reshape(cfg.num_blocks, cfg.block_size)
+                window = sample(params, total_n, rng).reshape(cfg.num_blocks, cfg.block_size)
             except OutOfRangeError:  # no data for this trial: every estimator fails
                 continue
+            blocks = tuple(window)  # the row views, made once for every estimator
             for kind in cfg.estimators:
-                state = BlockEstimatorState(method=kind)
+                state = BlockEstimatorState(kind)
                 try:
-                    for block in data:
+                    for block in blocks:
                         state = ingest_block(state, block)
                     finals[kind].append(finalize(state).m_hat)
                 except NakafitError:  # counted as a failure: the trial adds no estimate

@@ -1,15 +1,18 @@
 import statistics
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nakafit import (
     BlockEstimatorState,
+    Estimate,
     EstimatorKind,
     NakagamiParams,
     NoBlocksError,
+    SufficientStats,
+    compute_stats,
     estimate_block,
+    estimate_ml,
     estimate_moment_based,
     finalize,
     ingest_block,
@@ -64,17 +67,16 @@ def test_degenerate_block_skipped_not_folded():
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_ingest_block_matches_dataclass_replace(degenerate):
-    # the state update written out with dataclasses.replace, field by field
+    # the state update written out with the record's own _replace, field by field
     state = BlockEstimatorState(
         method=EstimatorKind.EXACT_ML, blocks_seen=3, running_m=1.5, running_sigma=0.7, skipped=1
     )
     block = np.full(30, 2.5) if degenerate else sample(NakagamiParams(m=2.0, sigma=0.5), 30, seed=9)
     if degenerate:
-        expected = replace(state, skipped=2)
+        expected = state._replace(skipped=2)
     else:
         est = estimate_block(state.method, block)
-        expected = replace(
-            state,
+        expected = state._replace(
             blocks_seen=4,
             running_m=3 / 4 * 1.5 + est.m_hat / 4,
             running_sigma=3 / 4 * 0.7 + est.sigma_hat / 4,
@@ -82,6 +84,43 @@ def test_ingest_block_matches_dataclass_replace(degenerate):
     got = ingest_block(state, block)
     assert type(got) is BlockEstimatorState
     assert got == expected
+
+
+RECORDS = [
+    SufficientStats(n=30, mean_x2=1.0, mean_log_x2=-0.5, delta=0.5),
+    Estimate(m_hat=1.0, sigma_hat=2.0, iterations=3),
+    BlockEstimatorState(method=EstimatorKind.EXACT_ML, blocks_seen=2, running_m=1.5),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_refuse_attribute_assignment(record):
+    for name in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
+def test_records_build_from_keywords_with_their_defaults():
+    assert Estimate(m_hat=1.0, sigma_hat=2.0).iterations == 0
+    state = BlockEstimatorState(method=EstimatorKind.MOMENT_BASED)
+    assert (state.blocks_seen, state.running_m, state.running_sigma, state.skipped) == (0, 0.0, 0.0, 0)
+    # each record equals the tuple of its fields, in declaration order
+    assert SufficientStats(n=30, mean_x2=1.0, mean_log_x2=-0.5, delta=0.5) == (30, 1.0, -0.5, 0.5)
+    assert Estimate(m_hat=1.0, sigma_hat=2.0) == (1.0, 2.0, 0)
+    assert state == (EstimatorKind.MOMENT_BASED, 0, 0.0, 0.0, 0)
+
+
+def test_records_expose_what_the_benchmark_hooks_read():
+    # benchmarks/layers.py reads n, mean_x2 and mean_log_x2 from compute_stats,
+    # iterations from estimate_ml and skipped from ingest_block
+    block = sample(NakagamiParams(m=2.0, sigma=0.5), 30, seed=9)
+    stats = compute_stats(block)
+    assert stats.n == 30
+    assert stats.mean_x2 == pytest.approx(float(np.mean(block * block)), rel=1e-12)
+    assert stats.mean_log_x2 == pytest.approx(float(np.mean(np.log(block * block))), rel=1e-12)
+    assert estimate_ml(stats).iterations >= 1
+    state = ingest_block(BlockEstimatorState(method=EstimatorKind.EXACT_ML), np.full(30, 2.5))
+    assert state.skipped == 1
 
 
 def test_finalize_without_blocks_raises():

@@ -129,6 +129,27 @@ def test_estimate_failure_names_the_block_file(tmp_path, capsys):
     assert err.startswith(f"error: {spread}: sigma_hat = ")
 
 
+@pytest.mark.parametrize("data", [b"1.5\n2.\xbd\n", b"1.5\n2.0x\n0.7\n", b"1.5 \xc2\xa02.0\n"])
+def test_estimate_unreadable_value_is_malformed(tmp_path, capsys, data):
+    blk = tmp_path / "bad.txt"
+    blk.write_bytes(data)
+    assert run_cli(["estimate", "--in", str(blk)]) == 1
+    assert capsys.readouterr().err == f"error: {blk}: malformed sample value\n"
+
+
+def test_estimate_splits_on_every_ascii_separator(tmp_path, capsys):
+    # CR LF, tab, form feed, vertical tab and the \x1c-\x1f separators all split values
+    blk = tmp_path / "separators.txt"
+    blk.write_bytes(b"1.25\r\n0.5\t2.0\r\n0.75\x1c1.1\x1f0.9\x0c1.3\x0b0.6\n")
+    plain = tmp_path / "plain.txt"
+    plain.write_text("1.25 0.5 2.0 0.75 1.1 0.9 1.3 0.6\n")
+    assert run_cli(["estimate", "--in", str(blk)]) == 0
+    assert run_cli(["estimate", "--in", str(plain)]) == 0
+    first, second = capsys.readouterr().out.split("blocks=1 skipped=0\n")[:2]
+    assert first == second
+    assert first.startswith("block=1 m_hat=1.5852049328 sigma_hat=0.823631678774\n")
+
+
 def test_estimate_missing_file_is_domain_error(capsys):
     assert run_cli(["estimate", "--in", "/nonexistent/file.txt"]) == 1
     assert "file.txt" in capsys.readouterr().err
@@ -193,6 +214,15 @@ def test_bench_bad_config_key_is_usage_error(tmp_path, capsys):
             run_cli(["bench", "--config", str(cfg)])
         assert exc.value.code == 2
         assert key in capsys.readouterr().err
+
+
+def test_bench_repeated_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("m_grid = 1\ntrials = 5\n# later\ntrials = 7\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bench", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{cfg}:4: repeated config key 'trials'" in capsys.readouterr().err
 
 
 def test_bench_non_ascii_config_is_usage_error(tmp_path, capsys):

@@ -46,6 +46,20 @@ def test_config_validation():
         BenchConfig(estimators=(EstimatorKind.EXACT_ML, EstimatorKind.MOMENT_BASED,
                                 EstimatorKind.EXACT_ML))
 
+@pytest.mark.parametrize("field, value, message", [
+    ("estimators", ("exact_ml",), "estimators must be EstimatorKind members"),
+    ("trials", 2.5, "trials must be an integer"),
+    ("trials", True, "trials must be an integer"),
+    ("block_size", 30.0, "block_size must be an integer"),
+    ("num_blocks", False, "num_blocks must be an integer"),
+    ("base_seed", 1.5, "base_seed must be an integer"),
+    ("base_seed", -1, "base_seed must be >= 0"),
+])
+def test_config_refuses_what_run_bench_cannot_run(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        BenchConfig(**{"m_grid": (1.0,), "trials": 2, field: value})
+
+
 def test_row_shape_and_bounds_columns():
     rows = run_bench(SMALL)
     assert len(rows) == 4  # 2 grid points x 2 estimators

@@ -48,6 +48,14 @@ MATRIX_NEGATIVE_DIMS = "inputs/negative_dims.txt"
 MATRIX_SUBNORMAL_SQUARES = "inputs/subnormal_squares.txt"
 # a bench config whose last byte is not ASCII
 CONFIG_NOT_ASCII = "inputs/not_ascii.cfg"
+# a bench config that sets trials twice
+CONFIG_REPEATED_KEY = "inputs/repeated_key.cfg"
+# block files: a non-ASCII byte, a token that is not a number, a path that
+# does not exist, and values split by every ASCII separator str.split knows
+BLOCK_NOT_ASCII = "inputs/not_ascii_block.txt"
+BLOCK_MALFORMED = "inputs/malformed_block.txt"
+BLOCK_MISSING = "inputs/missing_block.txt"
+BLOCK_SEPARATORS = "inputs/separators_block.txt"
 # a PGM whose width and height are "+2" and "1_0", which int() would read as 2 and 10
 PGM_SIGNED_DIMS = "inputs/signed_dims.pgm"
 # a maxval-100 PGM holding a 255 byte
@@ -95,6 +103,13 @@ def make_inputs():
         fh.write("4 4\n" + "1.5e-161 1.5e-161 1.5e-161 1.5e-161\n" * 2 + "5 5 5 5\n5 5 5 6\n")
     with open(CONFIG_NOT_ASCII, "wb") as fh:
         fh.write(b"trials = 5\xff\n")
+    with open(CONFIG_REPEATED_KEY, "w", encoding="ascii") as fh:
+        fh.write("m_grid = 1\ntrials = 5\ntrials = 7\n")
+    for path, data in ((BLOCK_NOT_ASCII, b"1.5\n2.\xbd\n"),
+                       (BLOCK_MALFORMED, b"1.5\n2.0x\n0.7\n"),
+                       (BLOCK_SEPARATORS, b"1.25\r\n0.5\t2.0\r\n0.75\x1c1.1\x1f0.9\x0c1.3\x0b0.6\n")):
+        with open(path, "wb") as fh:
+            fh.write(data)
     with open(PGM_SIGNED_DIMS, "wb") as fh:
         fh.write(b"P5 +2 1_0 255\n" + bytes(range(10, 210, 10)))
     with open(PGM_ABOVE_MAXVAL, "wb") as fh:
@@ -163,6 +178,10 @@ def cases():
         ("estimate_nonpositive_fails", ["estimate", "--in", BLOCKS[0], NONPOSITIVE]),
         ("estimate_nan_fails", ["estimate", "--in", BLOCKS[0], NAN]),
         ("estimate_sigma_overflow_fails", ["estimate", "--in", SPREAD, "--method", "exact_ml"]),
+        ("estimate_not_ascii_fails", ["estimate", "--in", BLOCK_NOT_ASCII]),
+        ("estimate_malformed_fails", ["estimate", "--in", BLOCK_MALFORMED]),
+        ("estimate_missing_file_fails", ["estimate", "--in", BLOCK_MISSING]),
+        ("estimate_ascii_separators", ["estimate", "--in", BLOCK_SEPARATORS]),
     ]
     out += [
         ("bounds_default_grid", ["bounds", "--m-grid", "0.5,1,2,4,8,16", "--n", "150"]),
@@ -220,6 +239,7 @@ def cases():
          ["bench", "--m-grid", "1", "--trials", "5", "--estimators", "exact_ml,exact_ml"]),
         ("usage_bounds_empty_grid", ["bounds", "--m-grid", "", "--n", "10"]),
         ("usage_bench_config_not_ascii", ["bench", "--config", CONFIG_NOT_ASCII]),
+        ("usage_bench_config_repeated_key", ["bench", "--config", CONFIG_REPEATED_KEY]),
     ]
     return out
 
