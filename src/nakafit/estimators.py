@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBlockError, NoConvergenceError, OutOfRangeError
-from .nakagami import as_block
+from .nakagami import _positive_block, _require_finite
 from .specfun import digamma, trigamma
 
 # Below this, delta carries no usable shape information: the implied m_hat
@@ -34,6 +34,8 @@ GD_DELTA_MAX = 17.0
 
 _ML_TOL = 1e-10
 _ML_BUDGET = 100
+
+_SQUARES_OUT_OF_RANGE = "block values square outside the float range"
 
 
 class EstimatorKind(Enum):
@@ -65,20 +67,35 @@ def compute_stats(block):
     delta is clamped at 0: Jensen guarantees delta >= 0, but an all-equal
     block can land a few ulps negative in float arithmetic. A block whose
     squares overflow or underflow the float range raises OutOfRangeError.
+    Block validation takes one min pass; x^2 and ln x^2 fill the rows of one
+    buffer, summed by one reduction whose rows equal the 1-D sums bit for bit.
     """
-    b = as_block(block)
-    x2 = b * b
-    return _stats_of_squares(x2, np.log(x2))
+    b, low = _positive_block(block)
+    buf = np.empty((2, b.size))
+    x2 = np.multiply(b, b, out=buf[0])
+    if low * low > 0.0:  # else a square is 0, refused before its log warns
+        np.log(x2, out=buf[1])
+        sum_x2, sum_log_x2 = np.add.reduce(buf, axis=1).tolist()
+        if sum_x2 < math.inf:  # else an inf entry, or squares that overflow
+            return _stats_of_sums(b.size, sum_x2, sum_log_x2)
+    _require_finite(b)  # an inf entry is refused as by `as_block`
+    raise OutOfRangeError(_SQUARES_OUT_OF_RANGE)
 
 
 def _stats_of_squares(x2, log_x2):
     """`compute_stats` of a block given as its squares and their logs, two
     1-D arrays of one length in the block's order."""
-    n = x2.size
-    mean_x2 = float(np.add.reduce(x2)) / n
-    mean_log_x2 = float(np.add.reduce(log_x2)) / n
+    return _stats_of_sums(x2.size, float(np.add.reduce(x2)), float(np.add.reduce(log_x2)))
+
+
+def _stats_of_sums(n, sum_x2, sum_log_x2):
+    """`compute_stats` of a block of n values from the sums of their squares
+    and of the logs of their squares: both means, the range check, the
+    delta clamp."""
+    mean_x2 = sum_x2 / n
+    mean_log_x2 = sum_log_x2 / n
     if not (0.0 < mean_x2 < math.inf and math.isfinite(mean_log_x2)):
-        raise OutOfRangeError("block values square outside the float range")
+        raise OutOfRangeError(_SQUARES_OUT_OF_RANGE)
     delta = math.log(mean_x2) - mean_log_x2
     return SufficientStats(n, mean_x2, mean_log_x2, max(delta, 0.0))
 
@@ -199,15 +216,19 @@ def estimate_moment_based(block):
     spread, mean(x^4) - mean(x^2)^2. It counts as degenerate when it is at
     or below DELTA_MIN relative to mean(x^2)^2.
     """
-    b = as_block(block)
+    b, _ = _positive_block(block)
     if b.size < 2:
+        _require_finite(b)
         raise DegenerateBlockError("moment estimator needs at least 2 samples")
-    x2 = b * b
-    mean_x2 = float(np.add.reduce(x2)) / b.size
-    mean_x4 = float(np.add.reduce(x2 * x2)) / b.size
+    buf = np.empty((2, b.size))
+    x2 = np.multiply(b, b, out=buf[0])
+    np.multiply(x2, x2, out=buf[1])
+    sum_x2, sum_x4 = np.add.reduce(buf, axis=1).tolist()
+    mean_x2 = sum_x2 / b.size
     square = mean_x2 * mean_x2
-    denom = mean_x4 - square
+    denom = sum_x4 / b.size - square
     if not (square > 0.0 and math.isfinite(denom)):
+        _require_finite(b)  # an inf entry is refused as by `as_block`
         raise OutOfRangeError("block values outside the float range of the moment estimator")
     if denom <= DELTA_MIN * square:
         raise DegenerateBlockError(

@@ -8,6 +8,7 @@ are seeded from (base_seed, m-index, trial); results are bit-reproducible.
 """
 
 import math
+import numbers
 import statistics
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
@@ -21,6 +22,11 @@ from .estimators import EstimatorKind
 from .nakagami import NakagamiParams, sample
 
 ALL_ESTIMATORS = tuple(EstimatorKind)
+
+
+def _positive_real(value):
+    """Whether value is a positive finite real number; a bool is not one."""
+    return type(value) is not bool and isinstance(value, numbers.Real) and 0 < value < math.inf
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,9 @@ class BenchConfig:
     def __post_init__(self):
         if len(self.m_grid) == 0:
             raise ValueError("m_grid must be non-empty")
-        if any(not (math.isfinite(m) and m > 0) for m in self.m_grid):
+        if not all(_positive_real(m) for m in self.m_grid):
             raise ValueError("m_grid values must be positive finite reals")
-        if not (math.isfinite(self.omega) and self.omega > 0):
+        if not _positive_real(self.omega):
             raise ValueError("omega must be a positive finite real")
         for name in ("block_size", "num_blocks", "trials", "base_seed"):
             value = getattr(self, name)
@@ -64,6 +70,7 @@ class BenchConfig:
         if any(not isinstance(kind, EstimatorKind) for kind in self.estimators):
             raise ValueError("estimators must be EstimatorKind members")
         object.__setattr__(self, "m_grid", tuple(float(m) for m in self.m_grid))
+        object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         # a row is keyed by (m_true, estimator): a repeat would merge two rows' trials
         if len(set(self.m_grid)) != len(self.m_grid):

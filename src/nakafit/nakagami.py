@@ -43,6 +43,9 @@ class NakagamiParams:
         return cls(m=m, sigma=omega / m)
 
 
+_BAD_ENTRY = "sample block entries must be finite and > 0"
+
+
 def as_block(values):
     """Validate a sample block: 1-D, non-empty, all entries finite and > 0.
 
@@ -51,13 +54,29 @@ def as_block(values):
     reductions and -0.0 is not above 0.0, so `0 < min` and `max < inf`
     reject NaN, +-inf, zeros of either sign and negatives alike.
     """
+    return _require_finite(_positive_block(values)[0])
+
+
+def _positive_block(values):
+    """`as_block` without its `max < inf` check: the block and its minimum,
+    a float above 0. Only +inf entries pass here that `as_block` refuses;
+    a caller whose sums come out finite has none and may skip the check."""
     block = np.asarray(values, dtype=float)
     if block.ndim != 1:
         block = block.reshape(-1)
     if block.size == 0:
         raise ValueError("sample block must be non-empty")
-    if not (0.0 < np.minimum.reduce(block) and np.maximum.reduce(block) < math.inf):
-        raise ValueError("sample block entries must be finite and > 0")
+    low = float(np.minimum.reduce(block))
+    if not 0.0 < low:
+        raise ValueError(_BAD_ENTRY)
+    return block, low
+
+
+def _require_finite(block):
+    """`as_block`'s `max < inf` check of a block from `_positive_block`;
+    returns the block."""
+    if not np.maximum.reduce(block) < math.inf:
+        raise ValueError(_BAD_ENTRY)
     return block
 
 

@@ -18,17 +18,6 @@ import math
 
 _SHIFT = 8.0
 
-# B_{2k} / (2k), k = 1..7 (digamma series)
-_PSI_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
 # B_{2k}, k = 1..7 (trigamma series; also the curvature tail of `crlb` in `bounds`)
 _BERNOULLI = (
     1.0 / 6.0,
@@ -39,12 +28,19 @@ _BERNOULLI = (
     -691.0 / 2730.0,
     7.0 / 6.0,
 )
+_B2, _B4, _B6, _B8, _B10, _B12, _B14 = _BERNOULLI
+
+
+def _not_positive(x, name):
+    """The error for an argument x that is not a positive finite real."""
+    return ValueError(f"{name} must be a positive finite real, got {x!r}")
 
 
 def _positive(x, name):
+    """x as a float; `_not_positive`'s error unless it is positive and finite."""
     x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"{name} must be a positive finite real, got {x!r}")
+    if not 0.0 < x < math.inf:  # also false for NaN
+        raise _not_positive(x, name)
     return x
 
 
@@ -59,15 +55,17 @@ def log_gamma(x):
 
 def digamma(x):
     """Digamma psi(x) = d/dx ln Gamma(x) for x > 0."""
-    x = _positive(x, "x")
+    x = float(x)
+    if not 0.0 < x < math.inf:  # `_positive` inline, on the solver's hot path
+        raise _not_positive(x, "x")
     acc = 0.0
     while x < _SHIFT:
         acc -= 1.0 / x
         x += 1.0
     r = 1.0 / (x * x)
-    series = 0.0
-    for c in reversed(_PSI_COEFFS):
-        series = series * r + c
+    # sum_k B_{2k} / (2k) r^(k-1), k = 1..7, by Horner's rule from k = 7 down
+    series = ((((((1.0 / 12.0 * r - 691.0 / 32760.0) * r + 1.0 / 132.0) * r - 1.0 / 240.0) * r
+               + 1.0 / 252.0) * r - 1.0 / 120.0) * r + 1.0 / 12.0)
     return acc + math.log(x) - 0.5 / x - series * r
 
 
@@ -76,7 +74,9 @@ def trigamma(x):
 
     psi'(x) ~ 1/x^2 overflows to inf below x ~ 1e-154.
     """
-    x = _positive(x, "x")
+    x = float(x)
+    if not 0.0 < x < math.inf:  # `_positive` inline, on the solver's hot path
+        raise _not_positive(x, "x")
     if x * x == 0.0:
         return math.inf
     acc = 0.0
@@ -84,7 +84,6 @@ def trigamma(x):
         acc += 1.0 / (x * x)
         x += 1.0
     r = 1.0 / (x * x)
-    series = 0.0
-    for c in reversed(_BERNOULLI):
-        series = series * r + c
+    # sum_k B_{2k} r^(k-1), k = 1..7, by Horner's rule from k = 7 down
+    series = (((((_B14 * r + _B12) * r + _B10) * r + _B8) * r + _B6) * r + _B4) * r + _B2
     return acc + 1.0 / x + 0.5 * r + series * r / x

@@ -12,7 +12,7 @@ def test_cli_outputs_script_runs_every_case(tmp_path):
         check=True, timeout=120,
     )
     cases = sorted(p for p in tmp_path.iterdir() if p.name != "inputs")
-    assert len(cases) == 53
+    assert len(cases) == 57
     for case in cases:
         expected = 2 if case.name.startswith("usage_") else 1 if case.name.endswith("_fails") else 0
         assert (case / "exit_code").read_text() == f"{expected}\n", case.name

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nakafit import (
     EstimatorKind,
     NakagamiParams,
     OutOfRangeError,
+    as_block,
     compute_stats,
     estimate_block,
     estimate_cheng_beaulieu_1,
@@ -21,7 +23,7 @@ from nakafit import (
     estimate_moment_based,
     sample,
 )
-from nakafit.estimators import DELTA_MIN, SufficientStats
+from nakafit.estimators import DELTA_MIN, Estimate, SufficientStats, _sigma_hat
 from nakafit.specfun import digamma
 
 EULER_GAMMA = 0.5772156649015329
@@ -247,3 +249,93 @@ def test_out_of_float_range_block_raises_out_of_range(kind, scale):
     block = sample(NakagamiParams(m=2.0, sigma=0.5), 30, seed=3) * scale
     with pytest.raises(OutOfRangeError):
         estimate_block(kind, block)
+
+
+# Reference: the block statistics as formulated before the two-row buffer:
+# `as_block`'s min/max validation, then one 1-D `np.add.reduce` per sum.
+def reference_compute_stats(block):
+    b = as_block(block)
+    with np.errstate(all="ignore"):
+        x2 = b * b
+        log_x2 = np.log(x2)
+    n = x2.size
+    mean_x2 = float(np.add.reduce(x2)) / n
+    mean_log_x2 = float(np.add.reduce(log_x2)) / n
+    if not (0.0 < mean_x2 < math.inf and math.isfinite(mean_log_x2)):
+        raise OutOfRangeError("block values square outside the float range")
+    delta = math.log(mean_x2) - mean_log_x2
+    return SufficientStats(n, mean_x2, mean_log_x2, max(delta, 0.0))
+
+
+def reference_moment_based(block):
+    b = as_block(block)
+    if b.size < 2:
+        raise DegenerateBlockError("moment estimator needs at least 2 samples")
+    with np.errstate(all="ignore"):
+        x2 = b * b
+        x4 = x2 * x2
+    mean_x2 = float(np.add.reduce(x2)) / b.size
+    mean_x4 = float(np.add.reduce(x4)) / b.size
+    square = mean_x2 * mean_x2
+    denom = mean_x4 - square
+    if not (square > 0.0 and math.isfinite(denom)):
+        raise OutOfRangeError("block values outside the float range of the moment estimator")
+    if denom <= DELTA_MIN * square:
+        raise DegenerateBlockError(
+            f"variance of x^2 ({denom!r}) too small for the moment estimator"
+        )
+    m = square / denom
+    return Estimate(m, _sigma_hat(mean_x2, m))
+
+
+REFERENCE_LENGTHS = [*range(1, 601), 8191, 8192, 8193, 9000, 16384 + 7, 70001]
+
+
+def test_block_statistics_match_the_reference_bit_for_bit():
+    # repr tells every float apart, -0.0 from 0.0 included
+    rng = np.random.default_rng(1907)
+    for n in REFERENCE_LENGTHS:
+        block = np.exp(rng.normal(0.0, 1.0 + n % 7, n)) * 10.0 ** int(rng.integers(-20, 21))
+        assert repr(compute_stats(block)) == repr(reference_compute_stats(block)), n
+        if n >= 2:
+            assert repr(estimate_moment_based(block)) == repr(reference_moment_based(block)), n
+
+
+def _outcome(fn, block):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return "returned", repr(fn(block))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+BAD_ENTRIES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5, 1e200, 1e-300]
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 40])
+@pytest.mark.parametrize("bad", BAD_ENTRIES)
+def test_bad_entries_raise_as_the_reference(bad, size):
+    rng = np.random.default_rng(23)
+    for position in {0, size // 2, size - 1}:
+        block = rng.uniform(0.5, 2.0, size)
+        block[position] = bad
+        for fn, ref in ((compute_stats, reference_compute_stats),
+                        (estimate_moment_based, reference_moment_based)):
+            assert _outcome(fn, block) == _outcome(ref, block), (fn.__name__, position)
+
+
+@pytest.mark.parametrize("pair", [(a, b) for a in BAD_ENTRIES for b in BAD_ENTRIES])
+def test_two_bad_entries_raise_as_the_reference(pair):
+    # an inf next to a value whose square underflows is refused as the inf is
+    block = np.array([1.0, pair[0], 0.5, pair[1], 2.0])
+    for fn, ref in ((compute_stats, reference_compute_stats),
+                    (estimate_moment_based, reference_moment_based)):
+        assert _outcome(fn, block) == _outcome(ref, block), fn.__name__
+
+
+def test_squares_that_underflow_raise_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match="square outside the float range"):
+            compute_stats([1e-300, 2e-300, 3e-300])

@@ -54,10 +54,19 @@ def test_config_validation():
     ("num_blocks", False, "num_blocks must be an integer"),
     ("base_seed", 1.5, "base_seed must be an integer"),
     ("base_seed", -1, "base_seed must be >= 0"),
+    ("m_grid", ("1",), "m_grid values must be positive finite reals"),
+    ("m_grid", (2.0, True), "m_grid values must be positive finite reals"),
+    ("omega", "2", "omega must be a positive finite real"),
+    ("omega", True, "omega must be a positive finite real"),
 ])
 def test_config_refuses_what_run_bench_cannot_run(field, value, message):
     with pytest.raises(ValueError, match=message):
         BenchConfig(**{"m_grid": (1.0,), "trials": 2, field: value})
+
+
+def test_config_stores_omega_as_a_float():
+    cfg = BenchConfig(m_grid=(1,), omega=2, trials=2)
+    assert type(cfg.omega) is float and cfg.omega == 2.0
 
 
 def test_row_shape_and_bounds_columns():

@@ -87,3 +87,69 @@ def test_accuracy_against_scipy_oracle():
         assert abs(digamma(x) - ref) <= max(1e-12, 8 * eps * abs(ref))
         ref = float(sp.polygamma(1, x))
         assert abs(trigamma(x) - ref) <= max(1e-10, 8 * eps * abs(ref))
+
+
+# Reference: digamma and trigamma as formulated with a Horner loop over the
+# coefficient tuples and a separate argument check.
+def _reference_positive(x):
+    x = float(x)
+    if not math.isfinite(x) or x <= 0.0:
+        raise ValueError(f"x must be a positive finite real, got {x!r}")
+    return x
+
+
+def _reference_horner(coeffs, r):
+    series = 0.0
+    for c in reversed(coeffs):
+        series = series * r + c
+    return series
+
+
+PSI_COEFFS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
+              -691.0 / 32760.0, 1.0 / 12.0)
+BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+             -691.0 / 2730.0, 7.0 / 6.0)
+
+
+def reference_digamma(x):
+    x = _reference_positive(x)
+    acc = 0.0
+    while x < 8.0:
+        acc -= 1.0 / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    return acc + math.log(x) - 0.5 / x - _reference_horner(PSI_COEFFS, r) * r
+
+
+def reference_trigamma(x):
+    x = _reference_positive(x)
+    if x * x == 0.0:
+        return math.inf
+    acc = 0.0
+    while x < 8.0:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    r = 1.0 / (x * x)
+    return acc + 1.0 / x + 0.5 * r + _reference_horner(BERNOULLI, r) * r / x
+
+
+def test_digamma_and_trigamma_match_the_loop_reference_bit_for_bit():
+    rng = np.random.default_rng(808)
+    xs = [*rng.uniform(0.0, 16.0, 4000), *10.0 ** rng.uniform(-320, 308, 4000),
+          5e-324, 1e-170, 7.999999999999999, 8.0, 8.000000000000002, 1.7976931348623157e308]
+    for x in xs:
+        x = float(x)
+        if x == 0.0:
+            continue
+        assert repr(digamma(x)) == repr(reference_digamma(x)), x
+        assert repr(trigamma(x)) == repr(reference_trigamma(x)), x
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, "nan"])
+@pytest.mark.parametrize("fn, ref", [(digamma, reference_digamma), (trigamma, reference_trigamma)])
+def test_argument_errors_match_the_reference(fn, ref, bad):
+    with pytest.raises(ValueError) as want:
+        ref(bad)
+    with pytest.raises(ValueError) as got:
+        fn(bad)
+    assert str(got.value) == str(want.value)

@@ -5,8 +5,9 @@
 Imports `nakafit` from CHECKOUT/src, writes the shared inputs under
 OUTDIR/inputs, and for each case writes OUTDIR/<case>/stdout, stderr and
 exit_code, plus any files the call wrote into OUTDIR/<case>/. Calls run
-with OUTDIR as the working directory and relative paths, so the outputs
-name no absolute path. Inputs are made with numpy.random.default_rng, never
+with OUTDIR as the working directory and relative paths, and a warning
+names its file relative to CHECKOUT/src, so the outputs name no absolute
+path. Inputs are made with numpy.random.default_rng, never
 with nakafit, so two checkouts get identical inputs. Compare two checkouts
 with `diff -r OUT_A OUT_B`.
 
@@ -32,6 +33,8 @@ BLOCKS = [f"inputs/block{i}.txt" for i in range(8)] + ["inputs/constant.txt", "i
 NONPOSITIVE, NAN = "inputs/nonpositive.txt", "inputs/nan.txt"
 # a valid block whose sigma_hat = mean(x^2) / m_hat overflows the float range
 SPREAD = "inputs/spread.txt"
+# valid blocks whose squares overflow to inf and underflow to 0
+SQUARES_OVERFLOW, SQUARES_UNDERFLOW = "inputs/squares_overflow.txt", "inputs/squares_underflow.txt"
 IMAGES = {"pgm64": "inputs/two_region.pgm", "txt48": "inputs/three_region.txt"}
 # the benchmark's segment shape: 256x256, ~250 distinct levels, some zero pixels
 PGM256 = "inputs/two_region_256.pgm"
@@ -95,6 +98,10 @@ def make_inputs():
         fh.write("1.5\n2.0\nnan\n0.7\n")
     with open(SPREAD, "w", encoding="ascii") as fh:
         fh.write("4.378337766510523e-07\n3.149214563336647e-20\n3.019744578969957e+153\n")
+    with open(SQUARES_OVERFLOW, "w", encoding="ascii") as fh:
+        fh.write("1e200\n2e200\n3e200\n")
+    with open(SQUARES_UNDERFLOW, "w", encoding="ascii") as fh:
+        fh.write("1e-300\n2e-300\n3e-300\n")
     with open(PGM4, "wb") as fh:
         fh.write(b"P5\n4 4\n255\n" + np.arange(10, 170, 10, dtype=np.uint8).tobytes())
     with open(MATRIX_NEGATIVE_DIMS, "w", encoding="ascii") as fh:
@@ -178,6 +185,9 @@ def cases():
         ("estimate_nonpositive_fails", ["estimate", "--in", BLOCKS[0], NONPOSITIVE]),
         ("estimate_nan_fails", ["estimate", "--in", BLOCKS[0], NAN]),
         ("estimate_sigma_overflow_fails", ["estimate", "--in", SPREAD, "--method", "exact_ml"]),
+        *((f"estimate_squares_{name}_{m}_fails", ["estimate", "--in", path, "--method", m])
+          for name, path in (("overflow", SQUARES_OVERFLOW), ("underflow", SQUARES_UNDERFLOW))
+          for m in ("exact_ml", "moment_based")),
         ("estimate_not_ascii_fails", ["estimate", "--in", BLOCK_NOT_ASCII]),
         ("estimate_malformed_fails", ["estimate", "--in", BLOCK_MALFORMED]),
         ("estimate_missing_file_fails", ["estimate", "--in", BLOCK_MISSING]),
@@ -244,8 +254,10 @@ def cases():
     return out
 
 
-def run_case(main, name, argv):
-    """Run one call; an uncaught exception is recorded as exit code `traceback`."""
+def run_case(main, name, argv, src):
+    """Run one call; an uncaught exception is recorded as exit code `traceback`.
+    A warning names its file relative to `src`, the directory nakafit is
+    imported from."""
     os.makedirs(name, exist_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
@@ -258,7 +270,8 @@ def run_case(main, name, argv):
         except Exception as exc:
             code = "traceback"
             stderr.write(traceback.format_exception_only(exc)[-1])
-    for stream, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue()),
+    for stream, text in (("stdout", stdout.getvalue()),
+                         ("stderr", stderr.getvalue().replace(src + os.sep, "")),
                          ("exit_code", f"{code}\n")):
         with open(os.path.join(name, stream), "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -269,14 +282,15 @@ def main(argv=None):
     parser.add_argument("--root", required=True, help="checkout whose src/ holds nakafit")
     parser.add_argument("outdir", help="directory for inputs and outputs (created)")
     args = parser.parse_args(argv)
-    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+    src = os.path.join(os.path.abspath(args.root), "src")
+    sys.path.insert(0, src)
     from nakafit.cli import main as nakafit_main
 
     os.makedirs(args.outdir, exist_ok=True)
     os.chdir(args.outdir)
     make_inputs()
     for name, case_argv in cases():
-        run_case(nakafit_main, name, case_argv)
+        run_case(nakafit_main, name, case_argv, src)
     return 0
 
 
