@@ -31,8 +31,8 @@ OutOfRangeError.
 
 import math
 
-from .errors import OutOfRangeError
-from .specfun import _BERNOULLI, _positive
+from .errors import OutOfRangeError, _positive, _shown
+from .specfun import _BERNOULLI
 
 # From here up the curvature sums come from their asymptotic series.
 _SERIES_M = 32.0
@@ -50,7 +50,7 @@ def _validate(m, n):
     except (OverflowError, ValueError):
         whole = False
     if not whole or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+        raise ValueError(f"n must be a positive integer, got {_shown(n)}")
     return m, int(n)
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBlockError, NoConvergenceError, OutOfRangeError
-from .nakagami import _positive_block, _require_finite
+from .nakagami import _positive_block, as_block
 from .specfun import digamma, trigamma
 
 # Below this, delta carries no usable shape information: the implied m_hat
@@ -78,7 +78,7 @@ def compute_stats(block):
         sum_x2, sum_log_x2 = np.add.reduce(buf, axis=1).tolist()
         if sum_x2 < math.inf:  # else an inf entry, or squares that overflow
             return _stats_of_sums(b.size, sum_x2, sum_log_x2)
-    _require_finite(b)  # an inf entry is refused as by `as_block`
+    as_block(b)  # an inf entry is refused
     raise OutOfRangeError(_SQUARES_OUT_OF_RANGE)
 
 
@@ -218,7 +218,7 @@ def estimate_moment_based(block):
     """
     b, _ = _positive_block(block)
     if b.size < 2:
-        _require_finite(b)
+        as_block(b)
         raise DegenerateBlockError("moment estimator needs at least 2 samples")
     buf = np.empty((2, b.size))
     x2 = np.multiply(b, b, out=buf[0])
@@ -228,7 +228,7 @@ def estimate_moment_based(block):
     square = mean_x2 * mean_x2
     denom = sum_x4 / b.size - square
     if not (square > 0.0 and math.isfinite(denom)):
-        _require_finite(b)  # an inf entry is refused as by `as_block`
+        as_block(b)  # an inf entry is refused
         raise OutOfRangeError("block values outside the float range of the moment estimator")
     if denom <= DELTA_MIN * square:
         raise DegenerateBlockError(

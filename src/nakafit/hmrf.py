@@ -25,7 +25,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import NakafitError
+from .errors import NakafitError, _integer, _shown
 from .estimators import _stats_of_squares, estimate_ml
 from .nakagami import NakagamiParams, log_pdf
 
@@ -96,7 +96,8 @@ def _kmeans(vals, distinct, inverse, counts, n_classes, seed):
     """
     if distinct.size < n_classes:
         raise ValueError(
-            f"image has {distinct.size} distinct intensities, fewer than {n_classes} classes"
+            f"image has {distinct.size} distinct intensities, "
+            f"fewer than {_shown(n_classes)} classes"
         )
     mass = counts * distinct
     rng = np.random.default_rng(seed)
@@ -424,9 +425,8 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
             raise ValueError("cannot use the Nakagami likelihood on an all-zero image")
         # the lift can take peak^2 * pixel count past the float range
         img = _as_image(img + _ZERO_SHIFT * peak)
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
-    if not (math.isfinite(beta) and beta >= 0.0):
+    n_classes = _integer(n_classes, "n_classes", 2)
+    if not beta >= 0.0:  # inf and NaN fail the pair-count check above
         raise ValueError("beta must be a finite non-negative real")
     # one np.unique serves k-means and the cost-plane gather: the class costs
     # are evaluated once per distinct intensity

@@ -8,7 +8,6 @@ are seeded from (base_seed, m-index, trial); results are bit-reproducible.
 """
 
 import math
-import numbers
 import statistics
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
@@ -17,16 +16,11 @@ import numpy as np
 
 from . import bounds
 from .blockwise import BlockEstimatorState, finalize, ingest_block
-from .errors import NakafitError, OutOfRangeError
+from .errors import NakafitError, OutOfRangeError, _integer, _positive
 from .estimators import EstimatorKind
 from .nakagami import NakagamiParams, sample
 
 ALL_ESTIMATORS = tuple(EstimatorKind)
-
-
-def _positive_real(value):
-    """Whether value is a positive finite real number; a bool is not one."""
-    return type(value) is not bool and isinstance(value, numbers.Real) and 0 < value < math.inf
 
 
 @dataclass(frozen=True)
@@ -49,28 +43,14 @@ class BenchConfig:
     def __post_init__(self):
         if len(self.m_grid) == 0:
             raise ValueError("m_grid must be non-empty")
-        if not all(_positive_real(m) for m in self.m_grid):
-            raise ValueError("m_grid values must be positive finite reals")
-        if not _positive_real(self.omega):
-            raise ValueError("omega must be a positive finite real")
-        for name in ("block_size", "num_blocks", "trials", "base_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-        if self.block_size < 2:
-            raise ValueError("block_size must be >= 2")
-        if self.num_blocks < 1:
-            raise ValueError("num_blocks must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
+        object.__setattr__(self, "m_grid", tuple(_positive(m, "m_grid value") for m in self.m_grid))
+        object.__setattr__(self, "omega", _positive(self.omega, "omega"))
+        for name, low in (("block_size", 2), ("num_blocks", 1), ("trials", 1), ("base_seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if len(self.estimators) == 0:
             raise ValueError("estimators must be non-empty")
         if any(not isinstance(kind, EstimatorKind) for kind in self.estimators):
             raise ValueError("estimators must be EstimatorKind members")
-        object.__setattr__(self, "m_grid", tuple(float(m) for m in self.m_grid))
-        object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         # a row is keyed by (m_true, estimator): a repeat would merge two rows' trials
         if len(set(self.m_grid)) != len(self.m_grid):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, _integer, _positive
 
 _LN2 = math.log(2.0)
 
@@ -28,10 +28,7 @@ class NakagamiParams:
 
     def __post_init__(self):
         for name in ("m", "sigma"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite real, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
 
     @property
     def omega(self):
@@ -40,7 +37,7 @@ class NakagamiParams:
 
     @classmethod
     def from_omega(cls, m, omega):
-        return cls(m=m, sigma=omega / m)
+        return cls(m=m, sigma=_positive(omega, "omega") / _positive(m, "m"))
 
 
 _BAD_ENTRY = "sample block entries must be finite and > 0"
@@ -54,7 +51,10 @@ def as_block(values):
     reductions and -0.0 is not above 0.0, so `0 < min` and `max < inf`
     reject NaN, +-inf, zeros of either sign and negatives alike.
     """
-    return _require_finite(_positive_block(values)[0])
+    block, _ = _positive_block(values)
+    if not np.maximum.reduce(block) < math.inf:
+        raise ValueError(_BAD_ENTRY)
+    return block
 
 
 def _positive_block(values):
@@ -70,14 +70,6 @@ def _positive_block(values):
     if not 0.0 < low:
         raise ValueError(_BAD_ENTRY)
     return block, low
-
-
-def _require_finite(block):
-    """`as_block`'s `max < inf` check of a block from `_positive_block`;
-    returns the block."""
-    if not np.maximum.reduce(block) < math.inf:
-        raise ValueError(_BAD_ENTRY)
-    return block
 
 
 def log_pdf(params, x):
@@ -105,9 +97,7 @@ def sample(params, n, seed):
     m ~ 0.01 some variates underflow to 0, and near the float limit of
     Omega some overflow to inf.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer(n, "n", 1)
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
         x = np.sqrt(params.sigma * rng.standard_gamma(params.m, n))

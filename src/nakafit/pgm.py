@@ -18,6 +18,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .errors import _integer
+
 
 # The four header tokens, each after a gap of whitespace bytes and comments.
 # The gap before each token after the first holds at least one of them, so
@@ -93,8 +95,7 @@ def write_pgm(path, image):
 
 def labels_to_gray(labels, n_classes):
     """Scale a label field to [0, 255] by label * floor(255 / (K-1))."""
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes")
+    n_classes = _integer(n_classes, "n_classes", 2)
     return np.asarray(labels) * (255 // (n_classes - 1))
 
 

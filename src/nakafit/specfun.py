@@ -16,6 +16,8 @@ range, so double rounding dominates.
 
 import math
 
+from .errors import _not_positive, _positive
+
 _SHIFT = 8.0
 
 # B_{2k}, k = 1..7 (trigamma series; also the curvature tail of `crlb` in `bounds`)
@@ -31,19 +33,6 @@ _BERNOULLI = (
 _B2, _B4, _B6, _B8, _B10, _B12, _B14 = _BERNOULLI
 
 
-def _not_positive(x, name):
-    """The error for an argument x that is not a positive finite real."""
-    return ValueError(f"{name} must be a positive finite real, got {x!r}")
-
-
-def _positive(x, name):
-    """x as a float; `_not_positive`'s error unless it is positive and finite."""
-    x = float(x)
-    if not 0.0 < x < math.inf:  # also false for NaN
-        raise _not_positive(x, name)
-    return x
-
-
 def log_gamma(x):
     """Natural log of the gamma function for x > 0; inf above x ~ 2.6e305."""
     x = _positive(x, "x")
@@ -56,7 +45,7 @@ def log_gamma(x):
 def digamma(x):
     """Digamma psi(x) = d/dx ln Gamma(x) for x > 0."""
     x = float(x)
-    if not 0.0 < x < math.inf:  # `_positive` inline, on the solver's hot path
+    if not 0.0 < x < math.inf:  # `_positive`'s range check, inline on the solver's hot path
         raise _not_positive(x, "x")
     acc = 0.0
     while x < _SHIFT:
@@ -75,7 +64,7 @@ def trigamma(x):
     psi'(x) ~ 1/x^2 overflows to inf below x ~ 1e-154.
     """
     x = float(x)
-    if not 0.0 < x < math.inf:  # `_positive` inline, on the solver's hot path
+    if not 0.0 < x < math.inf:  # `_positive`'s range check, inline on the solver's hot path
         raise _not_positive(x, "x")
     if x * x == 0.0:
         return math.inf

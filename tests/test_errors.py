@@ -1,0 +1,145 @@
+"""The shared argument checks and every Python-API entry point that uses them.
+
+A positive real refuses a bool, a string, NaN and an int beyond the float
+range; an integer argument refuses a bool and every float. Each refusal is
+nakafit's ValueError naming the argument, never a raw OverflowError or
+TypeError and never Python's int -> str digit-limit message.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from nakafit import (
+    BenchConfig,
+    Likelihood,
+    NakagamiParams,
+    crlb,
+    crlb_modified,
+    log_gamma,
+    normalized,
+    sample,
+    segment,
+)
+from nakafit.errors import _integer, _positive, _shown
+from nakafit.pgm import labels_to_gray
+
+# pytest would name a parameter by str(), which fails on an int past 4,300 digits
+NOT_POSITIVE_REALS = [
+    pytest.param(True, id="True"),
+    pytest.param("2", id="str"),
+    pytest.param(10**400, id="int_beyond_float_range"),
+    pytest.param(10**5000, id="int_past_digit_limit"),
+    pytest.param(math.nan, id="nan"),
+]
+NOT_INTEGERS = [
+    pytest.param(True, id="True"),
+    pytest.param("2", id="str"),
+    pytest.param(math.nan, id="nan"),
+    pytest.param(2.5, id="2.5"),
+    pytest.param(3.0, id="3.0"),
+]
+PARAMS = NakagamiParams(m=1.0, sigma=1.0)
+IMAGE = np.arange(1.0, 17.0).reshape(4, 4)
+
+
+def _refused(call, name):
+    """Run call; it must raise ValueError whose message starts with name."""
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(f"{name} must be "), message
+    return message
+
+
+@pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)
+@pytest.mark.parametrize("name", ["m", "sigma"])
+def test_nakagami_params_refuses(name, bad):
+    _refused(lambda: NakagamiParams(**{"m": 1.0, "sigma": 1.0, name: bad}), name)
+
+
+@pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)
+@pytest.mark.parametrize("name", ["m", "omega"])
+def test_from_omega_refuses(name, bad):
+    _refused(lambda: NakagamiParams.from_omega(**{"m": 1.0, "omega": 1.0, name: bad}), name)
+
+
+@pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)
+@pytest.mark.parametrize("field, value, name", [
+    ("m_grid", lambda bad: (1.0, bad), "m_grid value"),
+    ("omega", lambda bad: bad, "omega"),
+], ids=["m_grid", "omega"])
+def test_bench_config_refuses_real(field, value, name, bad):
+    _refused(lambda: BenchConfig(**{"m_grid": (1.0,), "trials": 2, field: value(bad)}), name)
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+@pytest.mark.parametrize("name", ["block_size", "num_blocks", "trials", "base_seed"])
+def test_bench_config_refuses_integer(name, bad):
+    _refused(lambda: BenchConfig(**{"m_grid": (1.0,), "trials": 2, name: bad}), name)
+
+
+@pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)
+def test_log_gamma_refuses(bad):
+    _refused(lambda: log_gamma(bad), "x")
+
+
+@pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)
+@pytest.mark.parametrize("bound", [
+    lambda m: crlb(m, 30),
+    lambda m: crlb_modified(m, 30),
+    lambda m: normalized(0.1, m),
+], ids=["crlb", "crlb_modified", "normalized"])
+def test_bounds_refuse_shape(bound, bad):
+    _refused(lambda: bound(bad), "m")
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_sample_refuses_count(bad):
+    # int(2.5) would silently draw 2 values
+    _refused(lambda: sample(PARAMS, bad, 0), "n")
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+def test_segment_refuses_class_count(likelihood, bad):
+    _refused(lambda: segment(IMAGE, bad, likelihood, seed=0), "n_classes")
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS + [pytest.param(1, id="1")])
+def test_labels_to_gray_refuses_class_count(bad):
+    _refused(lambda: labels_to_gray(np.zeros((2, 2), dtype=int), bad), "n_classes")
+
+
+def test_an_int_past_the_digit_limit_is_shown_by_its_digit_count():
+    message = _refused(lambda: NakagamiParams(m=10**5000, sigma=1.0), "m")
+    assert message == "m must be a positive finite real, got an int of 5001 digits"
+    assert _shown(10**5000 - 1) == "an int of 5000 digits"
+    assert _shown(-(10**4400)) == "an int of 4401 digits"
+    assert _shown(10**4300 - 1) == repr(10**4300 - 1)
+    with pytest.raises(ValueError, match="n must be a positive integer, got an int of 5001 digits"):
+        crlb(1.0, -(10**5000))
+    with pytest.raises(ValueError, match="fewer than an int of 5001 digits classes"):
+        segment(IMAGE, 10**5000, Likelihood.GAUSSIAN, seed=0)
+
+
+def test_numpy_scalars_are_accepted():
+    assert NakagamiParams(m=np.float64(2.0), sigma=np.int64(3)) == NakagamiParams(2.0, 3.0)
+    assert log_gamma(np.int64(3)) == log_gamma(3.0)
+    assert sample(PARAMS, np.int64(3), 0).shape == (3,)
+    cfg = BenchConfig(m_grid=(np.float64(1.0), np.int64(2)), omega=np.int64(2), trials=np.int64(3))
+    assert type(cfg.trials) is int and cfg.trials == 3
+    assert all(type(v) is float for v in (*cfg.m_grid, cfg.omega))
+
+
+def test_the_checks_return_a_float_and_an_int():
+    assert _positive(3, "x") == 3.0 and type(_positive(3, "x")) is float
+    assert _positive(5e-324, "x") == 5e-324
+    assert _positive(1.7976931348623157e308, "x") == 1.7976931348623157e308
+    assert type(_integer(np.int64(7), "k", 0)) is int
+    for bad in (0, 0.0, -1, -math.inf, math.inf, int(1.7976931348623157e308) + 1):
+        with pytest.raises(ValueError, match="^x must be a positive finite real, got "):
+            _positive(bad, "x")
+    with pytest.raises(ValueError, match="^k must be >= 2$"):
+        _integer(1, "k", 2)

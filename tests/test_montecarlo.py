@@ -54,10 +54,12 @@ def test_config_validation():
     ("num_blocks", False, "num_blocks must be an integer"),
     ("base_seed", 1.5, "base_seed must be an integer"),
     ("base_seed", -1, "base_seed must be >= 0"),
-    ("m_grid", ("1",), "m_grid values must be positive finite reals"),
-    ("m_grid", (2.0, True), "m_grid values must be positive finite reals"),
+    ("m_grid", ("1",), "m_grid value must be a positive finite real"),
+    ("m_grid", (2.0, True), "m_grid value must be a positive finite real"),
+    ("m_grid", (10**400,), "m_grid value must be a positive finite real"),
     ("omega", "2", "omega must be a positive finite real"),
     ("omega", True, "omega must be a positive finite real"),
+    ("omega", 10**400, "omega must be a positive finite real"),
 ])
 def test_config_refuses_what_run_bench_cannot_run(field, value, message):
     with pytest.raises(ValueError, match=message):
