@@ -14,7 +14,7 @@ class DegenerateBlockError(NakafitError):
 
 
 class NoConvergenceError(NakafitError):
-    """Raised when the safeguarded root solver exhausts its iteration budget."""
+    """Raised when the exact-ML Newton solver exhausts its iteration budget."""
 
 
 class OutOfRangeError(NakafitError):

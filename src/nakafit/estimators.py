@@ -9,10 +9,10 @@ solves the stationarity condition
 
     ln(m) - psi(m) = delta
 
-numerically (Newton seeded by the second-order closed form, safeguarded by
-bisection on a sign-change bracket); the competing estimators are closed
-forms. The spread estimate is always sigma_hat = mean(x^2) / m_hat; a
-sigma_hat outside the positive float range raises OutOfRangeError.
+numerically by Newton's method in u = 1/m, seeded by the second-order
+closed form; the competing estimators are closed forms. The spread
+estimate is always sigma_hat = mean(x^2) / m_hat; a sigma_hat outside the
+positive float range raises OutOfRangeError.
 """
 
 import math
@@ -122,12 +122,16 @@ def _cb2_root(delta):
 
 
 def estimate_ml(stats):
-    """Exact ML shape estimate: the unique root of ln(m) - psi(m) - delta.
+    """Exact ML shape estimate: the unique root of g(m) = ln(m) - psi(m) - delta.
 
     ln(m) - psi(m) decreases strictly from +inf to 0 on (0, inf), so the
-    root exists and is unique for delta > 0. Newton steps use
-    g'(m) = 1/m - psi'(m) and fall back to bisection whenever a step
-    leaves the current sign-change bracket.
+    root exists and is unique for delta > 0. Newton's method runs in
+    u = 1/m (Minka, "Estimating a Gamma distribution", 2002), where
+    dg/du = m t with t = m psi'(m) - 1 > 0, giving m <- m t / (t - g(m)).
+    g(1/u) is increasing and convex in u, because m^2 psi'(m) - m falls
+    from 1 to 1/2 on (0, inf). So from any positive seed every iterate is
+    positive: the first step lands at or below the root, and the iterates
+    then rise monotonically to it.
     """
     delta = stats.delta
     _require_informative(delta)
@@ -136,24 +140,7 @@ def estimate_ml(stats):
         return math.log(m) - digamma(m) - delta
 
     m = _cb2_root(delta)
-
-    # Grow a sign-change bracket [lo, hi] geometrically from the seed.
     g_m = g(m)
-    if g_m > 0.0:
-        lo, hi = m, 2.0 * m
-        while g(hi) > 0.0:
-            lo, hi = hi, hi * 2.0
-            if not math.isfinite(hi):
-                raise NoConvergenceError("bracketing ran off the high end")
-    elif g_m < 0.0:
-        lo, hi = m / 2.0, m
-        while g(lo) < 0.0:
-            lo, hi = lo / 2.0, lo
-            if lo <= 0.0:
-                raise NoConvergenceError("bracketing ran off the low end")
-    else:
-        lo, hi = m, m
-
     iterations = 0
     while abs(g_m) >= _ML_TOL:
         iterations += 1
@@ -161,15 +148,8 @@ def estimate_ml(stats):
             raise NoConvergenceError(
                 f"ML solver did not reach |g| < {_ML_TOL} in {_ML_BUDGET} iterations"
             )
-        if g_m > 0.0:
-            lo = m
-        else:
-            hi = m
-        step = g_m / (1.0 / m - trigamma(m))
-        candidate = m - step
-        if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        m = candidate
+        t = m * trigamma(m) - 1.0
+        m *= t / (t - g_m)
         g_m = g(m)
 
     return Estimate(m, _sigma_hat(stats.mean_x2, m), iterations)

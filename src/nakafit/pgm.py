@@ -94,8 +94,11 @@ def write_pgm(path, image):
 
 
 def labels_to_gray(labels, n_classes):
-    """Scale a label field to [0, 255] by label * floor(255 / (K-1))."""
+    """Scale a label field to [0, 255] by label * floor(255 / (K-1)), for
+    2 <= K <= 256: more classes than gray levels cannot be told apart."""
     n_classes = _integer(n_classes, "n_classes", 2)
+    if n_classes > 256:
+        raise ValueError("n_classes must be <= 256, one gray level per class")
     return np.asarray(labels) * (255 // (n_classes - 1))
 
 

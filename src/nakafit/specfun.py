@@ -44,8 +44,9 @@ def log_gamma(x):
 
 def digamma(x):
     """Digamma psi(x) = d/dx ln Gamma(x) for x > 0."""
-    x = float(x)
-    if not 0.0 < x < math.inf:  # `_positive`'s range check, inline on the solver's hot path
+    if x.__class__ is not float:
+        x = _positive(x, "x")
+    elif not 0.0 < x < math.inf:  # `_positive`'s range check, inline for the solver's floats
         raise _not_positive(x, "x")
     acc = 0.0
     while x < _SHIFT:
@@ -63,8 +64,9 @@ def trigamma(x):
 
     psi'(x) ~ 1/x^2 overflows to inf below x ~ 1e-154.
     """
-    x = float(x)
-    if not 0.0 < x < math.inf:  # `_positive`'s range check, inline on the solver's hot path
+    if x.__class__ is not float:
+        x = _positive(x, "x")
+    elif not 0.0 < x < math.inf:  # `_positive`'s range check, inline for the solver's floats
         raise _not_positive(x, "x")
     if x * x == 0.0:
         return math.inf

@@ -147,7 +147,7 @@ def test_estimate_splits_on_every_ascii_separator(tmp_path, capsys):
     assert run_cli(["estimate", "--in", str(plain)]) == 0
     first, second = capsys.readouterr().out.split("blocks=1 skipped=0\n")[:2]
     assert first == second
-    assert first.startswith("block=1 m_hat=1.5852049328 sigma_hat=0.823631678774\n")
+    assert first.startswith("block=1 m_hat=1.58520493295 sigma_hat=0.823631678694\n")
 
 
 def test_estimate_missing_file_is_domain_error(capsys):

@@ -1,6 +1,9 @@
+import importlib.util
+import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -18,3 +21,19 @@ def test_cli_outputs_script_runs_every_case(tmp_path):
         assert (case / "exit_code").read_text() == f"{expected}\n", case.name
     assert (tmp_path / "bench_small_grid" / "bench.csv").exists()
     assert (tmp_path / "segment_pgm64_nakagami_k2" / "labels.pgm").exists()
+
+
+def test_warning_lines_name_their_file_without_a_line_number(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("cli_outputs", ROOT / "tools" / "cli_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    src = str(tmp_path / "src")
+
+    def warn(argv):  # writes a warning as the default warnings.showwarning does
+        sys.stderr.write(warnings.formatwarning(
+            "overflow", RuntimeWarning, os.path.join(src, "nakafit", "m.py"), 75))
+        return 1
+
+    monkeypatch.chdir(tmp_path)
+    tool.run_case(warn, "case", [], src)
+    assert (tmp_path / "case" / "stderr").read_text() == "nakafit/m.py: RuntimeWarning: overflow\n"

@@ -17,10 +17,12 @@ from nakafit import (
     NakagamiParams,
     crlb,
     crlb_modified,
+    digamma,
     log_gamma,
     normalized,
     sample,
     segment,
+    trigamma,
 )
 from nakafit.errors import _integer, _positive, _shown
 from nakafit.pgm import labels_to_gray
@@ -83,6 +85,12 @@ def test_bench_config_refuses_integer(name, bad):
 @pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)
 def test_log_gamma_refuses(bad):
     _refused(lambda: log_gamma(bad), "x")
+
+
+@pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)
+@pytest.mark.parametrize("fn", [digamma, trigamma])
+def test_digamma_and_trigamma_refuse(fn, bad):
+    _refused(lambda: fn(bad), "x")
 
 
 @pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -12,6 +13,7 @@ from nakafit import (
     DegenerateBlockError,
     EstimatorKind,
     NakagamiParams,
+    NoConvergenceError,
     OutOfRangeError,
     as_block,
     compute_stats,
@@ -23,8 +25,9 @@ from nakafit import (
     estimate_moment_based,
     sample,
 )
+from nakafit import estimators
 from nakafit.estimators import DELTA_MIN, Estimate, SufficientStats, _sigma_hat
-from nakafit.specfun import digamma
+from nakafit.specfun import digamma, trigamma
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -133,6 +136,47 @@ def test_ml_returns_the_unique_root(delta):
     slope = 1.0 / root - scipy.special.polygamma(1, root)
     m_hat = estimate_ml(stats_for(delta)).m_hat
     assert abs(m_hat - root) <= 2e-10 / abs(slope)
+
+def test_ml_budget_exhausted_raises(monkeypatch):
+    monkeypatch.setattr(estimators, "_ML_BUDGET", 0)
+    with pytest.raises(NoConvergenceError, match="in 0 iterations"):
+        estimate_ml(stats_for(0.5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(math.log(1.0000001e-12), math.log(1450.0)).map(math.exp))
+@example(1.0000001e-12)
+@example(1450.0)
+def test_ml_newton_iterates_stay_positive_and_climb_to_the_root(delta):
+    # trigamma is evaluated once per step, at the iterate the step leaves
+    seen = []
+
+    def recording_trigamma(m):
+        seen.append(m)
+        return trigamma(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "trigamma", recording_trigamma)
+        est = estimate_ml(stats_for(delta))
+    iterates = [*seen, est.m_hat]
+    assert len(seen) == est.iterations <= 5
+    assert all(m > 0.0 for m in iterates)
+    # the first step may overshoot the root from above; after it, m only rises
+    after_first = iterates[1:]
+    assert after_first == sorted(after_first)
+    for m in after_first:
+        assert math.log(m) - digamma(m) - delta >= -estimators._ML_TOL
+
+
+def test_newton_in_inverse_shape_sees_a_convex_function():
+    # g(1/u) is convex in u exactly when x^2 psi'(x) - x decreases in x;
+    # it falls from 1 (x -> 0) to 1/2 (x -> inf)
+    with mpmath.workdps(40):
+        values = [x * x * mpmath.psi(1, x) - x
+                  for x in (mpmath.mpf(float(v)) for v in np.geomspace(1e-8, 1e10, 400))]
+    assert all(a > b for a, b in zip(values, values[1:]))
+    assert 1 > values[0] and values[-1] > 0.5
+
 
 def test_cheng_beaulieu_1_values():
     assert estimate_cheng_beaulieu_1(stats_for(0.5)).m_hat == pytest.approx(1.0, rel=1e-14)

@@ -206,6 +206,13 @@ def test_labels_to_gray():
     assert np.array_equal(out3, np.array([[0, 127, 254]]))
 
 
+def test_labels_to_gray_refuses_more_classes_than_gray_levels():
+    labels = np.array([[0, 128, 255]])
+    assert np.array_equal(pgm.labels_to_gray(labels, 256), labels)
+    with pytest.raises(ValueError, match="n_classes must be <= 256"):
+        pgm.labels_to_gray(np.array([[0, 256]]), 257)
+
+
 @pytest.mark.parametrize(
     "arr",
     [

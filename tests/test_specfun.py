@@ -1,4 +1,5 @@
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ def test_trigamma_closed_forms():
 def test_domain_errors(fn, bad):
     with pytest.raises(ValueError):
         fn(bad)
+
+
+@pytest.mark.parametrize("fn", [digamma, trigamma])
+def test_float64_and_int_arguments_give_the_float_value(fn):
+    for x in (0.3, 2.0, 17.5):
+        assert fn(np.float64(x)) == fn(x)
+    assert fn(3) == fn(3.0)
 
 
 def test_recurrences_on_grid():
@@ -90,8 +98,11 @@ def test_accuracy_against_scipy_oracle():
 
 
 # Reference: digamma and trigamma as formulated with a Horner loop over the
-# coefficient tuples and a separate argument check.
+# coefficient tuples and a separate argument check, which refuses a bool or a
+# non-real (a str included) before it converts to float.
 def _reference_positive(x):
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ValueError(f"x must be a positive finite real, got {x!r}")
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"x must be a positive finite real, got {x!r}")

@@ -6,8 +6,9 @@ Imports `nakafit` from CHECKOUT/src, writes the shared inputs under
 OUTDIR/inputs, and for each case writes OUTDIR/<case>/stdout, stderr and
 exit_code, plus any files the call wrote into OUTDIR/<case>/. Calls run
 with OUTDIR as the working directory and relative paths, and a warning
-names its file relative to CHECKOUT/src, so the outputs name no absolute
-path. Inputs are made with numpy.random.default_rng, never
+names its file relative to CHECKOUT/src and no line number, so the outputs
+name no absolute path and an edit above a warning's source line changes
+none of them. Inputs are made with numpy.random.default_rng, never
 with nakafit, so two checkouts get identical inputs. Compare two checkouts
 with `diff -r OUT_A OUT_B`.
 
@@ -21,6 +22,7 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import sys
 import traceback
 import warnings
@@ -254,10 +256,14 @@ def cases():
     return out
 
 
+# the `FILE:LINE: ` that starts a warning's first line, as warnings.formatwarning writes it
+_WARNING_LINE = re.compile(r"^(\S+\.py):\d+: (?=\w*Warning: )", re.MULTILINE)
+
+
 def run_case(main, name, argv, src):
     """Run one call; an uncaught exception is recorded as exit code `traceback`.
     A warning names its file relative to `src`, the directory nakafit is
-    imported from."""
+    imported from, without the line number: `FILE: Category: message`."""
     os.makedirs(name, exist_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
@@ -270,8 +276,9 @@ def run_case(main, name, argv, src):
         except Exception as exc:
             code = "traceback"
             stderr.write(traceback.format_exception_only(exc)[-1])
+    warned = _WARNING_LINE.sub(r"\1: ", stderr.getvalue().replace(src + os.sep, ""))
     for stream, text in (("stdout", stdout.getvalue()),
-                         ("stderr", stderr.getvalue().replace(src + os.sep, "")),
+                         ("stderr", warned),
                          ("exit_code", f"{code}\n")):
         with open(os.path.join(name, stream), "w", encoding="utf-8") as fh:
             fh.write(text)
