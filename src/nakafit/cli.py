@@ -7,9 +7,11 @@ Exit codes: 0 success, 1 domain errors, 2 usage errors.
 
 import argparse
 import math
+import os
 import sys
 from contextlib import nullcontext
 
+import numpy as np
 
 from . import bounds as bounds_mod
 from . import pgm
@@ -18,20 +20,22 @@ from .errors import DegenerateBlockError, NakafitError
 from .estimators import EstimatorKind, estimate_block
 from .hmrf import Likelihood, segment
 from .montecarlo import BenchConfig, emit_csv, run_bench
-from .nakagami import NakagamiParams, as_block, sample
+from .nakagami import NakagamiParams, sample
 
 
-def _number(cast, low, strict=False):
-    """Argparse type: `cast(text)`, finite and > low (strict) or >= low."""
+def _number(cast, low, strict=False, high=math.inf):
+    """Argparse type: `cast(text)`, finite, > low (strict) or >= low, and <= high."""
     noun, finite = ("a number", " and finite") if cast is float else ("an integer", "")
     rule = f"{'>' if strict else '>='} {low}{finite}"
+    if high < math.inf:
+        rule += f" and <= {high}"
 
     def convert(text):
         try:
             value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not {noun}")
-        if not (value > low if strict else value >= low) or value == math.inf:
+        if not (value > low if strict else value >= low) or value == math.inf or value > high:
             raise argparse.ArgumentTypeError(f"{text!r} must be {rule}")
         return value
 
@@ -86,19 +90,29 @@ def _open_sink(path):
     return open(path, "w", encoding="ascii") if path else nullcontext(sys.stdout)
 
 
+# bytes asked of each os.read; a block file of 30 values takes one read and the empty one
+_READ_SIZE = 1 << 16
+
+
 def _load_block(path):
+    """The values in a block file as a float array, unchecked: `estimate_block`
+    applies the block rule. The file is read with os.open and os.read, which
+    make no fstat or lseek calls, until os.read returns b""."""
     try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
         # decoded before the split: str.split also splits on \x1c-\x1f, bytes.split does not
-        with open(path, "rb", buffering=0) as fh:
-            values = [float(tok) for tok in fh.read().decode("ascii").split()]
+        values = list(map(float, b"".join(chunks).decode("ascii").split()))
     except OSError as exc:
         raise NakafitError(f"cannot read {path}: {exc.strerror}")
     except ValueError:
         raise NakafitError(f"{path}: malformed sample value")
-    try:
-        return as_block(values)
-    except ValueError as exc:
-        raise NakafitError(f"{path}: {exc}")
+    return np.array(values, dtype=float)
 
 
 def cmd_sample(args):
@@ -121,7 +135,7 @@ def cmd_estimate(args):
             )
         except DegenerateBlockError:
             print(f"block={index} skipped degenerate")
-        except NakafitError as exc:
+        except (NakafitError, ValueError) as exc:  # ValueError: the block rule
             raise NakafitError(f"{path}: {exc}") from None
         state = ingest_block(state, block)
     final = finalize(state)
@@ -251,7 +265,8 @@ def build_parser():
 
     p = sub.add_parser("segment", help="HMRF image segmentation")
     p.add_argument("--in", dest="infile", required=True, help="PGM or text-matrix image")
-    p.add_argument("--k", type=_number(int, 2), required=True, help="number of classes")
+    # labels_to_gray gives each class its own gray level, so at most 256
+    p.add_argument("--k", type=_number(int, 2, high=256), required=True, help="number of classes")
     p.add_argument(
         "--likelihood", type=_likelihood, default=Likelihood.NAKAGAMI,
         help="gaussian or nakagami",

@@ -48,11 +48,14 @@ def _positive(x, name):
     return float(x)
 
 
-def _integer(x, name, low):
+def _integer(x, name, low, high=sys.maxsize):
     """x as an int; a ValueError naming it unless x is an integer, not a
-    bool, with x >= low."""
+    bool, with low <= x <= high. The default high is the largest count
+    numpy can size an array by."""
     if not isinstance(x, numbers.Integral) or isinstance(x, bool):
         raise ValueError(f"{name} must be an integer")
     if x < low:
         raise ValueError(f"{name} must be >= {low}")
+    if x > high:
+        raise ValueError(f"{name} must be <= {high}")
     return int(x)

@@ -425,7 +425,8 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
             raise ValueError("cannot use the Nakagami likelihood on an all-zero image")
         # the lift can take peak^2 * pixel count past the float range
         img = _as_image(img + _ZERO_SHIFT * peak)
-    n_classes = _integer(n_classes, "n_classes", 2)
+    # no upper bound: _kmeans refuses more classes than distinct intensities
+    n_classes = _integer(n_classes, "n_classes", 2, math.inf)
     if not beta >= 0.0:  # inf and NaN fail the pair-count check above
         raise ValueError("beta must be a finite non-negative real")
     # one np.unique serves k-means and the cost-plane gather: the class costs

@@ -45,8 +45,12 @@ class BenchConfig:
             raise ValueError("m_grid must be non-empty")
         object.__setattr__(self, "m_grid", tuple(_positive(m, "m_grid value") for m in self.m_grid))
         object.__setattr__(self, "omega", _positive(self.omega, "omega"))
-        for name, low in (("block_size", 2), ("num_blocks", 1), ("trials", 1), ("base_seed", 0)):
+        for name, low in (("block_size", 2), ("num_blocks", 1), ("trials", 1)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
+        # a seed is no count: numpy's SeedSequence takes any int >= 0
+        object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed", 0, math.inf))
+        # a trial draws its whole window as one array
+        _integer(self.block_size * self.num_blocks, "block_size * num_blocks", 2)
         if len(self.estimators) == 0:
             raise ValueError("estimators must be non-empty")
         if any(not isinstance(kind, EstimatorKind) for kind in self.estimators):

@@ -1,13 +1,14 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nakafit import BenchConfig, EstimatorKind, pgm
-from nakafit.cli import _build_bench_config, build_parser, main
+from nakafit import BenchConfig, EstimatorKind, estimate_block, pgm
+from nakafit.cli import _READ_SIZE, _build_bench_config, build_parser, main
 
 
 def run_cli(args):
@@ -153,6 +154,44 @@ def test_estimate_splits_on_every_ascii_separator(tmp_path, capsys):
 def test_estimate_missing_file_is_domain_error(capsys):
     assert run_cli(["estimate", "--in", "/nonexistent/file.txt"]) == 1
     assert "file.txt" in capsys.readouterr().err
+
+
+def test_estimate_reads_a_block_file_larger_than_one_read(tmp_path, capsys):
+    values = np.random.default_rng(9).gamma(2.0, 0.5, 9000) ** 0.5
+    blk = tmp_path / "long.txt"
+    blk.write_text("\n".join(map(repr, values.tolist())) + "\n")
+    assert blk.stat().st_size > 2 * _READ_SIZE
+    assert run_cli(["estimate", "--in", str(blk)]) == 0
+    est = estimate_block(EstimatorKind.EXACT_ML, values)
+    expected = f"block=1 m_hat={est.m_hat:.12g} sigma_hat={est.sigma_hat:.12g}\n"
+    assert capsys.readouterr().out.startswith(expected)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "sample block must be non-empty"),
+    (b"1.5\n2.0\ninf\n0.7\n", "sample block entries must be finite and > 0"),
+    (b"inf\n", "sample block entries must be finite and > 0"),
+    (b"1.5\n-0.0\n", "sample block entries must be finite and > 0"),
+    (b"1.5\nnan\n", "sample block entries must be finite and > 0"),
+])
+@pytest.mark.parametrize("method", ["exact_ml", "moment_based"])
+def test_estimate_block_rule_refusal_names_the_file(tmp_path, capsys, method, data, message):
+    blk = tmp_path / "bad.txt"
+    blk.write_bytes(data)
+    assert run_cli(["estimate", "--in", str(blk), "--method", method]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {blk}: {message}\n"
+
+
+def test_estimate_directory_is_domain_error(tmp_path, capsys):
+    assert run_cli(["estimate", "--in", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_sample_count_above_maxsize_names_n(capsys):
+    assert run_cli(["sample", "--m", "1", "--n", str(10**23)]) == 1
+    assert capsys.readouterr().err == f"error: n must be <= {sys.maxsize}\n"
 
 
 def test_bench_default_row_count(tmp_path):
@@ -461,6 +500,15 @@ def test_segment_bad_beta_is_usage_error(tmp_path, capsys, beta):
                  "--out-trace", str(tmp_path / "t.csv")])
     assert exc.value.code == 2
     assert "--beta" in capsys.readouterr().err
+
+
+def test_segment_k_above_256_is_usage_error(tmp_path, capsys):
+    # refused before the image is read: the input file does not exist
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["segment", "--in", str(tmp_path / "absent.pgm"), "--k", "257",
+                 "--out-labels", str(tmp_path / "l"), "--out-trace", str(tmp_path / "t.csv")])
+    assert exc.value.code == 2
+    assert "argument --k: '257' must be >= 2 and <= 256" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, message", [

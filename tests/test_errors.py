@@ -7,6 +7,7 @@ TypeError and never Python's int -> str digit-limit message.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nakafit import (
     digamma,
     log_gamma,
     normalized,
+    run_bench,
     sample,
     segment,
     trigamma,
@@ -151,3 +153,33 @@ def test_the_checks_return_a_float_and_an_int():
             _positive(bad, "x")
     with pytest.raises(ValueError, match="^k must be >= 2$"):
         _integer(1, "k", 2)
+
+
+# numpy sizes an array by a signed machine word, so a count above
+# sys.maxsize is refused by name before numpy's "Maximum allowed dimension
+# exceeded", which names no argument
+def test_sample_refuses_a_count_above_maxsize():
+    message = _refused(lambda: sample(PARAMS, 10**400, 0), "n")
+    assert message == f"n must be <= {sys.maxsize}"
+    assert _integer(sys.maxsize, "k", 0) == sys.maxsize
+
+
+def test_run_bench_block_size_above_maxsize_is_refused_by_name():
+    _refused(lambda: run_bench(BenchConfig(m_grid=(1.0,), block_size=10**400, trials=1)),
+             "block_size")
+
+
+def test_bench_config_refuses_trials_above_maxsize():
+    _refused(lambda: BenchConfig(m_grid=(1.0,), trials=10**400), "trials")
+
+
+def test_bench_config_refuses_a_window_above_maxsize():
+    # each factor fits, the window a trial draws does not
+    message = _refused(lambda: BenchConfig(m_grid=(1.0,), block_size=2**62, num_blocks=4),
+                       "block_size * num_blocks")
+    assert message == f"block_size * num_blocks must be <= {sys.maxsize}"
+
+
+def test_bench_config_takes_a_seed_above_maxsize():
+    # a seed is not a count: numpy's SeedSequence takes any int >= 0
+    assert BenchConfig(m_grid=(1.0,), trials=1, base_seed=10**30).base_seed == 10**30

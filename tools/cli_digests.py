@@ -1,0 +1,47 @@
+"""Print one SHA-256 per file that `tools/cli_outputs.py` wrote, as JSON.
+
+    python tools/cli_outputs.py --root . OUTDIR
+    python tools/cli_digests.py OUTDIR > tests/cli_outputs_digests.json
+
+The JSON holds the Python and numpy versions of this interpreter beside the
+digests, keyed by each file's path relative to OUTDIR with `/` separators.
+Bench and segment digits depend on numpy's generators and libm, so a
+mismatch under other versions may not be a change in nakafit.
+`tests/test_cli_outputs.py` reruns the tool and compares with the
+committed file; a change that alters outputs on purpose rewrites the file
+in the same commit.
+"""
+
+import argparse
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def versions():
+    """The versions the outputs depend on besides nakafit's own code."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def digests(outdir):
+    """{relative path: SHA-256 hex} for every file under outdir, sorted by path."""
+    root = Path(outdir)
+    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in files}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("outdir", help="directory that tools/cli_outputs.py wrote")
+    args = parser.parse_args(argv)
+    json.dump({**versions(), "sha256": digests(args.outdir)}, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -10,7 +10,9 @@ names its file relative to CHECKOUT/src and no line number, so the outputs
 name no absolute path and an edit above a warning's source line changes
 none of them. Inputs are made with numpy.random.default_rng, never
 with nakafit, so two checkouts get identical inputs. Compare two checkouts
-with `diff -r OUT_A OUT_B`.
+with `diff -r OUT_A OUT_B`. Usage messages are wrapped at 80 columns
+whatever the terminal, and `tools/cli_digests.py` records one SHA-256 per
+file written.
 
 Case names say what the exit code should be: `usage_*` exit 2, `*_fails`
 exit 1, every other case exits 0. A call that raises anything but SystemExit
@@ -61,6 +63,12 @@ BLOCK_NOT_ASCII = "inputs/not_ascii_block.txt"
 BLOCK_MALFORMED = "inputs/malformed_block.txt"
 BLOCK_MISSING = "inputs/missing_block.txt"
 BLOCK_SEPARATORS = "inputs/separators_block.txt"
+# block files the estimator refuses: an inf among finite values, one inf
+# alone, no values at all, and an inf beside a value whose square overflows
+BLOCK_INF, BLOCK_ONE_INF = "inputs/inf_block.txt", "inputs/one_inf_block.txt"
+BLOCK_EMPTY, BLOCK_INF_OVERFLOW = "inputs/empty_block.txt", "inputs/inf_overflow_block.txt"
+# a directory given where a block file is expected
+BLOCK_DIRECTORY = "inputs/a_directory"
 # a PGM whose width and height are "+2" and "1_0", which int() would read as 2 and 10
 PGM_SIGNED_DIMS = "inputs/signed_dims.pgm"
 # a maxval-100 PGM holding a 255 byte
@@ -116,9 +124,14 @@ def make_inputs():
         fh.write("m_grid = 1\ntrials = 5\ntrials = 7\n")
     for path, data in ((BLOCK_NOT_ASCII, b"1.5\n2.\xbd\n"),
                        (BLOCK_MALFORMED, b"1.5\n2.0x\n0.7\n"),
-                       (BLOCK_SEPARATORS, b"1.25\r\n0.5\t2.0\r\n0.75\x1c1.1\x1f0.9\x0c1.3\x0b0.6\n")):
+                       (BLOCK_SEPARATORS, b"1.25\r\n0.5\t2.0\r\n0.75\x1c1.1\x1f0.9\x0c1.3\x0b0.6\n"),
+                       (BLOCK_INF, b"1.5\n2.0\ninf\n0.7\n"),
+                       (BLOCK_ONE_INF, b"inf\n"),
+                       (BLOCK_EMPTY, b""),
+                       (BLOCK_INF_OVERFLOW, b"1.5\n2e154\ninf\n0.7\n")):
         with open(path, "wb") as fh:
             fh.write(data)
+    os.makedirs(BLOCK_DIRECTORY, exist_ok=True)
     with open(PGM_SIGNED_DIMS, "wb") as fh:
         fh.write(b"P5 +2 1_0 255\n" + bytes(range(10, 210, 10)))
     with open(PGM_ABOVE_MAXVAL, "wb") as fh:
@@ -176,6 +189,7 @@ def cases():
         ("sample", ["sample", "--m", "2", "--omega", "1", "--n", "20", "--seed", "7"]),
         ("sample_file", ["sample", "--m", "0.5", "--n", "20", "--seed", "3", "--out", "{out}/s.txt"]),
         ("sample_tiny_m_fails", ["sample", "--m", "0.001", "--n", "100", "--out", "{out}/s.txt"]),
+        ("sample_n_above_maxsize_fails", ["sample", "--m", "1", "--n", "100000000000000000000000"]),
         ("bench_default_grid", ["bench", "--trials", "30"]),
         ("bench_small_grid", ["bench", *small_grid, "--out", "{out}/bench.csv"]),
         ("bench_small_omega", ["bench", "--m-grid", "2", "--trials", "30", "--omega", "1e-6"]),
@@ -194,6 +208,16 @@ def cases():
         ("estimate_malformed_fails", ["estimate", "--in", BLOCK_MALFORMED]),
         ("estimate_missing_file_fails", ["estimate", "--in", BLOCK_MISSING]),
         ("estimate_ascii_separators", ["estimate", "--in", BLOCK_SEPARATORS]),
+        ("estimate_inf_entry_fails", ["estimate", "--in", BLOCKS[0], BLOCK_INF]),
+        ("estimate_empty_fails", ["estimate", "--in", BLOCK_EMPTY]),
+        ("estimate_directory_fails", ["estimate", "--in", BLOCK_DIRECTORY]),
+        *((f"estimate_{name}_moment_based_fails",
+           ["estimate", "--in", path, "--method", "moment_based"])
+          for name, path in (("nonpositive", NONPOSITIVE), ("nan", NAN),
+                             ("one_inf", BLOCK_ONE_INF))),
+        *((f"estimate_inf_overflow_{m}_fails",
+           ["estimate", "--in", BLOCK_INF_OVERFLOW, "--method", m])
+          for m in ("exact_ml", "moment_based")),
     ]
     out += [
         ("bounds_default_grid", ["bounds", "--m-grid", "0.5,1,2,4,8,16", "--n", "150"]),
@@ -252,6 +276,10 @@ def cases():
         ("usage_bounds_empty_grid", ["bounds", "--m-grid", "", "--n", "10"]),
         ("usage_bench_config_not_ascii", ["bench", "--config", CONFIG_NOT_ASCII]),
         ("usage_bench_config_repeated_key", ["bench", "--config", CONFIG_REPEATED_KEY]),
+        # 2,304 distinct values: more than --k, so only the 256-level PGM limit refuses 257
+        ("usage_segment_k_above_256",
+         ["segment", "--in", IMAGES["txt48"], "--k", "257", "--out-labels", "{out}/labels",
+          "--out-trace", "{out}/trace.csv"]),
     ]
     return out
 
@@ -293,6 +321,7 @@ def main(argv=None):
     sys.path.insert(0, src)
     from nakafit.cli import main as nakafit_main
 
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
     os.makedirs(args.outdir, exist_ok=True)
     os.chdir(args.outdir)
     make_inputs()
