@@ -42,6 +42,12 @@ SQUARES_OVERFLOW, SQUARES_UNDERFLOW = "inputs/squares_overflow.txt", "inputs/squ
 IMAGES = {"pgm64": "inputs/two_region.pgm", "txt48": "inputs/three_region.txt"}
 # the benchmark's segment shape: 256x256, ~250 distinct levels, some zero pixels
 PGM256 = "inputs/two_region_256.pgm"
+# a second benchmark-shaped 256x256 image, built as the segment_256 workload
+# builds its images, from the workload seed 7
+PGM256_BENCH = "inputs/two_region_256_bench.pgm"
+# 128x128 text matrix of floats: ~16k distinct values, so the class sums
+# run over as many terms as pixels
+MATRIX_128 = "inputs/three_region_128.txt"
 # 4x4 ramp: 24 neighbor pairs, so beta = 1e308 overflows the pair term
 PGM4 = "inputs/ramp4.pgm"
 # the pgm64 raster behind a header with CR LF, a tab and two comments
@@ -180,6 +186,24 @@ def make_inputs():
         fh.write("37 23\n")
         fh.writelines(" ".join(format(v, ".12g") for v in row) + "\n" for row in img)
 
+    # the segment_256 workload's recipe for its first image at seed 7: m = 1 on
+    # the left half, m = 8 on the right, both at Omega = 1, as round(85 x)
+    bench = np.random.default_rng([7, 256, 0])
+    img = np.hstack([np.sqrt(bench.gamma(1.0, 1.0, size=(256, 128))),
+                     np.sqrt(bench.gamma(8.0, 1.0 / 8.0, size=(256, 128)))])
+    raster = np.clip(np.rint(85.0 * img), 0, 255).astype(np.uint8)
+    with open(PGM256_BENCH, "wb") as fh:
+        fh.write(b"P5\n256 256\n255\n" + raster.tobytes())
+
+    # 128x128 from a stream of its own: bands of 43, 43 and 42 columns at
+    # m = 0.7, 3 and 12
+    wide = np.random.default_rng(128128)
+    img = np.hstack([_nakagami(wide, m, 1.0, 128 * w).reshape(128, w)
+                     for m, w in ((0.7, 43), (3.0, 43), (12.0, 42))])
+    with open(MATRIX_128, "w", encoding="ascii") as fh:
+        fh.write("128 128\n")
+        fh.writelines(" ".join(format(v, ".12g") for v in row) + "\n" for row in img)
+
 
 def cases():
     """(name, argv) for every call; `{out}` is replaced by the case directory."""
@@ -194,6 +218,10 @@ def cases():
         ("bench_small_grid", ["bench", *small_grid, "--out", "{out}/bench.csv"]),
         ("bench_small_omega", ["bench", "--m-grid", "2", "--trials", "30", "--omega", "1e-6"]),
         ("bench_tiny_m", ["bench", "--m-grid", "0.01", "--trials", "100"]),
+        # the mc_study workload's command at base seed 7
+        ("bench_mc_study", ["bench", "--m-grid", "0.5,1,2,4,8,16", "--omega", "1",
+                            "--block-size", "30", "--num-blocks", "5", "--trials", "200",
+                            "--estimators", ",".join(ESTIMATORS), "--base-seed", "7"]),
         ("estimate_default", ["estimate", "--in", *BLOCKS]),
     ]
     out += [(f"estimate_{m}", ["estimate", "--in", *BLOCKS, "--method", m]) for m in ESTIMATORS]
@@ -241,6 +269,14 @@ def cases():
         ("segment_pgm256_nakagami_k2",
          ["segment", "--in", PGM256, "--k", "2", "--likelihood", "nakagami", "--seed", "1",
           "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"]),
+        # the segment_256 workload's command on its first image at seed 7
+        ("segment_pgm256_bench_nakagami_k2",
+         ["segment", "--in", PGM256_BENCH, "--k", "2", "--likelihood", "nakagami", "--beta", "1",
+          "--seed", "112", "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"]),
+        *((f"segment_txt128_{likelihood}_k3",
+           ["segment", "--in", MATRIX_128, "--k", "3", "--likelihood", likelihood, "--seed", "1",
+            "--out-labels", "{out}/labels", "--out-trace", "{out}/trace.csv"])
+          for likelihood in ("nakagami", "gaussian")),
         ("segment_pgm64_nakagami_k4_beta0",
          ["segment", "--in", IMAGES["pgm64"], "--k", "4", "--likelihood", "nakagami",
           "--beta", "0", "--seed", "1", "--out-labels", "{out}/labels",
