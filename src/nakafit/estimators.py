@@ -82,12 +82,6 @@ def compute_stats(block):
     raise OutOfRangeError(_SQUARES_OUT_OF_RANGE)
 
 
-def _stats_of_squares(x2, log_x2):
-    """`compute_stats` of a block given as its squares and their logs, two
-    1-D arrays of one length in the block's order."""
-    return _stats_of_sums(x2.size, float(np.add.reduce(x2)), float(np.add.reduce(log_x2)))
-
-
 def _stats_of_sums(n, sum_x2, sum_log_x2):
     """`compute_stats` of a block of n values from the sums of their squares
     and of the logs of their squares: both means, the range check, the

@@ -11,9 +11,11 @@ alternating with per-class parameter re-estimation: sample mean/variance
 for the Gaussian likelihood, exact ML on all of a class's pixels for the
 Nakagami likelihood. `segment` computes what no round changes once per
 call: the image's np.unique, whose distinct intensities are the only
-values each class cost is evaluated at, and each pixel's x^2 and ln x^2.
-The tests hold the full-gather energy and the one-hot argmin sweep as
-references. Images must be >= 0 with peak^2 * pixel count finite; the
+values each class cost is evaluated at, and x^2 and ln x^2 of each
+distinct intensity. Each refit reads the image as a histogram per class,
+the count of the class's pixels at each distinct intensity. The tests
+hold the full-gather energy, the one-hot argmin sweep and the per-pixel
+class fit as references. Images must be >= 0 with peak^2 * pixel count finite; the
 Nakagami likelihood also needs every square positive. A cost that
 overflows is +inf.
 """
@@ -26,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import NakafitError, _integer, _shown
-from .estimators import _stats_of_squares, estimate_ml
+from .estimators import _stats_of_sums, estimate_ml
 from .nakagami import NakagamiParams, log_pdf
 
 # Classes whose pixels give delta at or below this are treated as flat
@@ -87,10 +89,10 @@ def _as_image(image):
     return img
 
 
-def _kmeans(vals, distinct, inverse, counts, n_classes, seed):
-    """1-D k-means on the flat image `vals`, given its np.unique with the
-    inverse index and the counts; returns the flat labels, classes ordered
-    by center value. Runs on the count-weighted distinct intensities:
+def _kmeans(distinct, inverse, counts, n_classes, seed):
+    """1-D k-means on a flat image given as its np.unique: the distinct
+    intensities, the inverse index and the counts; returns the flat labels,
+    classes ordered by center value. Runs on the count-weighted distinct intensities:
     assignments are per distinct value (nearest center, ties to the lower
     index) and reach the pixels once, at the end.
     """
@@ -109,7 +111,8 @@ def _kmeans(vals, distinct, inverse, counts, n_classes, seed):
         new_centers = np.divide(sums, sizes, out=centers.copy(), where=sizes > 0)
         if not sizes.all():
             # re-seed empty clusters at the first worst-represented pixel
-            new_centers[sizes == 0] = vals[np.argmax(np.abs(vals - centers[assign][inverse]))]
+            worst = np.argmax(np.abs(distinct - centers[assign])[inverse])
+            new_centers[sizes == 0] = distinct[inverse[worst]]
         new_assign = np.abs(np.subtract.outer(distinct, new_centers)).argmin(axis=1)
         moved = not np.array_equal(new_centers, centers)
         centers, assign = new_centers, new_assign
@@ -320,21 +323,18 @@ class _Icm:
         self.cells[cells] = new
 
 
-def _fit_columns(img, likelihood):
-    """What a class fit reads at each pixel, as flat arrays in raster order:
-    the intensities for the Gaussian likelihood, x^2 and ln x^2 for the
-    Nakagami likelihood, which needs every square positive."""
-    flat = img.reshape(-1)
-    if likelihood is Likelihood.GAUSSIAN:
-        return (flat,)
-    if not float(img.min()) ** 2 > 0.0:
-        raise ValueError("Nakagami likelihood requires pixels whose squares are positive")
-    x2 = flat * flat
-    return x2, np.log(x2)
+def _moments(n, row, distinct):
+    """Mean and n - 1 variance (0 for one pixel) of a class of n pixels,
+    `row` of them at each distinct intensity."""
+    mu = float(np.add.reduce(row * distinct)) / n
+    dev = distinct - mu
+    return mu, float(np.add.reduce(row * (dev * dev))) / max(n - 1, 1)
 
 
-def _fit_class(columns, likelihood):
-    """Fit one class from `_fit_columns` at its pixels; None if degenerate.
+def _fit_class(row, columns, likelihood):
+    """Fit one class from its histogram `row`, the count of its pixels at
+    each distinct intensity, and `columns`, what the fit reads at each
+    distinct intensity (see `segment`); None if degenerate.
 
     The Nakagami fit is exact ML on all of the class pixels at once:
     splitting a class into small fixed chunks would inject the solver's
@@ -342,15 +342,13 @@ def _fit_class(columns, likelihood):
     over-peaks the density enough to derail the segmentation on shape-only
     contrasts.
     """
-    if columns[0].size < 2:
+    n = int(np.add.reduce(row))
+    if n < 2:
         return None
     if likelihood is Likelihood.GAUSSIAN:
-        (px,) = columns
-        var = float(px.var(ddof=1))
-        if var <= 0.0:
-            return None
-        return GaussianParams(mu=float(px.mean()), var=var)
-    stats = _stats_of_squares(*columns)
+        mu, var = _moments(n, row, *columns)
+        return GaussianParams(mu=mu, var=var) if var > 0.0 else None
+    stats = _stats_of_sums(n, *(float(np.add.reduce(row * column)) for column in columns))
     if stats.delta <= _SEG_DELTA_MIN:
         return None
     try:
@@ -360,15 +358,15 @@ def _fit_class(columns, likelihood):
     return NakagamiParams(m=est.m_hat, sigma=est.sigma_hat)
 
 
-def _bootstrap_class(columns, likelihood):
+def _bootstrap_class(row, columns, likelihood):
     """Fallback parameters for a class that cannot be fitted at startup."""
-    if columns[0].size == 0:
+    n = int(np.add.reduce(row))
+    if n == 0:
         raise ValueError("a class has no pixels at initialization")
     if likelihood is Likelihood.GAUSSIAN:
-        (px,) = columns
-        var = float(px.var(ddof=1)) if px.size > 1 else 0.0
-        return GaussianParams(mu=float(px.mean()), var=max(var, _VAR_FLOOR))
-    mean_x2 = float(columns[0].mean())
+        mu, var = _moments(n, row, *columns)
+        return GaussianParams(mu=mu, var=max(var, _VAR_FLOOR))
+    mean_x2 = float(np.add.reduce(row * columns[0])) / n
     sigma = mean_x2 / _DEGENERATE_M
     if sigma > 0.0:
         return NakagamiParams(m=_DEGENERATE_M, sigma=sigma)
@@ -377,23 +375,26 @@ def _bootstrap_class(columns, likelihood):
     return NakagamiParams(m=mean_x2 / _SIGMA_MIN, sigma=_SIGMA_MIN)
 
 
-def _refit(columns, labels, likelihood, class_params):
+def _refit(labels, inverse, columns, likelihood, class_params):
     """Re-estimate per-class parameters from the label field `labels`, given
-    `columns` from `_fit_columns`; returns the new parameters and the
-    starved classes. Each class is gathered by index, in raster order.
-    Classes with fewer than 2 pixels or a degenerate fit keep their entry
-    of `class_params` and are listed as starved; a None entry (no previous
-    fit) is bootstrapped.
+    the image's np.unique inverse index `inverse` in the same shape and
+    `columns` from `segment`; returns the new parameters and the starved
+    classes. One bincount gives the (K, D) table whose row k counts class
+    k's pixels at each of the D distinct intensities. Classes with fewer
+    than 2 pixels or a degenerate fit keep their entry of `class_params`
+    and are listed as starved; a None entry (no previous fit) is
+    bootstrapped.
     """
+    n_distinct = columns[0].size
+    table = np.bincount((labels * n_distinct + inverse).reshape(-1),
+                        minlength=len(class_params) * n_distinct)
     new_params = []
     starved = []
-    for k, prev in enumerate(class_params):
-        index = np.flatnonzero(labels == k)
-        values = [column.take(index) for column in columns]
-        fitted = _fit_class(values, likelihood)
+    for k, (row, prev) in enumerate(zip(table.reshape(-1, n_distinct), class_params)):
+        fitted = _fit_class(row, columns, likelihood)
         if fitted is None:
             starved.append(k)
-            fitted = prev if prev is not None else _bootstrap_class(values, likelihood)
+            fitted = prev if prev is not None else _bootstrap_class(row, columns, likelihood)
         new_params.append(fitted)
     return tuple(new_params), tuple(starved)
 
@@ -429,19 +430,23 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     n_classes = _integer(n_classes, "n_classes", 2, math.inf)
     if not beta >= 0.0:  # inf and NaN fail the pair-count check above
         raise ValueError("beta must be a finite non-negative real")
-    # one np.unique serves k-means and the cost-plane gather: the class costs
-    # are evaluated once per distinct intensity
-    vals = img.reshape(-1)
-    distinct, inverse, counts = np.unique(vals, return_inverse=True, return_counts=True)
-    labels = _kmeans(vals, distinct, inverse, counts, n_classes, seed)
-    columns = _fit_columns(img, likelihood)
+    # one np.unique serves k-means, the class fits and the cost-plane gather:
+    # fit inputs and class costs are evaluated once per distinct intensity
+    distinct, inverse, counts = np.unique(img.reshape(-1), return_inverse=True, return_counts=True)
+    labels = _kmeans(distinct, inverse, counts, n_classes, seed)
+    if likelihood is Likelihood.NAKAGAMI and not float(distinct[0]) ** 2 > 0.0:
+        raise ValueError("Nakagami likelihood requires pixels whose squares are positive")
+    # what a class fit reads at each distinct intensity: the intensity for the
+    # Gaussian likelihood, x^2 and ln x^2 for the Nakagami likelihood
+    x2 = distinct * distinct
+    columns = (distinct,) if likelihood is Likelihood.GAUSSIAN else (x2, np.log(x2))
     inverse = inverse.reshape(img.shape)
     icm = _Icm(img.shape, n_classes)
     icm.load(labels.reshape(img.shape))
     class_params = (None,) * n_classes
     trace = []
     for _ in range(_MAX_OUTER):
-        class_params, starved = _refit(columns, icm.inner, likelihood, class_params)
+        class_params, starved = _refit(icm.inner, inverse, columns, likelihood, class_params)
         icm.fill(likelihood, class_params, distinct, inverse)
         trace.append((len(trace), "params", icm.energy(beta)))
         round_changed = 0

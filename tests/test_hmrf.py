@@ -78,15 +78,17 @@ def icm_sweep(img, labels, model):
 
 def kmeans_init(img, n_classes, seed):
     """`hmrf._kmeans` on the 2-D image `img`; labels in the image's shape."""
-    vals = img.reshape(-1)
-    unique = np.unique(vals, return_inverse=True, return_counts=True)
-    return hmrf._kmeans(vals, *unique, n_classes, seed).reshape(img.shape)
+    unique = np.unique(img.reshape(-1), return_inverse=True, return_counts=True)
+    return hmrf._kmeans(*unique, n_classes, seed).reshape(img.shape)
 
 
 def update_params(img, labels, likelihood, params):
-    """`hmrf._refit` of `params` from the label field `labels` on `img`:
-    (new params, starved classes)."""
-    return hmrf._refit(hmrf._fit_columns(img, likelihood), labels, likelihood, params)
+    """`hmrf._refit` of `params` from the label field `labels` on `img`, with
+    the fit inputs `segment` computes: (new params, starved classes)."""
+    distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
+    x2 = distinct * distinct
+    columns = (distinct,) if likelihood is Likelihood.GAUSSIAN else (x2, np.log(x2))
+    return hmrf._refit(labels, inverse.reshape(img.shape), columns, likelihood, params)
 
 
 # --- k-means -----------------------------------------------------------------
