@@ -221,7 +221,12 @@ _DELTA_ESTIMATORS = {
 
 
 def estimate_block(kind, block):
-    """Run one estimator on a raw sample block."""
+    """Run one estimator on a raw sample block; ValueError naming `kind`
+    unless it is an `EstimatorKind` member."""
     if kind is EstimatorKind.MOMENT_BASED:
         return estimate_moment_based(block)
-    return _DELTA_ESTIMATORS[kind](compute_stats(block))
+    try:
+        estimator = _DELTA_ESTIMATORS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ValueError(f"kind must be an EstimatorKind member, got {kind!r}") from None
+    return estimator(compute_stats(block))

@@ -21,6 +21,8 @@ overflows is +inf.
 """
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -413,13 +415,22 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     _ZERO_SHIFT * max intensity to restore positive support. Returns a
     `SegmentResult`: the labels, each class's parameters and the classes
     the last refit starved, the (step, phase, energy) trace, and the
-    number of ICM sweeps executed. Raises ValueError for n_classes < 2 or
-    a beta that is negative or not finite.
+    number of ICM sweeps executed. Raises ValueError naming the argument
+    for a likelihood that is not a `Likelihood` member, n_classes < 2, a
+    beta that is a bool, not real, negative or not finite, and a seed that
+    is not an integer >= 0.
     """
+    if not isinstance(likelihood, Likelihood):
+        raise ValueError(f"likelihood must be a Likelihood member, got {likelihood!r}")
     img = _as_image(image)
+    if isinstance(beta, bool) or not isinstance(beta, numbers.Real):
+        raise ValueError(f"beta must be a finite non-negative real, got {beta!r}")
     # beta * (H(W-1) + (H-1)W pairs) bounds the energy's pair term and ICM's beta * agree
-    if not math.isfinite(float(beta) * (2 * img.size - sum(img.shape))):
-        raise ValueError(f"beta={beta!r} times the image's 4-neighbor pair count is not finite")
+    pairs = 2 * img.size - sum(img.shape)
+    if not (abs(beta) <= sys.float_info.max and math.isfinite(float(beta) * pairs)):
+        raise ValueError(
+            f"beta={_shown(beta)} times the image's 4-neighbor pair count is not finite"
+        )
     if likelihood is Likelihood.NAKAGAMI and img.min() <= 0.0:
         peak = img.max()
         if peak <= 0.0:
@@ -428,6 +439,7 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
         img = _as_image(img + _ZERO_SHIFT * peak)
     # no upper bound: _kmeans refuses more classes than distinct intensities
     n_classes = _integer(n_classes, "n_classes", 2, math.inf)
+    seed = _integer(seed, "seed", 0, math.inf)
     if not beta >= 0.0:  # inf and NaN fail the pair-count check above
         raise ValueError("beta must be a finite non-negative real")
     # one np.unique serves k-means, the class fits and the cost-plane gather:

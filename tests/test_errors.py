@@ -26,7 +26,9 @@ from nakafit import (
     segment,
     trigamma,
 )
+from nakafit.blockwise import BlockEstimatorState, ingest_block
 from nakafit.errors import _integer, _positive, _shown
+from nakafit.estimators import estimate_block
 from nakafit.pgm import labels_to_gray
 
 # pytest would name a parameter by str(), which fails on an int past 4,300 digits
@@ -115,6 +117,50 @@ def test_sample_refuses_count(bad):
 @pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
 def test_segment_refuses_class_count(likelihood, bad):
     _refused(lambda: segment(IMAGE, bad, likelihood, seed=0), "n_classes")
+
+
+@pytest.mark.parametrize("bad", ["gaussian", "nakagami", None])
+def test_segment_refuses_a_likelihood_that_is_not_a_member(bad):
+    # a non-member used to take the Nakagami branches: "gaussian" fitted
+    # NakagamiParams, and "nakagami" skipped the zero lift
+    zero = IMAGE.copy()
+    zero[0, 0] = 0.0
+    for img in (IMAGE, zero):
+        _refused(lambda: segment(img, 2, bad, seed=0), "likelihood")
+
+
+@pytest.mark.parametrize("bad", [pytest.param(True, id="True"), pytest.param("1", id="str"),
+                                 pytest.param(None, id="None")])
+def test_segment_refuses_a_beta_that_is_not_real(bad):
+    _refused(lambda: segment(IMAGE, 2, Likelihood.GAUSSIAN, beta=bad, seed=0), "beta")
+
+
+@pytest.mark.parametrize("bad", [pytest.param(10**400, id="int_beyond_float_range"),
+                                 pytest.param(-(10**400), id="negative_int_beyond_float_range"),
+                                 pytest.param(10**5000, id="int_past_digit_limit")])
+def test_segment_refuses_an_int_beta_beyond_the_float_range(bad):
+    with pytest.raises(ValueError, match="^beta=.* times the image's 4-neighbor pair count"):
+        segment(IMAGE, 2, Likelihood.GAUSSIAN, beta=bad, seed=0)
+
+
+@pytest.mark.parametrize("bad", [pytest.param(True, id="True"), pytest.param(-1, id="-1"),
+                                 pytest.param(2.5, id="2.5"), pytest.param("3", id="str")])
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+def test_segment_refuses_seed(likelihood, bad):
+    _refused(lambda: segment(IMAGE, 2, likelihood, seed=bad), "seed")
+
+
+def test_segment_takes_a_numpy_seed_and_one_above_maxsize():
+    want = segment(IMAGE, 2, Likelihood.GAUSSIAN, seed=3)
+    assert segment(IMAGE, 2, Likelihood.GAUSSIAN, seed=np.int64(3)).trace == want.trace
+    assert segment(IMAGE, 2, Likelihood.GAUSSIAN, seed=10**30).labels.shape == (4, 4)
+
+
+@pytest.mark.parametrize("bad", ["exact_ml", None, [1]])
+def test_estimate_block_refuses_a_kind_that_is_not_a_member(bad):
+    block = np.array([1.0, 2.0, 3.0])
+    _refused(lambda: estimate_block(bad, block), "kind")
+    _refused(lambda: ingest_block(BlockEstimatorState(bad), block), "kind")
 
 
 @pytest.mark.parametrize("bad", NOT_INTEGERS + [pytest.param(1, id="1")])

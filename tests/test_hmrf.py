@@ -4,7 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from nakafit import hmrf
+from nakafit import estimators, hmrf
 from nakafit import GaussianParams, Likelihood, NakagamiParams, sample, segment
 
 
@@ -437,6 +437,50 @@ def test_update_params_nakagami_constant_class_is_starved():
     # bootstrap: concentrated spike with omega = mean of x^2
     p = params[0]
     assert p.m * p.sigma == pytest.approx(2.5**2, rel=1e-12)
+
+
+def refit_reference(img, labels, likelihood):
+    """Per-pixel class fits: each class's intensities, or their x^2 and
+    ln x^2, gathered in raster order and summed with np.add.reduce."""
+    params = []
+    for k in range(labels.max() + 1):
+        px = img.reshape(-1).take(np.flatnonzero(labels == k))
+        if likelihood is Likelihood.GAUSSIAN:
+            params.append(GaussianParams(mu=float(px.mean()), var=float(px.var(ddof=1))))
+            continue
+        x2 = px * px
+        stats = estimators._stats_of_sums(
+            px.size, float(np.add.reduce(x2)), float(np.add.reduce(np.log(x2)))
+        )
+        est = estimators.estimate_ml(stats)
+        params.append(NakagamiParams(m=est.m_hat, sigma=est.sigma_hat))
+    return tuple(params)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n_classes", [2, 3, 4])
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+@pytest.mark.parametrize("pixels", ["8bit", "float"])
+def test_refit_matches_per_pixel_reference(pixels, likelihood, n_classes, seed):
+    # 8-bit images repeat each intensity many times; float images hold
+    # almost every value once, so their class sums run over as many terms.
+    # A count times a value rounds differently from that many additions, so
+    # only sums of integers are equal in both orders: on 8-bit images the
+    # Gaussian mean is exact, while var, m and sigma can move in the last
+    # bits (up to 2e-14 relative in these cells).
+    rng = np.random.default_rng([seed, n_classes])
+    img = np.sqrt(rng.gamma(1.0 + seed, 1.0 / (1.0 + seed), (40, 37)))
+    if pixels == "8bit":
+        img = np.clip(np.rint(85.0 * img), 1.0, 255.0)
+    labels = rng.integers(0, n_classes, img.shape)
+    params, starved = update_params(img, labels, likelihood, (None,) * n_classes)
+    want = refit_reference(img, labels, likelihood)
+    assert starved == ()
+    for got, ref in zip(params, want):
+        for a, b in zip(vars(got).values(), vars(ref).values()):
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+        if pixels == "8bit" and likelihood is Likelihood.GAUSSIAN:
+            assert got.mu == ref.mu
 
 
 # --- end-to-end -----------------------------------------------------------------
