@@ -15,9 +15,9 @@ values each class cost is evaluated at, and x^2 and ln x^2 of each
 distinct intensity. Each refit reads the image as a histogram per class,
 the count of the class's pixels at each distinct intensity. The tests
 hold the full-gather energy, the one-hot argmin sweep and the per-pixel
-class fit as references. Images must be >= 0 with peak^2 * pixel count finite; the
-Nakagami likelihood also needs every square positive. A cost that
-overflows is +inf.
+class fit as references. Images must be >= 0 with peak^2 * pixel count
+finite; the Nakagami likelihood also needs every square positive. A cost
+that overflows is +inf.
 """
 
 import math
@@ -94,9 +94,9 @@ def _as_image(image):
 def _kmeans(distinct, inverse, counts, n_classes, seed):
     """1-D k-means on a flat image given as its np.unique: the distinct
     intensities, the inverse index and the counts; returns the flat labels,
-    classes ordered by center value. Runs on the count-weighted distinct intensities:
-    assignments are per distinct value (nearest center, ties to the lower
-    index) and reach the pixels once, at the end.
+    classes ordered by center value. Runs on the count-weighted distinct
+    intensities: assignments are per distinct value (nearest center, ties
+    to the lower index) and reach the pixels once, at the end.
     """
     if distinct.size < n_classes:
         raise ValueError(
