@@ -33,7 +33,7 @@ def outputs(tmp_path_factory):
 def test_cli_outputs_script_runs_every_case(outputs):
     # `usage_*` cases exit 2, `*_fails` cases exit 1, all others exit 0
     cases = sorted(p for p in outputs.iterdir() if p.name != "inputs")
-    assert len(cases) == 71
+    assert len(cases) == 74
     for case in cases:
         expected = 2 if case.name.startswith("usage_") else 1 if case.name.endswith("_fails") else 0
         assert (case / "exit_code").read_text() == f"{expected}\n", case.name

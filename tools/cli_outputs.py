@@ -89,6 +89,8 @@ PGM_HUGE_WIDTH = "inputs/huge_width.pgm"
 MATRIX_NOT_A_NUMBER = "inputs/not_a_number.txt"
 # a 2x2 text matrix holding a negative value, which segment refuses
 MATRIX_NEGATIVE_VALUE = "inputs/negative_value.txt"
+# an image path that does not exist
+IMAGE_MISSING = "inputs/missing_image.pgm"
 
 
 def _nakagami(rng, m, omega, n):
@@ -302,7 +304,15 @@ def cases():
                            ("pgm_truncated_header", PGM_TRUNCATED_HEADER),
                            ("pgm_huge_width", PGM_HUGE_WIDTH),
                            ("matrix_not_a_number", MATRIX_NOT_A_NUMBER),
-                           ("matrix_negative_value", MATRIX_NEGATIVE_VALUE))
+                           ("matrix_negative_value", MATRIX_NEGATIVE_VALUE),
+                           ("missing_image", IMAGE_MISSING),
+                           ("directory", BLOCK_DIRECTORY))
+    ]
+    out += [
+        # PGM4 holds 16 distinct intensities, fewer than 17 classes
+        ("segment_k_above_distinct_fails",
+         ["segment", "--in", PGM4, "--k", "17", "--out-labels", "{out}/labels",
+          "--out-trace", "{out}/trace.csv"]),
     ]
     out += [
         ("usage_sample_negative_m", ["sample", "--m", "-1", "--n", "5"]),
