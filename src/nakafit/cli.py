@@ -16,7 +16,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import pgm
 from .blockwise import BlockEstimatorState, finalize, ingest_block
-from .errors import DegenerateBlockError, NakafitError
+from .errors import DegenerateBlockError, NakafitError, _refusals_naming
 from .estimators import EstimatorKind, estimate_block
 from .hmrf import Likelihood, segment
 from .montecarlo import BenchConfig, emit_csv, run_bench
@@ -213,10 +213,8 @@ def cmd_bounds(args):
 
 def cmd_segment(args):
     image = pgm.read_image(args.infile)
-    try:
+    with _refusals_naming(args.infile):
         result = segment(image, args.k, args.likelihood, beta=args.beta, seed=args.seed)
-    except ValueError as exc:
-        raise ValueError(f"{args.infile}: {exc}") from None
     pgm.write_pgm(args.out_labels + ".pgm", pgm.labels_to_gray(result.labels, args.k))
     pgm.write_matrix(args.out_labels + ".txt", result.labels)
     with open(args.out_trace, "w", encoding="ascii") as fh:

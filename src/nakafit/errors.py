@@ -3,6 +3,7 @@ raise ValueError for the Python API's scalar arguments."""
 
 import numbers
 import sys
+from contextlib import contextmanager
 
 
 class NakafitError(Exception):
@@ -34,17 +35,13 @@ def _shown(x):
         return f"an int of {len(str(abs(x) // 10**k)) + k} digits"
 
 
-def _not_positive(x, name):
-    """The error for an argument x that is not a positive finite real."""
-    return ValueError(f"{name} must be a positive finite real, got {_shown(x)}")
-
-
 def _positive(x, name):
-    """x as a float; `_not_positive`'s error unless x is a real number, not a
-    bool, with 0 < x <= the largest float."""
+    """x as a float; a ValueError naming it unless x is a real number, not a
+    bool, with 0 < x <= the largest float. |x| is bounded before float(x),
+    which would overflow on an int below -1.8e308."""
     real = isinstance(x, numbers.Real) and not isinstance(x, bool)
-    if not (real and x <= sys.float_info.max and 0.0 < float(x)):  # NaN fails both compares
-        raise _not_positive(x, name)
+    if not (real and abs(x) <= sys.float_info.max and 0.0 < float(x)):  # NaN fails both compares
+        raise ValueError(f"{name} must be a positive finite real, got {_shown(x)}")
     return float(x)
 
 
@@ -59,3 +56,12 @@ def _integer(x, name, low, high=sys.maxsize):
     if x > high:
         raise ValueError(f"{name} must be <= {high}")
     return int(x)
+
+
+@contextmanager
+def _refusals_naming(path):
+    """Put `path: ` before the message of any ValueError raised in the block."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

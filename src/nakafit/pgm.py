@@ -14,11 +14,10 @@ writes one row per line with 12 significant digits, byte for byte as
 """
 
 import re
-from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import _integer
+from .errors import _integer, _refusals_naming
 
 
 # The four header tokens, each after a gap of whitespace bytes and comments.
@@ -27,15 +26,6 @@ from .errors import _integer
 _HEADER = re.compile(
     rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)" + 3 * rb"(?:\s|#[^\n]*(?:\n|\Z))+([^\s#]+)"
 )
-
-
-@contextmanager
-def _refusals_naming(path):
-    """Put `path: ` before the message of any ValueError raised in the block."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _decimal(token):
@@ -96,10 +86,7 @@ def write_pgm(path, image):
 def labels_to_gray(labels, n_classes):
     """Scale a label field to [0, 255] by label * floor(255 / (K-1)), for
     2 <= K <= 256: more classes than gray levels cannot be told apart."""
-    n_classes = _integer(n_classes, "n_classes", 2)
-    if n_classes > 256:
-        raise ValueError("n_classes must be <= 256, one gray level per class")
-    return np.asarray(labels) * (255 // (n_classes - 1))
+    return np.asarray(labels) * (255 // (_integer(n_classes, "n_classes", 2, 256) - 1))
 
 
 def read_matrix(path):

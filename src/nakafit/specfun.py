@@ -16,7 +16,7 @@ range, so double rounding dominates.
 
 import math
 
-from .errors import _not_positive, _positive
+from .errors import _positive
 
 _SHIFT = 8.0
 
@@ -44,10 +44,8 @@ def log_gamma(x):
 
 def digamma(x):
     """Digamma psi(x) = d/dx ln Gamma(x) for x > 0."""
-    if x.__class__ is not float:
+    if x.__class__ is not float or not 0.0 < x < math.inf:  # one compare for the solver's floats
         x = _positive(x, "x")
-    elif not 0.0 < x < math.inf:  # `_positive`'s range check, inline for the solver's floats
-        raise _not_positive(x, "x")
     acc = 0.0
     while x < _SHIFT:
         acc -= 1.0 / x
@@ -64,10 +62,8 @@ def trigamma(x):
 
     psi'(x) ~ 1/x^2 overflows to inf below x ~ 1e-154.
     """
-    if x.__class__ is not float:
+    if x.__class__ is not float or not 0.0 < x < math.inf:  # one compare for the solver's floats
         x = _positive(x, "x")
-    elif not 0.0 < x < math.inf:  # `_positive`'s range check, inline for the solver's floats
-        raise _not_positive(x, "x")
     if x * x == 0.0:
         return math.inf
     acc = 0.0

@@ -36,6 +36,7 @@ NOT_POSITIVE_REALS = [
     pytest.param(True, id="True"),
     pytest.param("2", id="str"),
     pytest.param(10**400, id="int_beyond_float_range"),
+    pytest.param(-(10**400), id="negative_int_beyond_float_range"),
     pytest.param(10**5000, id="int_past_digit_limit"),
     pytest.param(math.nan, id="nan"),
 ]
