@@ -31,7 +31,7 @@ OutOfRangeError.
 
 import math
 
-from .errors import OutOfRangeError, _positive, _shown
+from .errors import OutOfRangeError, _positive, _real, _shown
 from .specfun import _BERNOULLI
 
 # From here up the curvature sums come from their asymptotic series.
@@ -46,8 +46,9 @@ _MODIFIED_COEFFS = tuple(
 def _validate(m, n):
     m = _positive(m, "m")
     try:
-        whole = n == int(n)  # int() truncates 2.7 and rejects inf and nan
-    except (OverflowError, ValueError):
+        # int() truncates 2.7 and rejects inf, nan and None; True == int(True)
+        whole = n == int(n) and not isinstance(n, bool)
+    except (OverflowError, ValueError, TypeError):
         whole = False
     if not whole or n < 1:
         raise ValueError(f"n must be a positive integer, got {_shown(n)}")
@@ -117,10 +118,9 @@ def normalized(bound_value, m):
 
     Raises OutOfRangeError where m^2 underflows to 0 (m below ~1e-162).
     """
-    bound_value = float(bound_value)
-    if not math.isfinite(bound_value) or bound_value < 0.0:
-        raise ValueError(f"bound_value must be a finite real >= 0, got {bound_value!r}")
+    if not _real(bound_value, 0.0):
+        raise ValueError(f"bound_value must be a finite real >= 0, got {_shown(bound_value)}")
     m = _positive(m, "m")
     if m * m == 0.0:
         raise OutOfRangeError(f"m={m!r}: m^2 underflows to 0")
-    return bound_value / (m * m)
+    return float(bound_value) / (m * m)

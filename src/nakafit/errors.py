@@ -35,12 +35,16 @@ def _shown(x):
         return f"an int of {len(str(abs(x) // 10**k)) + k} digits"
 
 
+def _real(x, low=-sys.float_info.max):
+    """Whether x is a real number, not a bool, with low <= x <= the largest
+    float; NaN is not. An int is compared exactly, so one beyond the float
+    range is refused before float(x) could overflow."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and low <= x <= sys.float_info.max
+
+
 def _positive(x, name):
-    """x as a float; a ValueError naming it unless x is a real number, not a
-    bool, with 0 < x <= the largest float. |x| is bounded before float(x),
-    which would overflow on an int below -1.8e308."""
-    real = isinstance(x, numbers.Real) and not isinstance(x, bool)
-    if not (real and abs(x) <= sys.float_info.max and 0.0 < float(x)):  # NaN fails both compares
+    """x as a float; a ValueError naming it unless `_real(x)` and 0 < float(x)."""
+    if not (_real(x) and 0.0 < float(x)):
         raise ValueError(f"{name} must be a positive finite real, got {_shown(x)}")
     return float(x)
 

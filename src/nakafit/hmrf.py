@@ -29,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import NakafitError, _integer, _shown
+from .errors import NakafitError, _integer, _positive, _real, _shown
 from .estimators import _stats_of_sums, estimate_ml
 from .nakagami import NakagamiParams, log_pdf
 
@@ -63,8 +63,10 @@ class GaussianParams:
     var: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.var) and self.var > 0):
-            raise ValueError(f"bad Gaussian parameters ({self.mu!r}, {self.var!r})")
+        if not _real(self.mu):
+            raise ValueError(f"mu must be a finite real, got {_shown(self.mu)}")
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "var", _positive(self.var, "var"))
 
 
 @dataclass(frozen=True)

@@ -87,18 +87,27 @@ def log_pdf(params, x):
     return float(out) if arr.ndim == 0 else out
 
 
+_SEED_RULE = "seed must be an integer >= 0, a sequence of them, a SeedSequence or a Generator"
+
+
 def sample(params, n, seed):
     """Draw n i.i.d. Nakagami samples: sqrt of Gamma(m, scale=sigma) variates.
 
     The Gamma variates come from numpy's `Generator.standard_gamma`.
-    `seed` may be anything numpy's default_rng accepts, or an existing
-    Generator (consumed in place, for callers managing their own streams).
+    `seed` may be anything numpy's default_rng accepts but a bool, or an
+    existing Generator (consumed in place, for callers managing their own
+    streams).
     Raises OutOfRangeError when a draw is not a positive finite float: at
     m ~ 0.01 some variates underflow to 0, and near the float limit of
     Omega some overflow to inf.
     """
     n = _integer(n, "n", 1)
-    rng = np.random.default_rng(seed)
+    if isinstance(seed, bool):
+        raise ValueError(f"{_SEED_RULE}, got {seed}")
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:  # numpy's message names no argument
+        raise ValueError(f"{_SEED_RULE}: {exc}") from None
     with np.errstate(over="ignore"):
         x = np.sqrt(params.sigma * rng.standard_gamma(params.m, n))
     if not 0.0 < x.min() <= x.max() < math.inf:

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nakafit import crlb, crlb_modified, normalized
+from nakafit import EstimatorKind, NakagamiParams, crlb, crlb_modified, estimate_block, normalized, sample
 from nakafit.errors import OutOfRangeError
 from nakafit.specfun import digamma, trigamma
 
@@ -139,3 +139,21 @@ def test_sample_count_beyond_float_range_raises_out_of_range():
     for fn in (crlb, crlb_modified):
         with pytest.raises(OutOfRangeError, match="n times it is not a finite float"):
             fn(1.0, 10**400)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+@pytest.mark.parametrize("block", [20, 30, 150])
+def test_exact_ml_variance_exceeds_the_crlb(block, m):
+    # The paper's claim: no efficient estimator of m exists, so the exact-ML
+    # variance stays above the CRLB. Its size follows the Bowman-Shenton
+    # second-order form for the gamma shape (Properties of Estimators for
+    # the Gamma Distribution, 1988): crlb * L^3 / ((L - 3)^2 (L - 5)).
+    trials = 10_000
+    draws = sample(NakagamiParams.from_omega(m, 1.0), trials * block, [block, m])
+    m_hats = [estimate_block(EstimatorKind.EXACT_ML, row).m_hat
+              for row in draws.reshape(trials, block)]
+    variance = float(np.var(m_hats, ddof=1))
+    bound = crlb(m, block)
+    assert variance > bound
+    second_order = bound * block**3 / ((block - 3) ** 2 * (block - 5))
+    assert variance == pytest.approx(second_order, rel=0.08)

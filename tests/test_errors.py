@@ -14,6 +14,7 @@ import pytest
 
 from nakafit import (
     BenchConfig,
+    GaussianParams,
     Likelihood,
     NakagamiParams,
     crlb,
@@ -106,6 +107,74 @@ def test_digamma_and_trigamma_refuse(fn, bad):
 ], ids=["crlb", "crlb_modified", "normalized"])
 def test_bounds_refuse_shape(bound, bad):
     _refused(lambda: bound(bad), "m")
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param("0.5", id="str"),
+    pytest.param(True, id="True"),
+    pytest.param(None, id="None"),
+    pytest.param(10**400, id="int_beyond_float_range"),
+    pytest.param(-1.0, id="-1.0"),
+    pytest.param(math.inf, id="inf"),
+    pytest.param(math.nan, id="nan"),
+])
+def test_normalized_refuses_bound_value(bad):
+    # "0.5" and True used to be read as 0.5 and 1.0, and 10**400 raised OverflowError
+    message = _refused(lambda: normalized(bad, 2), "bound_value")
+    assert message.startswith("bound_value must be a finite real >= 0, got ")
+
+
+def test_normalized_takes_a_zero_and_an_int_bound_value():
+    assert normalized(0, 2) == 0.0
+    assert normalized(np.int64(8), 2) == normalized(8.0, 2.0) == 2.0
+
+
+@pytest.mark.parametrize("bound", [crlb, crlb_modified])
+@pytest.mark.parametrize("bad", [pytest.param(True, id="True"), pytest.param(None, id="None"),
+                                 pytest.param("30", id="str")])
+def test_bounds_refuse_a_sample_count_that_is_not_a_number(bound, bad):
+    # True used to be taken as n = 1, and None raised TypeError
+    message = _refused(lambda: bound(1.0, bad), "n")
+    assert message == f"n must be a positive integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(True, id="True"),
+    pytest.param("1", id="str"),
+    pytest.param(None, id="None"),
+    pytest.param(10**400, id="int_beyond_float_range"),
+    pytest.param(-(10**400), id="negative_int_beyond_float_range"),
+    pytest.param(math.inf, id="inf"),
+    pytest.param(math.nan, id="nan"),
+])
+def test_gaussian_params_refuse_mu(bad):
+    _refused(lambda: GaussianParams(bad, 1.0), "mu")
+
+
+@pytest.mark.parametrize("bad", NOT_POSITIVE_REALS + [pytest.param(0.0, id="0.0")])
+def test_gaussian_params_refuse_var(bad):
+    _refused(lambda: GaussianParams(0.0, bad), "var")
+
+
+def test_gaussian_params_hold_floats():
+    params = GaussianParams(np.int64(-2), np.float64(0.5))
+    assert params == GaussianParams(-2.0, 0.5)
+    assert type(params.mu) is float and type(params.var) is float
+
+
+@pytest.mark.parametrize("bad", [pytest.param(True, id="True"), pytest.param(-1, id="-1"),
+                                 pytest.param(2.5, id="2.5"), pytest.param("3", id="str"),
+                                 pytest.param(np.True_, id="numpy_bool"),
+                                 pytest.param([1, -2], id="list_with_negative")])
+def test_sample_refuses_seed(bad):
+    # True used to seed with 1; numpy's own refusals name no argument
+    _refused(lambda: sample(PARAMS, 3, bad), "seed")
+
+
+def test_sample_takes_every_seed_form_numpy_takes():
+    want = np.sqrt(np.random.default_rng(5).standard_gamma(1.0, 4))
+    for seed in (5, np.int64(5), [5], np.random.SeedSequence(5), np.random.default_rng(5)):
+        np.testing.assert_array_equal(sample(PARAMS, 4, seed), want)
 
 
 @pytest.mark.parametrize("bad", NOT_INTEGERS)
