@@ -1,5 +1,15 @@
-"""Exception types shared across the package, and the argument checks that
-raise ValueError for the Python API's scalar arguments."""
+"""Exception types shared across the package, the argument checks that
+raise ValueError for the Python API's scalar arguments, and
+`_refusals_naming`, the one helper that puts a file's path before such an
+error's message.
+
+`_real` is the finite-real rule: a real number, not a bool, compared
+exactly with the float range, so an int beyond it either way is refused by
+name, never a raw OverflowError. `_positive` (shapes, spreads, `digamma`'s
+and `trigamma`'s x, `GaussianParams`' var) and the checks of `normalized`'s
+bound_value and `GaussianParams`' mu build on it; `_integer` is the count
+and seed rule. `sample`'s seed, which numpy checks, and the bounds' n,
+which may be a whole float, keep their own checks in their modules."""
 
 import numbers
 import sys
