@@ -30,6 +30,7 @@ OutOfRangeError.
 """
 
 import math
+import numbers
 
 from .errors import OutOfRangeError, _positive, _real, _shown
 from .specfun import _BERNOULLI
@@ -45,10 +46,10 @@ _MODIFIED_COEFFS = tuple(
 
 def _validate(m, n):
     m = _positive(m, "m")
+    real = isinstance(n, numbers.Real) and not isinstance(n, bool)
     try:
-        # int() truncates 2.7 and rejects inf, nan and None; True == int(True)
-        whole = n == int(n) and not isinstance(n, bool)
-    except (OverflowError, ValueError, TypeError):
+        whole = real and n == int(n)  # int() truncates 2.7 and rejects inf and nan
+    except (OverflowError, ValueError):
         whole = False
     if not whole or n < 1:
         raise ValueError(f"n must be a positive integer, got {_shown(n)}")

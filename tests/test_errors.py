@@ -130,10 +130,10 @@ def test_normalized_takes_a_zero_and_an_int_bound_value():
 
 
 @pytest.mark.parametrize("bound", [crlb, crlb_modified])
-@pytest.mark.parametrize("bad", [pytest.param(True, id="True"), pytest.param(None, id="None"),
-                                 pytest.param("30", id="str")])
+@pytest.mark.parametrize("bad", [pytest.param(True, id="True"), pytest.param(np.True_, id="numpy_bool"),
+                                 pytest.param(None, id="None"), pytest.param("30", id="str")])
 def test_bounds_refuse_a_sample_count_that_is_not_a_number(bound, bad):
-    # True used to be taken as n = 1, and None raised TypeError
+    # a bool used to be taken as n = 1, and None raised TypeError
     message = _refused(lambda: bound(1.0, bad), "n")
     assert message == f"n must be a positive integer, got {bad!r}"
 
