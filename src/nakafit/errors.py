@@ -7,13 +7,16 @@ error's message.
 exactly with the float range, so an int beyond it either way is refused by
 name, never a raw OverflowError. `_positive` (shapes, spreads, `digamma`'s
 and `trigamma`'s x, `GaussianParams`' var) and the checks of `normalized`'s
-bound_value and `GaussianParams`' mu build on it; `_integer` is the count
-and seed rule. `sample`'s seed, which numpy checks, and the bounds' n,
-which may be a whole float, keep their own checks in their modules."""
+bound_value, `GaussianParams`' mu and `segment`'s beta build on it;
+`_integer` is the count and seed rule. `sample`'s seed, which numpy checks,
+and the bounds' n, which may be a whole float, keep their own checks in
+their modules."""
 
 import numbers
 import sys
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class NakafitError(Exception):
@@ -48,7 +51,12 @@ def _shown(x):
 def _real(x, low=-sys.float_info.max):
     """Whether x is a real number, not a bool, with low <= x <= the largest
     float; NaN is not. An int is compared exactly, so one beyond the float
-    range is refused before float(x) could overflow."""
+    range is refused before float(x) could overflow. A numpy float16 or
+    float32 is compared as the float it converts to exactly: compared
+    itself, it casts the bounds down to its own precision, where they are
+    inf."""
+    if isinstance(x, (np.float16, np.float32)):
+        x = float(x)
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and low <= x <= sys.float_info.max
 
 

@@ -22,7 +22,6 @@ that overflows is +inf.
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -429,7 +428,7 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
         raise ValueError(f"beta must be a finite non-negative real, got {beta!r}")
     # beta * (H(W-1) + (H-1)W pairs) bounds the energy's pair term and ICM's beta * agree
     pairs = 2 * img.size - sum(img.shape)
-    if not (abs(beta) <= sys.float_info.max and math.isfinite(float(beta) * pairs)):
+    if not (_real(beta) and math.isfinite(float(beta) * pairs)):
         raise ValueError(
             f"beta={_shown(beta)} times the image's 4-neighbor pair count is not finite"
         )

@@ -12,8 +12,6 @@ import statistics
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
-import numpy as np
-
 from . import bounds
 from .blockwise import BlockEstimatorState, finalize, ingest_block
 from .errors import NakafitError, OutOfRangeError, _integer, _positive
@@ -90,12 +88,12 @@ def run_bench(cfg):
         params = NakagamiParams.from_omega(m_true, cfg.omega)
         finals = {kind: [] for kind in cfg.estimators}
         for trial in range(cfg.trials):
-            rng = np.random.default_rng([cfg.base_seed, m_index, trial])
             try:
-                window = sample(params, total_n, rng).reshape(cfg.num_blocks, cfg.block_size)
+                window = sample(params, total_n, [cfg.base_seed, m_index, trial])
             except OutOfRangeError:  # no data for this trial: every estimator fails
                 continue
-            blocks = tuple(window)  # the row views, made once for every estimator
+            # the row views, made once for every estimator
+            blocks = tuple(window.reshape(cfg.num_blocks, cfg.block_size))
             for kind in cfg.estimators:
                 state = BlockEstimatorState(kind)
                 try:

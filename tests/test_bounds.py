@@ -141,8 +141,8 @@ def test_sample_count_beyond_float_range_raises_out_of_range():
             fn(1.0, 10**400)
 
 
-@pytest.mark.parametrize("m", [1, 2, 8])
-@pytest.mark.parametrize("block", [20, 30, 150])
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("block", [20, 30, 50, 150])
 def test_exact_ml_variance_exceeds_the_crlb(block, m):
     # The paper's claim: no efficient estimator of m exists, so the exact-ML
     # variance stays above the CRLB. Its size follows the Bowman-Shenton

@@ -31,9 +31,10 @@ def outputs(tmp_path_factory):
 
 
 def test_cli_outputs_script_runs_every_case(outputs):
-    # `usage_*` cases exit 2, `*_fails` cases exit 1, all others exit 0
+    # one directory per case name, and no name twice; `usage_*` cases exit 2,
+    # `*_fails` cases exit 1, all others exit 0
     cases = sorted(p for p in outputs.iterdir() if p.name != "inputs")
-    assert len(cases) == 74
+    assert [case.name for case in cases] == sorted(name for name, _ in _tool("cli_outputs").cases())
     for case in cases:
         expected = 2 if case.name.startswith("usage_") else 1 if case.name.endswith("_fails") else 0
         assert (case / "exit_code").read_text() == f"{expected}\n", case.name

@@ -151,6 +151,21 @@ def test_gaussian_params_refuse_mu(bad):
     _refused(lambda: GaussianParams(bad, 1.0), "mu")
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+@pytest.mark.parametrize("call, name", [
+    (lambda x: NakagamiParams(x, 1.0), "m"),
+    (lambda x: GaussianParams(x, 1.0), "mu"),
+    (lambda x: BenchConfig(m_grid=(1.0,), trials=2, omega=x), "omega"),
+    (digamma, "x"),
+], ids=["NakagamiParams", "GaussianParams", "BenchConfig.omega", "digamma"])
+def test_narrow_numpy_floats_are_checked_at_their_exact_value(call, name, dtype):
+    # compared with the largest float, a float32 casts that bound to inf: the
+    # cast warned, and a float32 inf passed as finite
+    for bad in (np.inf, -np.inf, np.nan):
+        _refused(lambda: call(dtype(bad)), name)
+    call(dtype(1.5))  # the suite turns any warning into an error
+
+
 @pytest.mark.parametrize("bad", NOT_POSITIVE_REALS + [pytest.param(0.0, id="0.0")])
 def test_gaussian_params_refuse_var(bad):
     _refused(lambda: GaussianParams(0.0, bad), "var")
@@ -211,6 +226,13 @@ def test_segment_refuses_a_beta_that_is_not_real(bad):
 def test_segment_refuses_an_int_beta_beyond_the_float_range(bad):
     with pytest.raises(ValueError, match="^beta=.* times the image's 4-neighbor pair count"):
         segment(IMAGE, 2, Likelihood.GAUSSIAN, beta=bad, seed=0)
+
+
+def test_segment_takes_a_float32_beta_and_refuses_its_inf():
+    # compared itself with the largest float, a float32 beta warned on every call
+    segment(IMAGE, 2, Likelihood.GAUSSIAN, beta=np.float32(1.0), seed=0)
+    with pytest.raises(ValueError, match="^beta=.* times the image's 4-neighbor pair count"):
+        segment(IMAGE, 2, Likelihood.GAUSSIAN, beta=np.float32(np.inf), seed=0)
 
 
 @pytest.mark.parametrize("bad", [pytest.param(True, id="True"), pytest.param(-1, id="-1"),
