@@ -1,8 +1,11 @@
 import math
+import sys
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nakafit import estimators, hmrf
 from nakafit import GaussianParams, Likelihood, NakagamiParams, sample, segment
@@ -614,6 +617,50 @@ NARROW_LOW_CLASS = [[1e-160, 2e-160], [300.0, 300.0]]
 def test_segment_saturates_overflowing_costs_without_warnings(img, likelihood, n_classes, beta):
     result = segment(np.array(img), n_classes, likelihood, beta=beta, seed=0)
     assert all(math.isfinite(energy) for _, _, energy in result.trace)
+
+
+@st.composite
+def images_at_the_float_limit(draw):
+    """A small image whose peak^2 * pixel count is near the largest float,
+    its other pixels 0 or a random mantissa at one of a few binary exponents
+    down to the subnormal range; and a beta up to twice the pair-count
+    limit, which `segment` refuses past the limit."""
+    height, width = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    size = height * width
+    peak = math.sqrt(sys.float_info.max / size) * draw(st.floats(0.5, 0.999))
+    levels = draw(st.lists(st.integers(-1074, math.frexp(peak)[1]), min_size=1, max_size=3))
+    pixel = st.just(0.0) | st.builds(math.ldexp, st.floats(0.5, 1.0), st.sampled_from(levels))
+    img = np.array([min(value, peak) for value in draw(st.lists(pixel, min_size=size, max_size=size))])
+    img[draw(st.integers(0, size - 1))] = peak
+    pairs = 2 * size - height - width
+    beta = draw(st.just(0.0) | st.floats(0.0, 10.0)
+                | st.floats(0.0, 2.0).map(lambda f: f * (sys.float_info.max / pairs)))
+    return img.reshape(height, width), beta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(image_beta=images_at_the_float_limit(),
+       likelihood=st.sampled_from(list(Likelihood)), n_classes=st.sampled_from([2, 3]))
+def test_segment_class_costs_are_never_nan(image_beta, likelihood, n_classes):
+    # `_argmin_classes` takes a strictly lower cost and keeps the lower class
+    # on a tie, which is np.argmin's rule only while no cost is NaN: every
+    # cost `segment` scores must be a number or +inf, at the float limits too
+    img, beta = image_beta
+    argmin = hmrf._argmin_classes
+
+    def checked(costs, *args):
+        def each():
+            for cost in costs:
+                assert not np.isnan(cost).any()
+                yield cost
+        return argmin(each(), *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hmrf, "_argmin_classes", checked)
+        try:
+            segment(img, n_classes, likelihood, beta=beta, seed=0)
+        except ValueError:  # beta past the limit, squares that underflow, too few intensities
+            pass
 
 
 @pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])

@@ -87,6 +87,13 @@ LITERAL = {
     "inputs/not_a_number.txt": b"1 2\n0.5 x\n",
     # a 2x2 text matrix holding a negative value, which segment refuses
     "inputs/negative_value.txt": b"2 2\n1 2\n3 -3\n",
+    # a 3x6 text matrix of pixels near 1e-160 beside pixels near 300: a class
+    # fitted to the small pixels is so narrow that the large ones cost +inf
+    # there, under two such classes at once when K = 3
+    "inputs/inf_costs.txt": b"3 6\n"
+        b"1e-160 2e-160 1.5e-160 3e-160 300 310\n"
+        b"1.2e-160 2.5e-160 1e-160 290 305 300\n"
+        b"1e-160 1.1e-160 295 300 300 320\n",
 }
 # a directory given where a block file or an image is expected
 DIRECTORY = "inputs/a_directory"
@@ -235,6 +242,9 @@ def cases():
                  "--k", "3", "--likelihood", "nakagami", "--seed", "1"),
         _segment("segment_subnormal_squares_nakagami_k2", "inputs/subnormal_squares.txt",
                  "--k", "2", "--likelihood", "nakagami"),
+        *(_segment(f"segment_inf_costs_{likelihood}_k{k}", "inputs/inf_costs.txt",
+                   "--k", k, "--likelihood", likelihood, "--seed", "1")
+          for likelihood in ("nakagami", "gaussian") for k in ("2", "3")),
         _segment("segment_huge_beta_fails", "inputs/ramp4.pgm", "--k", "2", "--beta", "1e308"),
         *(_segment(f"segment_{name}_fails", path, "--k", "2")
           for name, path in (("matrix_negative_dims", "inputs/negative_dims.txt"),
