@@ -35,8 +35,6 @@ GD_DELTA_MAX = 17.0
 _ML_TOL = 1e-10
 _ML_BUDGET = 100
 
-_SQUARES_OUT_OF_RANGE = "block values square outside the float range"
-
 
 class EstimatorKind(Enum):
     EXACT_ML = "exact_ml"
@@ -79,17 +77,15 @@ def compute_stats(block):
         if sum_x2 < math.inf:  # else an inf entry, or squares that overflow
             return _stats_of_sums(b.size, sum_x2, sum_log_x2)
     as_block(b)  # an inf entry is refused
-    raise OutOfRangeError(_SQUARES_OUT_OF_RANGE)
+    raise OutOfRangeError("block values square outside the float range")
 
 
 def _stats_of_sums(n, sum_x2, sum_log_x2):
     """`compute_stats` of a block of n values from the sums of their squares
-    and of the logs of their squares: both means, the range check, the
-    delta clamp."""
+    and of the logs of their squares: both means and the delta clamp. The
+    callers check the range: every square is positive and the sums finite."""
     mean_x2 = sum_x2 / n
     mean_log_x2 = sum_log_x2 / n
-    if not (0.0 < mean_x2 < math.inf and math.isfinite(mean_log_x2)):
-        raise OutOfRangeError(_SQUARES_OUT_OF_RANGE)
     delta = math.log(mean_x2) - mean_log_x2
     return SufficientStats(n, mean_x2, mean_log_x2, max(delta, 0.0))
 

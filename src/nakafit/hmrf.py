@@ -142,24 +142,20 @@ def _class_costs(values, likelihood, class_params):
     return out
 
 
-def _argmin_classes(costs, best, arg, better, nan_best, marked):
+def _argmin_classes(costs, best, arg, better, marked):
     """Set `arg` to np.argmin over the class axis of the cost arrays that
     `costs` yields in class order, keeping their running minimum in `best`.
 
-    np.argmin's rule: a strictly lower cost wins, so ties keep the lower
-    class; a NaN beats every number, the first NaN winning, so a NaN best is
-    never replaced. np.minimum propagates NaN, so `best` compares as the
-    kept cost does.
+    A strictly lower cost wins, so ties, +inf ties included, keep the lower
+    class: np.argmin's rule on costs that hold no NaN. Every cost `segment`
+    scores is finite or +inf.
     """
     for k, cost in enumerate(costs):
         if k == 0:
             np.copyto(best, cost)
             arg.fill(0)
             continue
-        np.greater_equal(cost, best, out=better)
-        np.not_equal(best, best, out=nan_best)
-        np.logical_or(better, nan_best, out=better)
-        np.logical_not(better, out=better)
+        np.less(cost, best, out=better)
         np.minimum(best, cost, out=best)
         np.multiply(better, k, out=marked)
         np.maximum(arg, marked, out=arg)  # arg < k: takes k where better
@@ -183,7 +179,7 @@ class _Icm:
     exact coordinate-descent step (Besag's coding scheme) and the energy
     never rises. A pixel's neighbor count is the same for every class, so
     its best class is argmin over k of nll_k - beta * (neighbors labeled k),
-    with np.argmin's rule for ties and NaN (`_argmin_classes`). The first
+    ties going to the lower class (`_argmin_classes`). The first
     sweep scores every pixel, one class plane at a time with int8 neighbor
     counts and a running minimum. After it, a half-sweep re-scores only the
     pixels with a neighbor relabelled by the half-sweep before it, gathered
@@ -213,10 +209,10 @@ class _Icm:
         self.left, self.right = flags[1:-1, :-2], flags[1:-1, 2:]
         self.agree = np.empty(shape, dtype=np.int8)
         self.cost, self.best = np.empty(shape), np.empty(shape)
-        self.better, self.nan_best = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        self.better = np.empty(shape, dtype=bool)
         self.arg, self.marked = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
         # the running minimum's buffers, in `_argmin_classes` order
-        self.work = (self.best, self.arg, self.better, self.nan_best, self.marked)
+        self.work = (self.best, self.arg, self.better, self.marked)
         # the checkerboard colors in sweep order: even i + j, then odd i + j
         even = np.add.outer(np.arange(height), np.arange(width)) % 2 == 0
         self.colors = (even, ~even)
