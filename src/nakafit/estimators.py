@@ -121,7 +121,9 @@ def estimate_ml(stats):
     g(1/u) is increasing and convex in u, because m^2 psi'(m) - m falls
     from 1 to 1/2 on (0, inf). So from any positive seed every iterate is
     positive: the first step lands at or below the root, and the iterates
-    then rise monotonically to it.
+    then rise monotonically to it. The stop is |g| < _ML_TOL, or 4 ulp(delta)
+    where that is larger (delta >= 2^17): g ends in `- delta`, so near the
+    root its rounding error is about ulp(delta).
     """
     delta = stats.delta
     _require_informative(delta)
@@ -129,14 +131,15 @@ def estimate_ml(stats):
     def g(m):
         return math.log(m) - digamma(m) - delta
 
+    tol = max(_ML_TOL, 4.0 * math.ulp(delta))
     m = _cb2_root(delta)
     g_m = g(m)
     iterations = 0
-    while abs(g_m) >= _ML_TOL:
+    while abs(g_m) >= tol:
         iterations += 1
         if iterations > _ML_BUDGET:
             raise NoConvergenceError(
-                f"ML solver did not reach |g| < {_ML_TOL} in {_ML_BUDGET} iterations"
+                f"ML solver did not reach |g| < {tol} in {_ML_BUDGET} iterations"
             )
         t = m * trigamma(m) - 1.0
         m *= t / (t - g_m)

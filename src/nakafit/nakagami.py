@@ -44,12 +44,13 @@ _BAD_ENTRY = "sample block entries must be finite and > 0"
 
 
 def as_block(values):
-    """Validate a sample block: 1-D, non-empty, all entries finite and > 0.
+    """Validate a sample block: non-empty, all entries finite and > 0.
 
-    Returns a float64 ndarray (copy only if conversion is needed). The
-    entries are checked in one min/max pass: NaN propagates through both
-    reductions and -0.0 is not above 0.0, so `0 < min` and `max < inf`
-    reject NaN, +-inf, zeros of either sign and negatives alike.
+    Returns the entries as a 1-D float64 ndarray, a block of any shape
+    flattened in C order (a copy only where conversion or flattening needs
+    one). The entries are checked in one min/max pass: NaN propagates
+    through both reductions and -0.0 is not above 0.0, so `0 < min` and
+    `max < inf` reject NaN, +-inf, zeros of either sign and negatives alike.
     """
     block, _ = _positive_block(values)
     if not np.maximum.reduce(block) < math.inf:

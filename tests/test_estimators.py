@@ -143,6 +143,25 @@ def test_ml_budget_exhausted_raises(monkeypatch):
         estimate_ml(stats_for(0.5))
 
 
+def test_ml_stops_at_the_rounding_floor_of_g():
+    # g's rounding error near the root is about ulp(delta), above 1e-10 once
+    # delta >= 2^17: at the first delta an absolute 1e-10 stop was never met,
+    # the iterates alternating between two neighbouring floats with |g| =
+    # ulp(delta). A float block gives delta <= ~1,454; the log-spaced scan
+    # covers hand-built stats above that. Every 1,000th root is checked
+    # against mpmath's.
+    deltas = [1899997.0042220564, *np.geomspace(1454.0, 1e150, 20001).tolist()]
+    for i, delta in enumerate(deltas):
+        est = estimate_ml(stats_for(delta))
+        assert est.iterations <= 3, delta
+        if i % 1000 == 0:
+            with mpmath.workdps(40):
+                root = mpmath.findroot(lambda m: mpmath.log(m) - mpmath.psi(0, m) - delta,
+                                       (est.m_hat / 2, est.m_hat * 2), solver="anderson",
+                                       verify=False)
+                assert abs(est.m_hat - root) <= 1e-13 * root, delta
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.floats(math.log(1.0000001e-12), math.log(1450.0)).map(math.exp))
 @example(1.0000001e-12)
