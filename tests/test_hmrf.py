@@ -631,7 +631,8 @@ def images_at_the_float_limit(draw):
     peak = math.sqrt(sys.float_info.max / size) * draw(st.floats(0.5, 0.999))
     levels = draw(st.lists(st.integers(-1074, math.frexp(peak)[1]), min_size=1, max_size=3))
     pixel = st.just(0.0) | st.builds(math.ldexp, st.floats(0.5, 1.0), st.sampled_from(levels))
-    img = np.array([min(value, peak) for value in draw(st.lists(pixel, min_size=size, max_size=size))])
+    values = draw(st.lists(pixel, min_size=size, max_size=size))
+    img = np.array([min(value, peak) for value in values])
     img[draw(st.integers(0, size - 1))] = peak
     pairs = 2 * size - height - width
     beta = draw(st.just(0.0) | st.floats(0.0, 10.0)

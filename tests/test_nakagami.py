@@ -53,13 +53,6 @@ def test_as_block_accepts_the_float_extremes():
     assert as_block(np.array([[1.0, 2.0]])).shape == (2,)
 
 
-def test_as_block_flattens_a_block_of_any_shape_in_c_order():
-    assert as_block(np.ones((2, 2)) * 2).shape == (4,)
-    assert as_block(np.arange(1.0, 9.0).reshape(2, 2, 2)).tolist() == list(range(1, 9))
-    fortran = np.asfortranarray(np.arange(1.0, 7.0).reshape(2, 3))
-    assert as_block(fortran).tolist() == [1, 2, 3, 4, 5, 6]
-
-
 def test_log_pdf_rayleigh_point():
     # m = 1, sigma = 1 reduces to 2 x exp(-x^2)
     p = NakagamiParams(m=1.0, sigma=1.0)
