@@ -221,6 +221,8 @@ def cases():
         ("bounds_small_m", ["bounds", "--m-grid", "0.001,0.01,0.1,1,31.999,32", "--n", "10"]),
         ("bounds_large_m", ["bounds", "--m-grid", "32,100,1e4,1e8,1e16", "--n", "10"]),
         ("bounds_huge_m_fails", ["bounds", "--m-grid", "1e160", "--n", "10"]),
+        # a sample count of 10**400, beyond the float range
+        ("bounds_huge_n_fails", ["bounds", "--m-grid", "1", "--n", "1" + "0" * 400]),
         *(_segment(f"segment_{image}_{likelihood}_k{k}", path,
                    "--k", k, "--likelihood", likelihood, "--seed", "1")
           for image, path in (("pgm64", "inputs/two_region.pgm"),
