@@ -30,7 +30,6 @@ OutOfRangeError.
 """
 
 import math
-import numbers
 
 from .errors import OutOfRangeError, _positive, _real, _shown
 from .specfun import _BERNOULLI
@@ -46,12 +45,7 @@ _MODIFIED_COEFFS = tuple(
 
 def _validate(m, n):
     m = _positive(m, "m")
-    real = isinstance(n, numbers.Real) and not isinstance(n, bool)
-    try:
-        whole = real and n == int(n)  # int() truncates 2.7 and rejects inf and nan
-    except (OverflowError, ValueError):
-        whole = False
-    if not whole or n < 1:
+    if not (_real(n, 1) and n == int(n)):  # int() truncates 2.7
         raise ValueError(f"n must be a positive integer, got {_shown(n)}")
     return m, int(n)
 
@@ -77,10 +71,7 @@ def _curvature(m, term, tail):
 
 def _inverse_information(denom, n, what, m):
     """1 / (n * denom) for a curvature term `denom` at shape m."""
-    try:
-        info = n * denom
-    except OverflowError:  # n itself is beyond the float range
-        info = math.inf
+    info = n * denom
     if not math.isfinite(info):
         raise OutOfRangeError(f"{what} = {denom!r} at m={m}: n times it is not a finite float")
     if not info > 0.0 or 1.0 / info == math.inf:

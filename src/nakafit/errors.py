@@ -1,16 +1,17 @@
 """Exception types shared across the package, the argument checks that
 raise ValueError for the Python API's scalar arguments, and
-`_refusals_naming`, the one helper that puts a file's path before such an
-error's message.
+`_refusals_naming`, which puts a file's path before the message of such an
+error raised by code that does not know the path (`segment` under
+`nakafit segment`).
 
 `_real` is the finite-real rule: a real number, not a bool, compared
 exactly with the float range, so an int beyond it either way is refused by
 name, never a raw OverflowError. `_positive` (shapes, spreads, `digamma`'s
 and `trigamma`'s x, `GaussianParams`' var) and the checks of `normalized`'s
-bound_value, `GaussianParams`' mu and `segment`'s beta build on it;
-`_integer` is the count and seed rule. `sample`'s seed, which numpy checks,
-and the bounds' n, which may be a whole float, keep their own checks in
-their modules."""
+bound_value, `GaussianParams`' mu, `segment`'s beta and the bounds' n (a
+`_real` >= 1 equal to its int(), so a whole float passes) build on it;
+`_integer` is the count and seed rule. Only `sample`'s seed, which numpy
+checks, keeps its own rule in its module."""
 
 import numbers
 import sys

@@ -21,7 +21,6 @@ that overflows is +inf.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -412,19 +411,28 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     _ZERO_SHIFT * max intensity to restore positive support. Returns a
     `SegmentResult`: the labels, each class's parameters and the classes
     the last refit starved, the (step, phase, energy) trace, and the
-    number of ICM sweeps executed. Raises ValueError naming the argument
-    for a likelihood that is not a `Likelihood` member, n_classes < 2, a
-    beta that is a bool, not real, negative or not finite, and a seed that
-    is not an integer >= 0.
+    number of ICM sweeps executed.
+
+    The arguments are checked in this order, each refusal a ValueError
+    naming its argument: likelihood (a `Likelihood` member), the image
+    (2-D, non-empty, >= 0 with peak^2 * pixel count finite), n_classes (an
+    integer >= 2), seed (an integer >= 0), beta (a finite non-negative
+    real, not a bool), then beta times the image's 4-neighbor pair count,
+    which must be finite. The image is refused after these for the
+    Nakagami likelihood when it is all zero or a lifted square is 0, and
+    for fewer distinct intensities than n_classes.
     """
     if not isinstance(likelihood, Likelihood):
         raise ValueError(f"likelihood must be a Likelihood member, got {likelihood!r}")
     img = _as_image(image)
-    if isinstance(beta, bool) or not isinstance(beta, numbers.Real):
-        raise ValueError(f"beta must be a finite non-negative real, got {beta!r}")
+    # no upper bound: _kmeans refuses more classes than distinct intensities
+    n_classes = _integer(n_classes, "n_classes", 2, math.inf)
+    seed = _integer(seed, "seed", 0, math.inf)
+    if not _real(beta, 0.0):
+        raise ValueError(f"beta must be a finite non-negative real, got {_shown(beta)}")
     # beta * (H(W-1) + (H-1)W pairs) bounds the energy's pair term and ICM's beta * agree
     pairs = 2 * img.size - sum(img.shape)
-    if not (_real(beta) and math.isfinite(float(beta) * pairs)):
+    if not math.isfinite(float(beta) * pairs):
         raise ValueError(
             f"beta={_shown(beta)} times the image's 4-neighbor pair count is not finite"
         )
@@ -434,11 +442,6 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
             raise ValueError("cannot use the Nakagami likelihood on an all-zero image")
         # the lift can take peak^2 * pixel count past the float range
         img = _as_image(img + _ZERO_SHIFT * peak)
-    # no upper bound: _kmeans refuses more classes than distinct intensities
-    n_classes = _integer(n_classes, "n_classes", 2, math.inf)
-    seed = _integer(seed, "seed", 0, math.inf)
-    if not beta >= 0.0:  # inf and NaN fail the pair-count check above
-        raise ValueError("beta must be a finite non-negative real")
     # one np.unique serves k-means, the class fits and the cost-plane gather:
     # fit inputs and class costs are evaluated once per distinct intensity
     distinct, inverse, counts = np.unique(img.reshape(-1), return_inverse=True, return_counts=True)

@@ -134,10 +134,11 @@ def test_huge_shapes_raise_out_of_range():
                 fn(m, 10)
 
 
-def test_sample_count_beyond_float_range_raises_out_of_range():
-    # n * curvature cannot be formed as a float, so it is not a finite float
+def test_sample_count_beyond_float_range_is_refused_by_name():
+    # n is a finite real like every other numeric argument: an int beyond the
+    # float range is refused before n * curvature is formed
     for fn in (crlb, crlb_modified):
-        with pytest.raises(OutOfRangeError, match="n times it is not a finite float"):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer, got 1000+$"):
             fn(1.0, 10**400)
 
 

@@ -215,24 +215,30 @@ def test_segment_refuses_a_likelihood_that_is_not_a_member(bad):
 
 
 @pytest.mark.parametrize("bad", [pytest.param(True, id="True"), pytest.param("1", id="str"),
-                                 pytest.param(None, id="None")])
+                                 pytest.param(None, id="None"), pytest.param(math.nan, id="nan"),
+                                 pytest.param(math.inf, id="inf"), pytest.param(-math.inf, id="-inf")])
 def test_segment_refuses_a_beta_that_is_not_real(bad):
+    # NaN and +-inf used to get the pair-count message, which is for a finite beta
     _refused(lambda: segment(IMAGE, 2, Likelihood.GAUSSIAN, beta=bad, seed=0), "beta")
+
+
+def test_segment_checks_class_count_and_seed_before_beta():
+    _refused(lambda: segment(IMAGE, 1, Likelihood.GAUSSIAN, beta="1", seed=0), "n_classes")
+    _refused(lambda: segment(IMAGE, 2, Likelihood.GAUSSIAN, beta="1", seed=-1), "seed")
 
 
 @pytest.mark.parametrize("bad", [pytest.param(10**400, id="int_beyond_float_range"),
                                  pytest.param(-(10**400), id="negative_int_beyond_float_range"),
                                  pytest.param(10**5000, id="int_past_digit_limit")])
 def test_segment_refuses_an_int_beta_beyond_the_float_range(bad):
-    with pytest.raises(ValueError, match="^beta=.* times the image's 4-neighbor pair count"):
-        segment(IMAGE, 2, Likelihood.GAUSSIAN, beta=bad, seed=0)
+    _refused(lambda: segment(IMAGE, 2, Likelihood.GAUSSIAN, beta=bad, seed=0), "beta")
 
 
 def test_segment_takes_a_float32_beta_and_refuses_its_inf():
     # compared itself with the largest float, a float32 beta warned on every call
     segment(IMAGE, 2, Likelihood.GAUSSIAN, beta=np.float32(1.0), seed=0)
-    with pytest.raises(ValueError, match="^beta=.* times the image's 4-neighbor pair count"):
-        segment(IMAGE, 2, Likelihood.GAUSSIAN, beta=np.float32(np.inf), seed=0)
+    _refused(lambda: segment(IMAGE, 2, Likelihood.GAUSSIAN, beta=np.float32(np.inf), seed=0),
+             "beta")
 
 
 @pytest.mark.parametrize("bad", [pytest.param(True, id="True"), pytest.param(-1, id="-1"),
