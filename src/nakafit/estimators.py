@@ -12,7 +12,10 @@ solves the stationarity condition
 numerically by Newton's method in u = 1/m, seeded by the second-order
 closed form; the competing estimators are closed forms. The spread
 estimate is always sigma_hat = mean(x^2) / m_hat; a sigma_hat outside the
-positive float range raises OutOfRangeError.
+positive float range raises OutOfRangeError. So does a delta that is NaN
+or whose 12 * delta, which the second-order closed form forms, is not a
+finite float; a block of floats gives delta of at most about 1,454, so
+only a hand-built `SufficientStats` reaches that refusal.
 """
 
 import math
@@ -95,6 +98,8 @@ def _require_informative(delta):
         raise DegenerateBlockError(
             f"delta={delta!r} is at or below {DELTA_MIN}; block carries no shape information"
         )
+    if not 12.0 * delta < math.inf:  # NaN, or too large for `_cb2_root` to form 12 * delta
+        raise OutOfRangeError(f"delta={delta!r}: 12 * delta is not a finite float")
 
 
 def _sigma_hat(mean_x2, m):

@@ -197,6 +197,19 @@ def test_newton_in_inverse_shape_sees_a_convex_function():
     assert 1 > values[0] and values[-1] > 0.5
 
 
+@pytest.mark.parametrize("estimator", [estimate_ml, estimate_cheng_beaulieu_1,
+                                       estimate_cheng_beaulieu_2, estimate_greenwood_durand])
+def test_delta_estimators_refuse_a_delta_whose_twelvefold_is_not_finite(estimator):
+    # these used to raise ZeroDivisionError (CB1), digamma's ValueError for
+    # its NaN argument (ML), or report sigma_hat = 1.0 / nan (CB2, GD)
+    for delta in (math.nan, math.inf, 1.5e307, 1e308):
+        with pytest.raises(OutOfRangeError, match=r"^delta=.*: 12 \* delta is not a finite float$"):
+            estimator(stats_for(delta))
+    if estimator is not estimate_greenwood_durand:  # whose domain ends at delta = 17
+        est = estimator(stats_for(1.49e307))
+        assert est.m_hat > 0.0 and 0.0 < est.sigma_hat < math.inf
+
+
 def test_cheng_beaulieu_1_values():
     assert estimate_cheng_beaulieu_1(stats_for(0.5)).m_hat == pytest.approx(1.0, rel=1e-14)
     assert estimate_cheng_beaulieu_1(stats_for(0.05)).m_hat == pytest.approx(10.0, rel=1e-14)
