@@ -156,6 +156,8 @@ def _argmin_classes(costs, best, arg, better, marked):
             continue
         np.less(cost, best, out=better)
         np.minimum(best, cost, out=best)
+        # into the given buffers: np.copyto(arg, k, where=better) and fresh
+        # np.where temporaries both measured slower per segment image
         np.multiply(better, k, out=marked)
         np.maximum(arg, marked, out=arg)  # arg < k: takes k where better
 
@@ -184,7 +186,10 @@ class _Icm:
     pixels with a neighbor relabelled by the half-sweep before it, gathered
     by flat index from the frame. This is exact: every other pixel of that
     color has the same K costs and the same neighbor labels as when it was
-    last scored, so it would get back the label it already has.
+    last scored, so it would get back the label it already has. The first
+    sweep stays dense because it scores every pixel: taking each whole
+    color through the gather path instead took about twice the time per
+    256x256 two-region image (in-process, on a 2-vCPU host).
     """
 
     def __init__(self, shape, n_classes):
@@ -289,6 +294,8 @@ class _Icm:
         terms; returns the frame cells this half-sweep relabelled."""
         if moved.size == 0:
             return moved
+        # the sort and mask np.unique would run, without its overhead: it
+        # measured slower per segment image
         near = np.sort((moved + self.steps[:, None]).reshape(-1))
         keep = np.empty(near.size, dtype=bool)
         keep[0] = True
