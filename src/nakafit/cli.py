@@ -137,8 +137,8 @@ def cmd_estimate(args):
             print(f"block={index} skipped degenerate")
         except (NakafitError, ValueError) as exc:  # ValueError: the block rule
             # the path is put here, not by `_refusals_naming`: this try runs
-            # for every block anyway, and entering a generator context manager
-            # per file costs a microsecond or so on top of it
+            # for every block anyway, and a generator context manager entered
+            # per file would cost more than it
             raise NakafitError(f"{path}: {exc}") from None
         state = ingest_block(state, block)
     final = finalize(state)
