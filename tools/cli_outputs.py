@@ -188,6 +188,9 @@ def cases():
         ("bench_small_grid", ["bench", *small_grid, "--out", "{out}/bench.csv"]),
         ("bench_small_omega", ["bench", "--m-grid", "2", "--trials", "30", "--omega", "1e-6"]),
         ("bench_tiny_m", ["bench", "--m-grid", "0.01", "--trials", "100"]),
+        # the bound at m = 1e300 is not a finite float: no CSV is written
+        ("bench_huge_m_fails",
+         ["bench", "--m-grid", "1,1e300", "--trials", "5", "--out", "{out}/bench.csv"]),
         # the mc_study workload's command at base seed 7
         ("bench_mc_study", ["bench", "--m-grid", "0.5,1,2,4,8,16", "--omega", "1",
                             "--block-size", "30", "--num-blocks", "5", "--trials", "200",
