@@ -9,15 +9,29 @@ from 1-D k-means on the distinct intensities weighted by their pixel
 counts, and are refined by iterated conditional modes (ICM) on one `_Icm`,
 alternating with per-class parameter re-estimation: sample mean/variance
 for the Gaussian likelihood, exact ML on all of a class's pixels for the
-Nakagami likelihood. `segment` computes what no round changes once per
-call: the image's np.unique, whose distinct intensities are the only
-values each class cost is evaluated at, and x^2 and ln x^2 of each
-distinct intensity. Each refit reads the image as a histogram per class,
-the count of the class's pixels at each distinct intensity. The tests
-hold the full-gather energy, the one-hot argmin sweep and the per-pixel
-class fit as references. Images must be >= 0 with peak^2 * pixel count
-finite; the Nakagami likelihood also needs every square positive. A cost
-that overflows is +inf.
+Nakagami likelihood.
+
+The class rule (`_fit_class`): a class is fitted when, for the
+Gaussian, its n - 1 variance is above 0, or, for the Nakagami, its delta
+is above _SEG_DELTA_MIN and `estimate_ml` raises no NakafitError. A class
+of one pixel is never fitted: its variance is 0, and its delta is 0 to
+within the rounding of one ln x^2. A class that is not fitted is starved
+and keeps its parameters from the last refit; at the first refit, which
+has none, it falls back to the Gaussian of its mean and its variance
+floored at _VAR_FLOOR, or to the Nakagami spike at m = _DEGENERATE_M
+with its mean square (spread _SIGMA_MIN where that spike's spread
+underflows). A class with no pixels keeps its parameters, and is refused
+at the first refit.
+
+`segment` computes what no round changes once per call: the image's
+np.unique, whose distinct intensities are the only values each class
+cost is evaluated at, and x^2 and ln x^2 of each distinct intensity.
+Each refit reads the image as a histogram per class, the count of the
+class's pixels at each distinct intensity. The tests hold the
+full-gather energy, the one-hot argmin sweep and the per-pixel class fit
+as references. Images must be >= 0 with peak^2 * pixel count finite; the
+Nakagami likelihood also needs every square positive. A cost that
+overflows is +inf.
 """
 
 import math
@@ -36,7 +50,7 @@ from .nakagami import NakagamiParams, log_pdf
 # unphysical).
 _SEG_DELTA_MIN = 1e-9
 
-# Fallbacks for classes that cannot be fitted at initialization: a variance
+# Fallbacks for classes that cannot be fitted at the first refit: a variance
 # floor for the Gaussian, a concentrated high-shape spike for the Nakagami.
 _VAR_FLOOR = 1e-12
 _DEGENERATE_M = 1e4
@@ -328,18 +342,12 @@ class _Icm:
         self.cells[cells] = new
 
 
-def _moments(n, row, distinct):
-    """Mean and n - 1 variance (0 for one pixel) of a class of n pixels,
-    `row` of them at each distinct intensity."""
-    mu = float(np.add.reduce(row * distinct)) / n
-    dev = distinct - mu
-    return mu, float(np.add.reduce(row * (dev * dev))) / max(n - 1, 1)
-
-
-def _fit_class(row, columns, likelihood):
-    """Fit one class from its histogram `row`, the count of its pixels at
-    each distinct intensity, and `columns`, what the fit reads at each
-    distinct intensity (see `segment`); None if degenerate.
+def _fit_class(row, columns, likelihood, prev):
+    """One class's parameters and whether it is starved, by the class rule
+    in the module docstring, from its histogram `row`, the count of its
+    pixels at each distinct intensity, `columns`, what the fit reads at each
+    distinct intensity (see `segment`), and `prev`, its parameters from the
+    last refit (None at the first). The row is summed once per column.
 
     The Nakagami fit is exact ML on all of the class pixels at once:
     splitting a class into small fixed chunks would inject the solver's
@@ -348,60 +356,49 @@ def _fit_class(row, columns, likelihood):
     contrasts.
     """
     n = int(np.add.reduce(row))
-    if n < 2:
-        return None
-    if likelihood is Likelihood.GAUSSIAN:
-        mu, var = _moments(n, row, *columns)
-        return GaussianParams(mu=mu, var=var) if var > 0.0 else None
-    stats = _stats_of_sums(n, *(float(np.add.reduce(row * column)) for column in columns))
-    if stats.delta <= _SEG_DELTA_MIN:
-        return None
-    try:
-        est = estimate_ml(stats)
-    except NakafitError:
-        return None
-    return NakagamiParams(m=est.m_hat, sigma=est.sigma_hat)
-
-
-def _bootstrap_class(row, columns, likelihood):
-    """Fallback parameters for a class that cannot be fitted at startup."""
-    n = int(np.add.reduce(row))
     if n == 0:
-        raise ValueError("a class has no pixels at initialization")
+        if prev is None:
+            raise ValueError("a class has no pixels at initialization")
+        return prev, True
+    sums = [float(np.add.reduce(row * column)) for column in columns]
     if likelihood is Likelihood.GAUSSIAN:
-        mu, var = _moments(n, row, *columns)
-        return GaussianParams(mu=mu, var=max(var, _VAR_FLOOR))
-    mean_x2 = float(np.add.reduce(row * columns[0])) / n
-    sigma = mean_x2 / _DEGENERATE_M
-    if sigma > 0.0:
-        return NakagamiParams(m=_DEGENERATE_M, sigma=sigma)
-    # squares so close to 0 that the spike's spread underflows: the narrowest
-    # spike whose spread is positive, with the same mean square
-    return NakagamiParams(m=mean_x2 / _SIGMA_MIN, sigma=_SIGMA_MIN)
+        mu = sums[0] / n
+        dev = columns[0] - mu
+        var = float(np.add.reduce(row * (dev * dev))) / max(n - 1, 1)
+        if var > 0.0:
+            return GaussianParams(mu=mu, var=var), False
+        fallback = GaussianParams(mu=mu, var=max(var, _VAR_FLOOR))
+    else:
+        stats = _stats_of_sums(n, *sums)
+        if stats.delta > _SEG_DELTA_MIN:
+            try:
+                est = estimate_ml(stats)
+            except NakafitError:
+                pass
+            else:
+                return NakagamiParams(m=est.m_hat, sigma=est.sigma_hat), False
+        sigma = stats.mean_x2 / _DEGENERATE_M
+        # squares so close to 0 that the spike's spread underflows: the
+        # narrowest spike whose spread is positive, with the same mean square
+        fallback = (NakagamiParams(m=_DEGENERATE_M, sigma=sigma) if sigma > 0.0
+                    else NakagamiParams(m=stats.mean_x2 / _SIGMA_MIN, sigma=_SIGMA_MIN))
+    return (fallback if prev is None else prev), True
 
 
 def _refit(labels, inverse, columns, likelihood, class_params):
     """Re-estimate per-class parameters from the label field `labels`, given
     the image's np.unique inverse index `inverse` in the same shape and
     `columns` from `segment`; returns the new parameters and the starved
-    classes. One bincount gives the (K, D) table whose row k counts class
-    k's pixels at each of the D distinct intensities. Classes with fewer
-    than 2 pixels or a degenerate fit keep their entry of `class_params`
-    and are listed as starved; a None entry (no previous fit) is
-    bootstrapped.
+    classes (see `_fit_class`). One bincount gives the (K, D) table whose
+    row k counts class k's pixels at each of the D distinct intensities.
     """
     n_distinct = columns[0].size
     table = np.bincount((labels * n_distinct + inverse).reshape(-1),
                         minlength=len(class_params) * n_distinct)
-    new_params = []
-    starved = []
-    for k, (row, prev) in enumerate(zip(table.reshape(-1, n_distinct), class_params)):
-        fitted = _fit_class(row, columns, likelihood)
-        if fitted is None:
-            starved.append(k)
-            fitted = prev if prev is not None else _bootstrap_class(row, columns, likelihood)
-        new_params.append(fitted)
-    return tuple(new_params), tuple(starved)
+    rows = table.reshape(-1, n_distinct)
+    params, starved = zip(*(_fit_class(row, columns, likelihood, prev)
+                            for row, prev in zip(rows, class_params)))
+    return params, tuple(k for k, flag in enumerate(starved) if flag)
 
 
 def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):

@@ -443,6 +443,82 @@ def test_update_params_nakagami_constant_class_is_starved():
     assert p.m * p.sigma == pytest.approx(2.5**2, rel=1e-12)
 
 
+def refit_rows(likelihood, values, row, prev):
+    """`hmrf._refit` of two classes given as histogram rows: class 0 has
+    `row[d]` pixels at the intensity `values[d]`, class 1 one pixel each at
+    3 and 5, which always fit. Returns (new params, starved classes)."""
+    distinct = np.array([*values, 3.0, 5.0])
+    counts = np.array([[*row, 0, 0], [0] * len(values) + [1, 1]])
+    inverse = np.repeat(np.tile(np.arange(distinct.size), 2), counts.reshape(-1))
+    labels = np.repeat([0, 1], counts.sum(axis=1))
+    x2 = distinct * distinct
+    columns = (distinct,) if likelihood is Likelihood.GAUSSIAN else (x2, np.log(x2))
+    return hmrf._refit(labels[None, :], inverse[None, :], columns, likelihood, prev)
+
+
+def _ml_fit(values):
+    est = estimators.estimate_ml(estimators.compute_stats(np.array(values)))
+    return NakagamiParams(m=est.m_hat, sigma=est.sigma_hat)
+
+
+def _spike(values):
+    """The fallback spike at m = 1e4 with the mean square of `values`."""
+    mean_x2 = sum(v * v for v in values) / len(values)
+    return NakagamiParams(m=hmrf._DEGENERATE_M, sigma=mean_x2 / hmrf._DEGENERATE_M)
+
+
+_TINY = 2.0**-528  # its square, 2^-1056, is subnormal
+
+# (likelihood, class 0's distinct intensities, its histogram row, its
+# parameters at the first refit or None where that refuses, whether starved)
+FIT_BRANCHES = {
+    "gaussian-empty": (Likelihood.GAUSSIAN, [1.0, 2.0, 4.0], [0, 0, 0], None, True),
+    "gaussian-one-pixel":
+        (Likelihood.GAUSSIAN, [1.0, 2.0, 4.0], [0, 1, 0], GaussianParams(2.0, 1e-12), True),
+    "gaussian-zero-variance":
+        (Likelihood.GAUSSIAN, [1.0, 2.0, 4.0], [0, 3, 0], GaussianParams(2.0, 1e-12), True),
+    "gaussian-fit":
+        (Likelihood.GAUSSIAN, [1.0, 2.0, 4.0], [1, 1, 0], GaussianParams(1.5, 0.5), False),
+    "nakagami-empty": (Likelihood.NAKAGAMI, [1.0, 2.0, 4.0], [0, 0, 0], None, True),
+    "nakagami-one-pixel":
+        (Likelihood.NAKAGAMI, [1.0, 2.0, 4.0], [0, 1, 0], _spike([2.0]), True),
+    "nakagami-constant":
+        (Likelihood.NAKAGAMI, [1.0, 2.0, 4.0], [0, 3, 0], _spike([2.0] * 3), True),
+    # delta = 4.66e-10: above the solver's 1e-12, at or below _SEG_DELTA_MIN
+    "nakagami-flat": (Likelihood.NAKAGAMI, [1.0, 1.0 + 2.0**-15], [1, 1],
+                      _spike([1.0, 1.0 + 2.0**-15]), True),
+    # delta = 1.2e-7 gives m_hat = 4.2e6, and mean(x^2) / m_hat underflows:
+    # estimate_ml raises OutOfRangeError, while the spike's spread is positive
+    "nakagami-ml-fails": (Likelihood.NAKAGAMI, [_TINY, _TINY * (1.0 + 2.0**-11)], [1, 1],
+                          _spike([_TINY, _TINY * (1.0 + 2.0**-11)]), True),
+    "nakagami-fit":
+        (Likelihood.NAKAGAMI, [1.0, 2.0, 4.0], [1, 1, 1], _ml_fit([1.0, 2.0, 4.0]), False),
+    # mean(x^2) / 1e4 underflows: the spike keeps the mean square at spread 2^-1074
+    "nakagami-sigma-min-spike": (Likelihood.NAKAGAMI, [1.5e-161], [2],
+                                 NakagamiParams(m=1.5e-161**2 / 2.0**-1074, sigma=2.0**-1074),
+                                 True),
+}
+
+PREV = {
+    Likelihood.GAUSSIAN: (GaussianParams(7.0, 3.0), GaussianParams(4.0, 1.0)),
+    Likelihood.NAKAGAMI: (NakagamiParams(2.0, 0.5), NakagamiParams(3.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("has_prev", [False, True], ids=["first-refit", "with-prev"])
+@pytest.mark.parametrize("branch", FIT_BRANCHES)
+def test_refit_fits_keeps_or_falls_back_by_the_class_rule(branch, has_prev):
+    likelihood, values, row, fresh, starved = FIT_BRANCHES[branch]
+    prev = PREV[likelihood] if has_prev else (None, None)
+    if fresh is None and not has_prev:
+        with pytest.raises(ValueError, match="^a class has no pixels at initialization$"):
+            refit_rows(likelihood, values, row, prev)
+        return
+    params, got_starved = refit_rows(likelihood, values, row, prev)
+    assert params[0] == (prev[0] if starved and has_prev else fresh)
+    assert got_starved == ((0,) if starved else ())
+
+
 def refit_reference(img, labels, likelihood):
     """Per-pixel class fits: each class's intensities, or their x^2 and
     ln x^2, gathered in raster order and summed with np.add.reduce."""
