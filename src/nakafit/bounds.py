@@ -108,11 +108,15 @@ def crlb_modified(m, n):
 def normalized(bound_value, m):
     """Scale-free form of a variance bound: bound / m^2.
 
-    Raises OutOfRangeError where m^2 underflows to 0 (m below ~1e-162).
+    Raises OutOfRangeError where m^2 underflows to 0 (m below ~1e-162) or
+    the quotient overflows.
     """
     if not _real(bound_value, 0.0):
         raise ValueError(f"bound_value must be a finite real >= 0, got {_shown(bound_value)}")
     m = _positive(m, "m")
     if m * m == 0.0:
         raise OutOfRangeError(f"m={m!r}: m^2 underflows to 0")
-    return float(bound_value) / (m * m)
+    value = float(bound_value) / (m * m)
+    if value == math.inf:
+        raise OutOfRangeError(f"bound_value={float(bound_value)!r} / m^2 at m={m!r} overflows")
+    return value

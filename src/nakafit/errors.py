@@ -11,7 +11,9 @@ and `trigamma`'s x, `GaussianParams`' var) and the checks of `normalized`'s
 bound_value, `GaussianParams`' mu, `segment`'s beta and the bounds' n (a
 `_real` >= 1 equal to its int(), so a whole float passes) build on it;
 `_integer` is the count and seed rule. Only `sample`'s seed, which numpy
-checks, keeps its own rule in its module."""
+checks, keeps its own rule in its module. `_float_array` is the array rule
+of a sample block, `segment`'s image and `log_pdf`'s x: real numbers that
+numpy converts to float64, so a complex array is refused, never cast."""
 
 import numbers
 import sys
@@ -66,6 +68,24 @@ def _positive(x, name):
     if not (_real(x) and 0.0 < float(x)):
         raise ValueError(f"{name} must be a positive finite real, got {_shown(x)}")
     return float(x)
+
+
+_FLOAT64 = np.dtype(float)
+
+
+def _float_array(values, name):
+    """values as a float64 ndarray, itself where it is one; a ValueError
+    naming it where it is complex or numpy cannot convert it. A complex
+    array is refused, not cast: the cast would drop its imaginary part."""
+    try:
+        array = np.asarray(values)
+        if array.dtype is _FLOAT64:
+            return array
+        if array.dtype.kind != "c":
+            return array.astype(float)
+    except (TypeError, ValueError) as exc:  # numpy's message names no argument
+        raise ValueError(f"{name} must be real numbers: {exc}") from None
+    raise ValueError(f"{name} must be real numbers, got {array.dtype}")
 
 
 def _integer(x, name, low, high=sys.maxsize):

@@ -41,7 +41,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import NakafitError, _integer, _positive, _real, _shown
+from .errors import NakafitError, _float_array, _integer, _positive, _real, _shown
 from .estimators import _stats_of_sums, estimate_ml
 from .nakagami import NakagamiParams, log_pdf
 
@@ -95,7 +95,7 @@ class SegmentResult:
 
 
 def _as_image(image):
-    img = np.asarray(image, dtype=float)
+    img = _float_array(image, "image")
     if img.ndim != 2 or img.size == 0:
         raise ValueError("image must be a non-empty 2-D array")
     # the squares and their sum then stay finite in every fit, distance and table

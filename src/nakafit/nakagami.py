@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import OutOfRangeError, _integer, _positive
+from .errors import OutOfRangeError, _float_array, _integer, _positive
 
 _LN2 = math.log(2.0)
 
@@ -62,7 +62,7 @@ def _positive_block(values):
     """`as_block` without its `max < inf` check: the block and its minimum,
     a float above 0. Only +inf entries pass here that `as_block` refuses;
     a caller whose sums come out finite has none and may skip the check."""
-    block = np.asarray(values, dtype=float)
+    block = _float_array(values, "sample block")
     if block.ndim != 1:
         block = block.reshape(-1)
     if block.size == 0:
@@ -74,17 +74,25 @@ def _positive_block(values):
 
 
 def log_pdf(params, x):
-    """Log-density ln f(x) at x > 0; accepts a scalar or an ndarray."""
-    arr = np.asarray(x, dtype=float)
+    """Log-density ln f(x) at x > 0; accepts a scalar or an ndarray.
+
+    Where the density underflows the result is -inf. Where its terms
+    overflow against each other (inf - inf, as at m = 1e308, sigma =
+    1e-308), it raises OutOfRangeError.
+    """
+    arr = _float_array(x, "x")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("x must be finite and > 0")
-    out = (
-        _LN2
-        - specfun.log_gamma(params.m)
-        - params.m * math.log(params.sigma)
-        + (2.0 * params.m - 1.0) * np.log(arr)
-        - arr * arr / params.sigma
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (
+            _LN2
+            - specfun.log_gamma(params.m)
+            - params.m * math.log(params.sigma)
+            + (2.0 * params.m - 1.0) * np.log(arr)
+            - arr * arr / params.sigma
+        )
+    if np.isnan(out).any():
+        raise OutOfRangeError(f"ln f(x) at m={params.m!r}, sigma={params.sigma!r} is not a number")
     return float(out) if arr.ndim == 0 else out
 
 

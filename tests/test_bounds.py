@@ -111,6 +111,13 @@ def test_normalized_underflowing_square_raises_out_of_range():
     assert normalized(1e-300, 1e-150) == 1e-300 / (1e-150 * 1e-150)
 
 
+def test_normalized_overflowing_quotient_raises_out_of_range():
+    # m^2 = 1e-320 is subnormal, not 0, and 1e308 / 1e-320 used to be returned as inf
+    with pytest.raises(OutOfRangeError, match=r"^bound_value=1e\+308 / m\^2 at m=1e-160 overflows$"):
+        normalized(1e308, 1e-160)
+    assert normalized(1e-20, 1e-160) == 1e-20 / (1e-160 * 1e-160)
+
+
 def test_bounds_against_mpmath_oracle():
     # Both curvature terms are sums of positive terms, so neither bound loses
     # digits to cancellation at any m.

@@ -14,13 +14,17 @@ import pytest
 
 from nakafit import (
     BenchConfig,
+    EstimatorKind,
     GaussianParams,
     Likelihood,
     NakagamiParams,
     crlb,
     crlb_modified,
+    as_block,
+    compute_stats,
     digamma,
     log_gamma,
+    log_pdf,
     normalized,
     run_bench,
     sample,
@@ -86,6 +90,33 @@ def test_bench_config_refuses_real(field, value, name, bad):
 @pytest.mark.parametrize("name", ["block_size", "num_blocks", "trials", "base_seed"])
 def test_bench_config_refuses_integer(name, bad):
     _refused(lambda: BenchConfig(**{"m_grid": (1.0,), "trials": 2, name: bad}), name)
+
+
+# arrays numpy cannot cast to float64 without loss: a cast would drop the
+# imaginary part with a ComplexWarning, and a complex or str entry in a list
+# made numpy raise its own TypeError or ValueError, which names no argument
+NOT_REAL_ARRAYS = [
+    pytest.param(np.array([[1 + 5j, 2 + 0j, 3.0]]), id="complex_ndarray"),
+    pytest.param([[1 + 1j, 2.0, 3.0]], id="list_with_complex"),
+    pytest.param([[1.0, "a", 3.0]], id="list_with_str"),
+]
+ARRAY_ENTRY_POINTS = {
+    "compute_stats": (compute_stats, "sample block"),
+    "as_block": (as_block, "sample block"),
+    **{f"estimate_block-{kind.value}": (lambda v, kind=kind: estimate_block(kind, v),
+                                        "sample block") for kind in EstimatorKind},
+    "log_pdf": (lambda v: log_pdf(PARAMS, v), "x"),
+    "segment": (lambda v: segment(v, 2, Likelihood.GAUSSIAN, seed=0), "image"),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_REAL_ARRAYS)
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_array_inputs_refuse_entries_that_are_not_real(entry, bad):
+    call, name = ARRAY_ENTRY_POINTS[entry]
+    message = _refused(lambda: call(bad), name)
+    if not isinstance(bad, list):
+        assert message == f"{name} must be real numbers, got complex128"
 
 
 @pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)

@@ -101,6 +101,20 @@ def test_log_pdf_of_an_array_is_elementwise():
     assert out.tolist() == pytest.approx([log_pdf(q, x) for x in block], rel=1e-14)
 
 
+def test_log_pdf_refuses_terms_that_overflow_against_each_other():
+    # ln Gamma(m) = +inf and m ln sigma = -inf: the sum used to be returned as NaN
+    with pytest.raises(OutOfRangeError, match=r"^ln f\(x\) at m=1e\+308, sigma=1e-308 is not a number$"):
+        log_pdf(NakagamiParams(1e308, 1e-308), 10.0)
+
+
+def test_log_pdf_is_minus_inf_where_the_density_underflows():
+    # x^2 / sigma overflows: the density is 0 in floats, and segment's class
+    # costs count on -inf here; no overflow warning is raised
+    assert log_pdf(NakagamiParams(1.0, 1e-300), 1e200) == -math.inf
+    out = log_pdf(NakagamiParams(1.0, 1e-300), np.array([1e200, 1e-150]))
+    assert out[0] == -math.inf and math.isfinite(out[1])
+
+
 def test_sample_deterministic_given_seed():
     p = NakagamiParams(m=2.0, sigma=0.5)
     a = sample(p, 1000, seed=42)
