@@ -6,9 +6,11 @@ import pytest
 from nakafit import (
     BenchConfig,
     EstimatorKind,
+    OutOfRangeError,
     crlb,
     crlb_modified,
     emit_csv,
+    montecarlo,
     run_bench,
 )
 
@@ -145,6 +147,17 @@ def test_estimators_see_identical_data():
     )
     rows = run_bench(cfg)
     assert rows[0].mean_m_hat == pytest.approx(rows[1].mean_m_hat, rel=0.02)
+
+def test_run_bench_refuses_a_bound_before_any_sampling(monkeypatch):
+    # the bounds at m = 1e300 are not finite floats; with the bounds computed
+    # after each shape's trials, m = 1 drew all its windows first
+    def sample(*args):
+        raise AssertionError("sample was called")
+
+    monkeypatch.setattr(montecarlo, "sample", sample)
+    with pytest.raises(OutOfRangeError, match="at m=1e\\+300"):
+        run_bench(BenchConfig(m_grid=(1.0, 1e300), trials=5))
+
 
 def test_emit_csv_rejects_empty():
     with pytest.raises(ValueError):
