@@ -19,7 +19,7 @@ from .blockwise import BlockEstimatorState, finalize, ingest_block
 from .errors import DegenerateBlockError, NakafitError, _refusals_naming
 from .estimators import EstimatorKind, estimate_block
 from .hmrf import Likelihood, segment
-from .montecarlo import BenchConfig, emit_csv, run_bench
+from .montecarlo import BenchConfig, _write_table, emit_csv, run_bench
 from .nakagami import NakagamiParams, sample
 
 
@@ -200,17 +200,12 @@ def cmd_bench(args):
 
 
 def cmd_bounds(args):
-    rows = []
+    rows = []  # all of them before --out is opened: a refused bound writes no file
     for m in args.m_grid:
-        lo = bounds_mod.crlb(m, args.n)
-        hi = bounds_mod.crlb_modified(m, args.n)
-        rows.append(
-            f"{m:.12g},{lo:.12g},{hi:.12g},"
-            f"{bounds_mod.normalized(lo, m):.12g},{bounds_mod.normalized(hi, m):.12g}\n"
-        )
+        lo, hi = bounds_mod.crlb(m, args.n), bounds_mod.crlb_modified(m, args.n)
+        rows.append((m, lo, hi, bounds_mod.normalized(lo, m), bounds_mod.normalized(hi, m)))
     with _open_sink(args.out) as sink:
-        sink.write("m,crlb,crlb_modified,normalized_crlb,normalized_crlb_modified\n")
-        sink.writelines(rows)
+        _write_table(sink, "m,crlb,crlb_modified,normalized_crlb,normalized_crlb_modified", rows)
     return 0
 
 
@@ -221,9 +216,7 @@ def cmd_segment(args):
     pgm.write_pgm(args.out_labels + ".pgm", pgm.labels_to_gray(result.labels, args.k))
     pgm.write_matrix(args.out_labels + ".txt", result.labels)
     with open(args.out_trace, "w", encoding="ascii") as fh:
-        fh.write("iteration,phase,energy\n")
-        for step, phase, energy in result.trace:
-            fh.write(f"{step},{phase},{energy:.12g}\n")
+        _write_table(fh, "iteration,phase,energy", result.trace)
     print(f"energy={result.trace[-1][2]:.12g} sweeps={result.sweeps}")
     return 0
 

@@ -118,13 +118,22 @@ def run_bench(cfg):
 
 
 def _cell(value):
+    if isinstance(value, str):
+        return value
     return value.value if isinstance(value, Enum) else format(value, ".12g")
+
+
+def _write_table(sink, header, rows):
+    """Write the CSV line `header`, then one line per row of `rows`: text
+    as it is, an Enum member as its value, a number in %.12g."""
+    sink.write(header + "\n")
+    for row in rows:
+        sink.write(",".join(map(_cell, row)) + "\n")
 
 
 def emit_csv(rows, sink):
     """Write the BenchRows `rows` as CSV, sorted by (m_true, estimator name)."""
     if not rows:
         raise ValueError("result has no rows")
-    sink.write(CSV_HEADER + "\n")
-    for row in sorted(rows, key=lambda r: (r.m_true, r.estimator.value)):
-        sink.write(",".join(_cell(value) for value in astuple(row)) + "\n")
+    ordered = sorted(rows, key=lambda r: (r.m_true, r.estimator.value))
+    _write_table(sink, CSV_HEADER, map(astuple, ordered))
