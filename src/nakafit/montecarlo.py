@@ -21,6 +21,17 @@ from .nakagami import NakagamiParams, sample
 ALL_ESTIMATORS = tuple(EstimatorKind)
 
 
+def _items(values, name):
+    """values as a non-empty tuple; a ValueError naming it otherwise."""
+    try:
+        items = tuple(values)
+    except TypeError:  # not iterable
+        items = ()
+    if not items:
+        raise ValueError(f"{name} must be a non-empty sequence, got {values!r}")
+    return items
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """Settings for one comparison study.
@@ -39,9 +50,8 @@ class BenchConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if len(self.m_grid) == 0:
-            raise ValueError("m_grid must be non-empty")
-        object.__setattr__(self, "m_grid", tuple(_positive(m, "m_grid value") for m in self.m_grid))
+        m_grid = _items(self.m_grid, "m_grid")
+        object.__setattr__(self, "m_grid", tuple(_positive(m, "m_grid value") for m in m_grid))
         object.__setattr__(self, "omega", _positive(self.omega, "omega"))
         for name, low in (("block_size", 2), ("num_blocks", 1), ("trials", 1)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
@@ -49,11 +59,10 @@ class BenchConfig:
         object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed", 0, math.inf))
         # a trial draws its whole window as one array
         _integer(self.block_size * self.num_blocks, "block_size * num_blocks", 2)
-        if len(self.estimators) == 0:
-            raise ValueError("estimators must be non-empty")
-        if any(not isinstance(kind, EstimatorKind) for kind in self.estimators):
+        estimators = _items(self.estimators, "estimators")
+        if any(not isinstance(kind, EstimatorKind) for kind in estimators):
             raise ValueError("estimators must be EstimatorKind members")
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "estimators", estimators)
         # a row is keyed by (m_true, estimator): a repeat would merge two rows' trials
         if len(set(self.m_grid)) != len(self.m_grid):
             raise ValueError("m_grid values must be distinct")

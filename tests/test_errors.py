@@ -92,6 +92,17 @@ def test_bench_config_refuses_integer(name, bad):
     _refused(lambda: BenchConfig(**{"m_grid": (1.0,), "trials": 2, name: bad}), name)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("m_grid", None),
+    ("m_grid", 1.0),
+    ("estimators", None),
+], ids=["m_grid-None", "m_grid-float", "estimators-None"])
+def test_bench_config_refuses_a_field_that_is_not_a_sequence(field, bad):
+    # len() of these used to raise a raw TypeError
+    message = _refused(lambda: BenchConfig(**{"m_grid": (1.0,), "trials": 2, field: bad}), field)
+    assert message == f"{field} must be a non-empty sequence, got {bad!r}"
+
+
 # arrays numpy cannot cast to float64 without loss: a cast would drop the
 # imaginary part with a ComplexWarning, and a complex or str entry in a list
 # made numpy raise its own TypeError or ValueError, which names no argument
