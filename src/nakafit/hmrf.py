@@ -347,7 +347,7 @@ def _fit_class(row, columns, likelihood, prev):
     in the module docstring, from its histogram `row`, the count of its
     pixels at each distinct intensity, `columns`, what the fit reads at each
     distinct intensity (see `segment`), and `prev`, its parameters from the
-    last refit (None at the first). The row is summed once per column.
+    last refit (None at the first).
 
     The Nakagami fit is exact ML on all of the class pixels at once:
     splitting a class into small fixed chunks would inject the solver's

@@ -456,18 +456,19 @@ def refit_rows(likelihood, values, row, prev):
     return hmrf._refit(labels[None, :], inverse[None, :], columns, likelihood, prev)
 
 
-def _ml_fit(values):
+def ml_fit(values):
+    """The exact-ML parameters of the block `values`."""
     est = estimators.estimate_ml(estimators.compute_stats(np.array(values)))
     return NakagamiParams(m=est.m_hat, sigma=est.sigma_hat)
 
 
-def _spike(values):
+def spike(values):
     """The fallback spike at m = 1e4 with the mean square of `values`."""
     mean_x2 = sum(v * v for v in values) / len(values)
     return NakagamiParams(m=hmrf._DEGENERATE_M, sigma=mean_x2 / hmrf._DEGENERATE_M)
 
 
-_TINY = 2.0**-528  # its square, 2^-1056, is subnormal
+TINY = 2.0**-528  # its square, 2^-1056, is subnormal
 
 # (likelihood, class 0's distinct intensities, its histogram row, its
 # parameters at the first refit or None where that refuses, whether starved)
@@ -481,18 +482,18 @@ FIT_BRANCHES = {
         (Likelihood.GAUSSIAN, [1.0, 2.0, 4.0], [1, 1, 0], GaussianParams(1.5, 0.5), False),
     "nakagami-empty": (Likelihood.NAKAGAMI, [1.0, 2.0, 4.0], [0, 0, 0], None, True),
     "nakagami-one-pixel":
-        (Likelihood.NAKAGAMI, [1.0, 2.0, 4.0], [0, 1, 0], _spike([2.0]), True),
+        (Likelihood.NAKAGAMI, [1.0, 2.0, 4.0], [0, 1, 0], spike([2.0]), True),
     "nakagami-constant":
-        (Likelihood.NAKAGAMI, [1.0, 2.0, 4.0], [0, 3, 0], _spike([2.0] * 3), True),
+        (Likelihood.NAKAGAMI, [1.0, 2.0, 4.0], [0, 3, 0], spike([2.0] * 3), True),
     # delta = 4.66e-10: above the solver's 1e-12, at or below _SEG_DELTA_MIN
     "nakagami-flat": (Likelihood.NAKAGAMI, [1.0, 1.0 + 2.0**-15], [1, 1],
-                      _spike([1.0, 1.0 + 2.0**-15]), True),
+                      spike([1.0, 1.0 + 2.0**-15]), True),
     # delta = 1.2e-7 gives m_hat = 4.2e6, and mean(x^2) / m_hat underflows:
     # estimate_ml raises OutOfRangeError, while the spike's spread is positive
-    "nakagami-ml-fails": (Likelihood.NAKAGAMI, [_TINY, _TINY * (1.0 + 2.0**-11)], [1, 1],
-                          _spike([_TINY, _TINY * (1.0 + 2.0**-11)]), True),
+    "nakagami-ml-fails": (Likelihood.NAKAGAMI, [TINY, TINY * (1.0 + 2.0**-11)], [1, 1],
+                          spike([TINY, TINY * (1.0 + 2.0**-11)]), True),
     "nakagami-fit":
-        (Likelihood.NAKAGAMI, [1.0, 2.0, 4.0], [1, 1, 1], _ml_fit([1.0, 2.0, 4.0]), False),
+        (Likelihood.NAKAGAMI, [1.0, 2.0, 4.0], [1, 1, 1], ml_fit([1.0, 2.0, 4.0]), False),
     # mean(x^2) / 1e4 underflows: the spike keeps the mean square at spread 2^-1074
     "nakagami-sigma-min-spike": (Likelihood.NAKAGAMI, [1.5e-161], [2],
                                  NakagamiParams(m=1.5e-161**2 / 2.0**-1074, sigma=2.0**-1074),
