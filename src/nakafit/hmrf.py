@@ -27,11 +27,14 @@ at the first refit.
 np.unique, whose distinct intensities are the only values each class
 cost is evaluated at, and x^2 and ln x^2 of each distinct intensity.
 Each refit reads the image as a histogram per class, the count of the
-class's pixels at each distinct intensity. The tests hold the
-full-gather energy, the one-hot argmin sweep and the per-pixel class fit
-as references. Images must be >= 0 with peak^2 * pixel count finite; the
-Nakagami likelihood also needs every square positive. A cost that
-overflows is +inf.
+class's pixels at each distinct intensity. After each refit `segment`
+evaluates the (K, D) class-cost table, `_class_costs` at the D distinct
+intensities, and hands it to `_Icm.fill`; the `_Icm`, built once as
+`_Icm(labels, inverse, n_classes)` from the k-means field and the inverse
+index, sees only costs. The tests hold the full-gather energy, the
+one-hot argmin sweep and the per-pixel class fit as references. Images
+must be >= 0 with peak^2 * pixel count finite; the Nakagami likelihood
+also needs every square positive. A cost that overflows is +inf.
 """
 
 import math
@@ -177,17 +180,21 @@ def _argmin_classes(costs, best, arg, better, marked):
 
 
 class _Icm:
-    """ICM on one image shape and class count, with its energy kept current;
-    `segment` runs every stage on one.
+    """ICM over a class-cost table, with its energy kept current; `segment`
+    runs every stage on one. It sees only costs, never a likelihood.
 
-    Holds the K contiguous (H, W) cost planes, which `fill` fills, the
+    `_Icm(labels, inverse, n_classes)` takes the starting (H, W) label field
+    and the image's np.unique inverse index in the same shape, which maps
+    each pixel to its column of every cost table. `fill(table)` takes the
+    (K, D) table of each class's cost at each of the D distinct intensities.
+    It holds the K contiguous (H, W) cost planes, which `fill` fills, the
     current label field in a (H+2, W+2) frame with a -1 border, and the two
     energy terms of that field: `own`, each pixel's own-class cost in raster
     order, and `pairs`, the count of unlike 4-neighbor pairs. Both terms are
-    counted in full only by `load` (pairs) and `gather` (own); every sweep
-    updates them at the pixels it relabels. Every buffer is allocated once
-    and reused by each round: fresh (H, W) temporaries cost more in page
-    faults than the arithmetic done on them.
+    counted in full only by the constructor (pairs) and `fill` (own); every
+    sweep updates them at the pixels it relabels. Every buffer is allocated
+    once and reused by each round: fresh (H, W) temporaries cost more in
+    page faults than the arithmetic done on them.
 
     A sweep relabels the pixels with even i + j, then those with odd i + j.
     Pixels of one color are never 4-neighbors, so each half-sweep is an
@@ -206,9 +213,10 @@ class _Icm:
     256x256 two-region image (in-process, on a 2-vCPU host).
     """
 
-    def __init__(self, shape, n_classes):
-        height, width = shape
+    def __init__(self, labels, inverse, n_classes):
+        shape = height, width = labels.shape
         size = height * width
+        self.inverse = inverse
         self.planes = np.empty((n_classes, height, width))
         self.framed = np.full((height + 2, width + 2), -1, dtype=np.intp)
         self.inner = self.framed[1:-1, 1:-1]
@@ -218,8 +226,7 @@ class _Icm:
         self.classes = np.arange(n_classes)[:, None, None]
         # the raster index of each frame cell, -1 on the border
         pixel_of = np.full(self.framed.shape, -1, dtype=np.intp)
-        self.raster = pixel_of[1:-1, 1:-1]
-        self.raster[...] = np.arange(size).reshape(shape)
+        pixel_of[1:-1, 1:-1] = np.arange(size).reshape(shape)
         self.pixel_of = pixel_of.reshape(-1)
         self.same = np.empty(self.framed.shape, dtype=bool)
         flags = self.same.view(np.int8)
@@ -235,30 +242,20 @@ class _Icm:
         even = np.add.outer(np.arange(height), np.arange(width)) % 2 == 0
         self.colors = (even, ~even)
         self.own = np.empty(size)
-        self.pairs = 0
-
-    def load(self, labels):
-        """Make `labels` the current field and count its unlike pairs in
-        full; `gather` then fills `own`. Sweeps keep both terms current."""
         self.inner[...] = labels
         self.pairs = sum(np.count_nonzero(np.diff(self.inner, axis=axis)) for axis in (0, 1))
 
-    def fill(self, likelihood, class_params, distinct, inverse):
-        """Fill the planes with the class costs under `likelihood` and
-        `class_params`, evaluated once per distinct intensity and taken to
-        the pixels through `inverse`, the image's np.unique inverse index in
-        the image's shape; then `gather`. A refit refills the planes without
-        relabelling any pixel."""
-        for plane, costs in zip(self.planes, _class_costs(distinct, likelihood, class_params)):
-            np.take(costs, inverse, out=plane, mode="clip")
-        self.gather()
-
-    def gather(self):
-        """Gather `own` in full from the planes for the current field."""
+    def fill(self, table):
+        """Fill the planes from the (K, D) class-cost table `table`, whose
+        column d is the cost of the image's distinct intensity d, through
+        the stored inverse index, and gather `own` in full from the table
+        at label * D + inverse. A refit refills without relabelling."""
+        for plane, costs in zip(self.planes, table):
+            np.take(costs, self.inverse, out=plane, mode="clip")
         index = self.arg  # free between sweeps
-        np.multiply(self.inner, self.own.size, out=index)
-        index += self.raster
-        np.take(self.planes.reshape(-1), index.reshape(-1), out=self.own, mode="clip")
+        np.multiply(self.inner, table.shape[1], out=index)
+        index += self.inverse
+        np.take(table.reshape(-1), index.reshape(-1), out=self.own, mode="clip")
 
     def energy(self, beta):
         """Posterior energy of the current field: the sum of `own`, in raster
@@ -456,14 +453,12 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     # Gaussian likelihood, x^2 and ln x^2 for the Nakagami likelihood
     x2 = distinct * distinct
     columns = (distinct,) if likelihood is Likelihood.GAUSSIAN else (x2, np.log(x2))
-    inverse = inverse.reshape(img.shape)
-    icm = _Icm(img.shape, n_classes)
-    icm.load(labels.reshape(img.shape))
+    icm = _Icm(labels.reshape(img.shape), inverse.reshape(img.shape), n_classes)
     class_params = (None,) * n_classes
     trace = []
     for _ in range(_MAX_OUTER):
-        class_params, starved = _refit(icm.inner, inverse, columns, likelihood, class_params)
-        icm.fill(likelihood, class_params, distinct, inverse)
+        class_params, starved = _refit(icm.inner, icm.inverse, columns, likelihood, class_params)
+        icm.fill(_class_costs(distinct, likelihood, class_params))
         trace.append((len(trace), "params", icm.energy(beta)))
         round_changed = 0
         for changed in islice(icm.sweeps(beta), _MAX_SWEEPS):

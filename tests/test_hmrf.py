@@ -44,11 +44,11 @@ def full_gather_energy(costs, labels, beta):
 
 
 def icm_sweeps(costs, labels, beta):
-    """`hmrf._Icm`'s sweeps from `labels` over the (K, H, W) cost table `costs`."""
-    icm = hmrf._Icm(labels.shape, costs.shape[0])
-    np.copyto(icm.planes, costs)
-    icm.load(labels)
-    icm.gather()
+    """`hmrf._Icm`'s sweeps from `labels` over the (K, H, W) cost table `costs`,
+    given to it as a (K, H * W) table through the identity index."""
+    n_classes = costs.shape[0]
+    icm = hmrf._Icm(labels, np.arange(labels.size).reshape(labels.shape), n_classes)
+    icm.fill(costs.reshape(n_classes, -1))
     for changed in icm.sweeps(beta):
         yield icm.inner.copy(), changed
 
@@ -56,10 +56,9 @@ def icm_sweeps(costs, labels, beta):
 def filled_icm(img, labels, likelihood, params):
     """An `hmrf._Icm` holding `labels`, its planes filled as `segment` fills
     them: the class costs at the distinct intensities of `img`."""
-    icm = hmrf._Icm(img.shape, len(params))
-    icm.load(labels)
     distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
-    icm.fill(likelihood, params, distinct, inverse.reshape(img.shape))
+    icm = hmrf._Icm(labels, inverse.reshape(img.shape), len(params))
+    icm.fill(hmrf._class_costs(distinct, likelihood, params))
     return icm
 
 
@@ -331,21 +330,15 @@ def checkerboard_reference(nll, labels, beta):
 )
 @pytest.mark.parametrize("n_classes", [2, 3])
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
-def test_icm_sweep_matches_scalar_checkerboard_reference(monkeypatch, shape, n_classes, beta):
+def test_icm_sweep_matches_scalar_checkerboard_reference(shape, n_classes, beta):
     # multiples of 0.5 make every cost exact, so ties are real ties and the
-    # lowest-index rule is what decides them. The image's distinct
-    # intensities come in raster order, so the costs `_Icm.fill` asks of
-    # `_class_costs` for them are the table's own pixels.
+    # lowest-index rule is what decides them
     rng = np.random.default_rng([shape[0], shape[1], n_classes, int(2 * beta)])
-    img = np.arange(shape[0] * shape[1], dtype=float).reshape(shape)
-    model = gaussian_model([GaussianParams(1.0, 1.0)] * n_classes, beta=beta)
     for _ in range(10):
         nll = 0.5 * rng.integers(0, 6, (n_classes,) + shape)
         labels = rng.integers(0, n_classes, shape)
         before = labels.copy()
-        monkeypatch.setattr(hmrf, "_class_costs",
-                            lambda values, likelihood, params: nll.reshape(n_classes, -1))
-        out, changed = icm_sweep(img, labels, model)
+        out, changed = next(icm_sweeps(nll, labels, beta))
         want, want_changed = checkerboard_reference(nll, labels, beta)
         assert np.array_equal(out, want)
         assert changed == want_changed
