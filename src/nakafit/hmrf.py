@@ -17,9 +17,9 @@ is above _SEG_DELTA_MIN and `estimate_ml` raises no NakafitError. A class
 of one pixel is never fitted: its variance is 0, and its delta is 0 to
 within the rounding of one ln x^2. A class that is not fitted is starved
 and keeps its parameters from the last refit; at the first refit, which
-has none, it falls back to the Gaussian of its mean and its variance
-floored at _VAR_FLOOR, or to the Nakagami spike at m = _DEGENERATE_M
-with its mean square (spread _SIGMA_MIN where that spike's spread
+has none, it falls back to the Gaussian of its mean and variance
+_VAR_FLOOR (1e-12), or to the Nakagami spike at m = _DEGENERATE_M with
+its mean square (spread _SIGMA_MIN where that spike's spread
 underflows). A class with no pixels keeps its parameters, and is refused
 at the first refit.
 
@@ -53,8 +53,8 @@ from .nakagami import NakagamiParams, log_pdf
 # unphysical).
 _SEG_DELTA_MIN = 1e-9
 
-# Fallbacks for classes that cannot be fitted at the first refit: a variance
-# floor for the Gaussian, a concentrated high-shape spike for the Nakagami.
+# Fallbacks for classes that cannot be fitted at the first refit: a tiny
+# variance for the Gaussian, a concentrated high-shape spike for the Nakagami.
 _VAR_FLOOR = 1e-12
 _DEGENERATE_M = 1e4
 # the smallest positive float: the spike's spread when mean(x^2) / _DEGENERATE_M underflows
@@ -364,7 +364,7 @@ def _fit_class(row, columns, likelihood, prev):
         var = float(np.add.reduce(row * (dev * dev))) / max(n - 1, 1)
         if var > 0.0:
             return GaussianParams(mu=mu, var=var), False
-        fallback = GaussianParams(mu=mu, var=max(var, _VAR_FLOOR))
+        fallback = GaussianParams(mu=mu, var=_VAR_FLOOR)
     else:
         stats = _stats_of_sums(n, *sums)
         if stats.delta > _SEG_DELTA_MIN:
