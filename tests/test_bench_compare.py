@@ -1,0 +1,62 @@
+import importlib.util
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_compare", ROOT / "tools" / "bench_compare.py")
+bench_compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_compare)
+
+
+def _run(seed, setup_s, units_per_s, failed=0):
+    return {"workload": "segment_256", "seed": seed,
+            "result": {"correct": True, "attempted": 10, "failed": failed,
+                       "metrics": {"setup_s": {"value": setup_s, "unit": "s"},
+                                   "units_per_s": {"value": units_per_s, "unit": "1/s"},
+                                   "peak_rss_mib": {"value": 50.0, "unit": "MiB"}}}}
+
+
+def _write(path, runs):
+    path.write_text(json.dumps({"tag": path.stem, "runs": runs}))
+    return str(path)
+
+
+def _lines(capsys, tmp_path, parent, change):
+    code = bench_compare.main([_write(tmp_path / "parent.json", parent),
+                               _write(tmp_path / "change.json", change)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_bench_compare_counts_wins_ties_unpaired_seeds_and_a_breach(tmp_path, capsys):
+    # seed 1: the change wins units_per_s; seed 2: a tie; seeds 3 and 4 have
+    # no partner. setup_s doubles on every change run: a breach of its 0.25.
+    parent = [_run(1, 0.10, 100.0), _run(2, 0.10, 200.0), _run(3, 0.10, 300.0)]
+    change = [_run(1, 0.20, 150.0), _run(2, 0.20, 200.0), _run(4, 0.20, 300.0, failed=1)]
+    code, lines = _lines(capsys, tmp_path, parent, change)
+    assert code == 1
+    assert lines[0] == "mc_study: no runs"
+    assert lines[1] == "segment_256: 2 seed pairs; unpaired seeds: parent [3], change [4]"
+    assert lines[2] == "  failed/attempted operations: parent 0/30, change 1/30"
+    setup, units, rss = lines[3:6]
+    assert setup.startswith("  setup_s (lower is better, bound 0.25): parent 0.1 [0.1, 0.1], "
+                            "change 0.2 [0.2, 0.2]; parent IQR 0; change won 0 of 2 pairs (0 ties)")
+    assert setup.endswith("change median +100.0% worse; BREACH")
+    # the change's medians take the unpaired run too: 150, 200, 300 against 100, 200, 300
+    assert units == ("  units_per_s (higher is better, bound 0.25): parent 200 [150, 250], "
+                     "change 200 [175, 250]; parent IQR 100; change won 1 of 2 pairs (1 ties); "
+                     "change median +0.0% worse; within bound")
+    assert rss.endswith("change won 0 of 2 pairs (2 ties); change median +0.0% worse; within bound")
+    assert lines[6] == "estimate_files: no runs"
+
+
+def test_bench_compare_exits_0_within_every_bound(tmp_path, capsys):
+    runs = [_run(seed, 0.10, 100.0) for seed in (1, 2)]
+    code, lines = _lines(capsys, tmp_path, runs, runs)
+    assert code == 0
+    assert "BREACH" not in "\n".join(lines)
+    assert lines[1] == "segment_256: 2 seed pairs; unpaired seeds: parent [], change []"
+
+
+def test_quartiles_interpolate_linearly():
+    assert bench_compare.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 2.5, 3.25)
+    assert bench_compare.quartiles([7.0]) == (7.0, 7.0, 7.0)
