@@ -53,7 +53,9 @@ def worse_by(parent, change, better):
     """How much worse `change` is than `parent`, relative to `parent`:
     positive when worse in the metric's direction."""
     gap = change - parent if better == "lower" else parent - change
-    return gap / abs(parent) if parent else (math.inf if gap > 0 else 0.0)
+    if parent:
+        return gap / abs(parent)
+    return math.copysign(math.inf, gap) if gap else 0.0
 
 
 def compare(spec, parent_runs, change_runs, out):
