@@ -163,6 +163,12 @@ def make_inputs():
     # 128x128: ~16k distinct values, so the class sums run over as many terms as pixels
     img = _bands(np.random.default_rng(128128), 128, ((0.7, 43), (3.0, 43), (12.0, 42)))
     drawn["inputs/three_region_128.txt"] = _matrix(img)
+    # odd widths leave one color's rows a pixel short in the packed checkerboard:
+    # a 64x63 8-bit PGM, its 63x64 transpose, and a 2x3 text matrix
+    raster = _levels(_bands(np.random.default_rng(6463), 64, ((1.0, 31), (8.0, 32))))
+    drawn["inputs/two_region_64x63.pgm"] = _pgm(raster)
+    drawn["inputs/two_region_63x64.pgm"] = _pgm(np.ascontiguousarray(raster.T))
+    drawn["inputs/ragged_2x3.txt"] = _matrix(_bands(np.random.default_rng(33), 2, ((1.0, 3),)))
     os.makedirs(DIRECTORY, exist_ok=True)
     for path, data in {**LITERAL, **drawn}.items():
         with open(path, "wb") as fh:
@@ -245,6 +251,12 @@ def cases():
                  "--k", "4", "--likelihood", "nakagami", "--beta", "0", "--seed", "1"),
         _segment("segment_txt_odd_nakagami_k3", "inputs/three_region_37x23.txt",
                  "--k", "3", "--likelihood", "nakagami", "--seed", "1"),
+        _segment("segment_pgm64x63_nakagami_k5", "inputs/two_region_64x63.pgm",
+                 "--k", "5", "--likelihood", "nakagami", "--seed", "1"),
+        _segment("segment_pgm63x64_gaussian_k2", "inputs/two_region_63x64.pgm",
+                 "--k", "2", "--likelihood", "gaussian", "--seed", "1"),
+        _segment("segment_txt2x3_nakagami_k2", "inputs/ragged_2x3.txt",
+                 "--k", "2", "--likelihood", "nakagami", "--seed", "1"),
         _segment("segment_subnormal_squares_nakagami_k2", "inputs/subnormal_squares.txt",
                  "--k", "2", "--likelihood", "nakagami"),
         *(_segment(f"segment_inf_costs_{likelihood}_k{k}", "inputs/inf_costs.txt",
