@@ -13,7 +13,8 @@ bound_value, `GaussianParams`' mu, `segment`'s beta and the bounds' n (a
 `_integer` is the count and seed rule. Only `sample`'s seed, which numpy
 checks, keeps its own rule in its module. `_float_array` is the array rule
 of a sample block, `segment`'s image and `log_pdf`'s x: real numbers that
-numpy converts to float64, so a complex array is refused, never cast."""
+numpy converts to float64, so a complex, string or bool array is refused,
+never cast."""
 
 import numbers
 import sys
@@ -75,13 +76,15 @@ _FLOAT64 = np.dtype(float)
 
 def _float_array(values, name):
     """values as a float64 ndarray, itself where it is one; a ValueError
-    naming it where it is complex or numpy cannot convert it. A complex
-    array is refused, not cast: the cast would drop its imaginary part."""
+    naming it where it is complex, strings or bools, or numpy cannot convert
+    it. A complex array is refused, not cast: the cast would drop its
+    imaginary part. String and bool arrays are refused as `_real` refuses a
+    string or a bool, though numpy would parse the one and cast the other."""
     try:
         array = np.asarray(values)
         if array.dtype is _FLOAT64:
             return array
-        if array.dtype.kind != "c":
+        if array.dtype.kind not in "cUSb":
             return array.astype(float)
     except (TypeError, ValueError) as exc:  # numpy's message names no argument
         raise ValueError(f"{name} must be real numbers: {exc}") from None

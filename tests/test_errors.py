@@ -110,6 +110,13 @@ NOT_REAL_ARRAYS = [
     pytest.param(np.array([[1 + 5j, 2 + 0j, 3.0]]), id="complex_ndarray"),
     pytest.param([[1 + 1j, 2.0, 3.0]], id="list_with_complex"),
     pytest.param([[1.0, "a", 3.0]], id="list_with_str"),
+    # numpy would parse numeric strings and cast bools to 0 and 1
+    pytest.param(["0.5", "1.5"], id="list_of_numeric_str"),
+    pytest.param("1.5", id="numeric_str"),
+    pytest.param(np.array([b"0.5", b"1.5"]), id="numeric_bytes_ndarray"),
+    pytest.param([["1", "2"], ["3", "4"]], id="numeric_str_matrix"),
+    pytest.param([True, True], id="list_of_bool"),
+    pytest.param(np.array([[True, False], [False, True]]), id="bool_ndarray"),
 ]
 ARRAY_ENTRY_POINTS = {
     "compute_stats": (compute_stats, "sample block"),
@@ -126,8 +133,7 @@ ARRAY_ENTRY_POINTS = {
 def test_array_inputs_refuse_entries_that_are_not_real(entry, bad):
     call, name = ARRAY_ENTRY_POINTS[entry]
     message = _refused(lambda: call(bad), name)
-    if not isinstance(bad, list):
-        assert message == f"{name} must be real numbers, got complex128"
+    assert message == f"{name} must be real numbers, got {np.asarray(bad).dtype}"
 
 
 @pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)
