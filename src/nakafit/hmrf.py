@@ -27,11 +27,12 @@ at the first refit.
 np.unique, whose distinct intensities are the only values each class
 cost is evaluated at, and x^2 and ln x^2 of each distinct intensity.
 Each refit reads the image as a histogram per class, the count of the
-class's pixels at each distinct intensity. After each refit `segment`
-evaluates the (K, D) class-cost table, `_class_costs` at the D distinct
-intensities, and hands it to `_Icm.fill`; the `_Icm`, built once as
-`_Icm(labels, inverse, n_classes)` from the k-means field and the inverse
-index, sees only costs. The tests hold the full-gather energy, the
+class's pixels at each distinct intensity, which the `_Icm` counts once
+and its sweeps keep current at the pixels they relabel. After each refit
+`segment` evaluates the (K, D) class-cost table, `_class_costs` at the D
+distinct intensities, and hands it to `_Icm.fill`; the `_Icm`, built once
+as `_Icm(labels, inverse, n_classes)` from the k-means field and the
+inverse index, sees only costs. The tests hold the full-gather energy, the
 one-hot argmin sweep and the per-pixel class fit as references. Images
 must be >= 0 with peak^2 * pixel count finite; the Nakagami likelihood
 also needs every square positive. A cost that overflows is +inf.
@@ -180,44 +181,51 @@ def _argmin_classes(costs, best, arg, better, marked):
 
 
 class _Icm:
-    """ICM over a class-cost table, with its energy kept current; `segment`
-    runs every stage on one. It sees only costs, never a likelihood.
+    """ICM over a class-cost table, with its energy and class histogram kept
+    current; `segment` runs every stage on one. It sees only costs, never a
+    likelihood.
 
     `_Icm(labels, inverse, n_classes)` takes the starting (H, W) label field
     and the image's np.unique inverse index in the same shape, which maps
     each pixel to its column of every cost table. `fill(table)` takes the
     (K, D) table of each class's cost at each of the D distinct intensities.
-    It holds the K contiguous (H, W) cost planes, which `fill` fills, the
-    current label field in a (H+2, W+2) frame with a -1 border, and the two
-    energy terms of that field: `own`, each pixel's own-class cost in raster
-    order, and `pairs`, the count of unlike 4-neighbor pairs. Both terms are
-    counted in full only by the constructor (pairs) and `fill` (own); every
-    sweep updates them at the pixels it relabels. Every buffer is allocated
-    once and reused by each round: fresh (H, W) temporaries cost more in
-    page faults than the arithmetic done on them.
+    The field is kept twice: in raster order in a (H+2, W+2) frame with a -1
+    border, and checkerboard-packed, each color's labels in a -1 frame of
+    their own. Color c, row i, slot q is pixel (i, 2q + (i + c) % 2), so a
+    color's rows are ceil(W/2) slots long; a slot past the end of a row of
+    odd width lies on the frame and is never relabelled. The K cost planes,
+    which `fill` fills, are packed the same way. Beside the field it keeps
+    the energy's two terms, `own`, each pixel's own-class cost in raster
+    order, and `pairs`, the count of unlike 4-neighbor pairs, and `counts`,
+    the (K, D) histogram of each class's pixels at each distinct intensity,
+    which `_refit` reads. The constructor counts pairs and counts in full,
+    and `fill` gathers own in full; every sweep updates all three at the
+    pixels it relabels. Every buffer is allocated once and reused by each
+    round: fresh (H, W) temporaries cost more in page faults than the
+    arithmetic done on them.
 
     A sweep relabels the pixels with even i + j, then those with odd i + j.
     Pixels of one color are never 4-neighbors, so each half-sweep is an
     exact coordinate-descent step (Besag's coding scheme) and the energy
     never rises. A pixel's neighbor count is the same for every class, so
     its best class is argmin over k of nll_k - beta * (neighbors labeled k),
-    ties going to the lower class (`_argmin_classes`). The first
-    sweep scores every pixel, one class plane at a time with int8 neighbor
-    counts and a running minimum. After it, a half-sweep re-scores only the
-    pixels with a neighbor relabelled by the half-sweep before it, gathered
-    by flat index from the frame. This is exact: every other pixel of that
-    color has the same K costs and the same neighbor labels as when it was
-    last scored, so it would get back the label it already has. The first
-    sweep stays dense because it scores every pixel: taking each whole
-    color through the gather path instead took about twice the time per
-    256x256 two-region image (in-process, on a 2-vCPU host).
+    ties going to the lower class (`_argmin_classes`). The first sweep
+    scores every pixel, one color and class plane at a time, in contiguous
+    packed memory, with int8 neighbor counts and a running minimum: up and
+    down are the other color's same slot, left and right its slots q - 1
+    and q or q and q + 1, by the row's parity. After it, a half-sweep
+    re-scores only the pixels with a neighbor relabelled by the half-sweep
+    before it, gathered by flat index from the raster frame and their costs
+    from the table. This is exact: every other pixel of that color has the
+    same K costs and the same neighbor labels as when it was last scored,
+    so it would get back the label it already has.
     """
 
     def __init__(self, labels, inverse, n_classes):
         shape = height, width = labels.shape
         size = height * width
-        self.inverse = inverse
-        self.planes = np.empty((n_classes, height, width))
+        slots = (width + 1) // 2  # per packed row
+        self.inverse = inverse.reshape(-1)
         self.framed = np.full((height + 2, width + 2), -1, dtype=np.intp)
         self.inner = self.framed[1:-1, 1:-1]
         # the frame's cells by flat index; a pixel's 4 neighbors are these steps away
@@ -228,34 +236,57 @@ class _Icm:
         pixel_of = np.full(self.framed.shape, -1, dtype=np.intp)
         pixel_of[1:-1, 1:-1] = np.arange(size).reshape(shape)
         self.pixel_of = pixel_of.reshape(-1)
-        self.same = np.empty(self.framed.shape, dtype=bool)
+        # the raster index i * W + j of each color's slots, then their frame
+        # cells and intensity indices; a slot past the end of a row falls on
+        # the row's right border and reads the next pixel's intensity
+        color, row, slot = np.ogrid[:2, :height, :slots]
+        raster = 2 * slot + (row + color) % 2 + row * width
+        self.slot_cells = (raster + 2 * row + width + 3).reshape(2, -1)
+        self.slot_levels = np.take(self.inverse, raster, mode="clip")
+        self.inner[...] = labels
+        self.packed = np.full((2, height + 2, slots + 2), -1, dtype=np.min_scalar_type(-n_classes))
+        self.packed[:, 1:-1, 1:-1] = self.cells[self.slot_cells].reshape(2, height, slots)
+        # each frame cell's place in `packed`: color (i + j) % 2, row i + 1, slot j // 2 + 1
+        packed_of = np.add.outer(np.arange(height + 2) * (slots + 2), np.arange(1, width + 3) // 2)
+        packed_of[1::2, ::2] += self.packed[0].size
+        packed_of[::2, 1::2] += self.packed[0].size
+        self.packed_of = packed_of.reshape(-1)
+        self.planes = np.empty((n_classes, 2, height, slots))
+        self.same = np.empty(self.packed.shape[1:], dtype=bool)
         flags = self.same.view(np.int8)
         self.up, self.down = flags[:-2, 1:-1], flags[2:, 1:-1]
-        self.left, self.right = flags[1:-1, :-2], flags[1:-1, 2:]
-        self.agree = np.empty(shape, dtype=np.int8)
-        self.cost, self.best = np.empty(shape), np.empty(shape)
-        self.better = np.empty(shape, dtype=bool)
-        self.arg, self.marked = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
+        # sides[:, s] sums the other color's slots s - 1 and s: a row of one
+        # color whose first pixel is in column p has the left and right
+        # neighbors of its slot q at the other color's slots q - 1 + p and q + p
+        self.flags, self.sides = flags, np.empty((height + 2, slots + 1), dtype=np.int8)
+        self.agree = np.empty((height, slots), dtype=np.int8)
+        # per color: its rows of parity 0, then 1, and the sums they add
+        self.rows = [((self.agree[c::2], self.sides[1 + c:height + 1:2, :-1]),
+                      (self.agree[1 - c::2], self.sides[2 - c:height + 1:2, 1:])) for c in (0, 1)]
+        self.cost, self.best = np.empty((height, slots)), np.empty((height, slots))
+        self.better = np.empty((height, slots), dtype=bool)
+        self.arg = np.empty((height, slots), dtype=np.intp)
+        self.marked = np.empty((height, slots), dtype=np.intp)
         # the running minimum's buffers, in `_argmin_classes` order
         self.work = (self.best, self.arg, self.better, self.marked)
-        # the checkerboard colors in sweep order: even i + j, then odd i + j
-        even = np.add.outer(np.arange(height), np.arange(width)) % 2 == 0
-        self.colors = (even, ~even)
         self.own = np.empty(size)
-        self.inner[...] = labels
-        self.pairs = sum(np.count_nonzero(np.diff(self.inner, axis=axis)) for axis in (0, 1))
+        self.pairs = (np.count_nonzero(labels[1:] != labels[:-1])
+                      + np.count_nonzero(labels[:, 1:] != labels[:, :-1]))
+        n_distinct = int(self.inverse.max()) + 1
+        # each pixel's column of the flat (K, D) tables, label * D + inverse, in raster order
+        self.keys = self.inner.reshape(-1) * n_distinct + self.inverse
+        self.counts = np.bincount(self.keys, minlength=n_classes * n_distinct).reshape(
+            n_classes, n_distinct)
 
     def fill(self, table):
-        """Fill the planes from the (K, D) class-cost table `table`, whose
-        column d is the cost of the image's distinct intensity d, through
-        the stored inverse index, and gather `own` in full from the table
-        at label * D + inverse. A refit refills without relabelling."""
+        """Fill the packed planes from the (K, D) class-cost table `table`,
+        whose column d is the cost of the image's distinct intensity d,
+        through the packed inverse index, and gather `own` in full from the
+        table at each pixel's key. A refit refills without relabelling."""
+        self.table = table
         for plane, costs in zip(self.planes, table):
-            np.take(costs, self.inverse, out=plane, mode="clip")
-        index = self.arg  # free between sweeps
-        np.multiply(self.inner, table.shape[1], out=index)
-        index += self.inverse
-        np.take(table.reshape(-1), index.reshape(-1), out=self.own, mode="clip")
+            np.take(costs, self.slot_levels, out=plane, mode="clip")
+        np.take(table.reshape(-1), self.keys, out=self.own, mode="clip")
 
     def energy(self, beta):
         """Posterior energy of the current field: the sum of `own`, in raster
@@ -265,36 +296,39 @@ class _Icm:
     def sweeps(self, beta):
         """Checkerboard sweeps of the current field, one per step; yields the
         number of pixels each changed. Each half-sweep updates the energy
-        terms at the pixels it relabels, so no full gather runs."""
+        terms and the histogram at the pixels it relabels, so no full gather
+        runs."""
         beta = float(beta)  # an int beta would keep beta * agree in int8
         width = self.inner.shape[1]
         changed = 0
-        for color in self.colors:
-            _argmin_classes(self._dense_costs(beta), *self.work)
-            np.not_equal(self.arg, self.inner, out=self.better)
-            self.better &= color
-            pixels = np.flatnonzero(self.better)
-            # raster index i * W + j to frame cell (i + 1) * (W + 2) + j + 1
-            moved = pixels + 2 * (pixels // width) + (width + 3)
-            self._relabel(moved, self.arg.reshape(-1)[pixels])
-            changed += pixels.size
+        for color in (0, 1):
+            _argmin_classes(self._dense_costs(color, beta), *self.work)
+            np.not_equal(self.arg, self.packed[color, 1:-1, 1:-1], out=self.better)
+            if width % 2:
+                self.better[1 - color::2, -1] = False  # the slots past the end of a row
+            slots = np.flatnonzero(self.better)
+            moved = self.slot_cells[color][slots]
+            self._relabel(moved, self.pixel_of[moved], self.cells[moved + self.steps[:, None]],
+                          self.arg.reshape(-1)[slots])
+            changed += slots.size
         yield changed
         while True:
             changed = 0
-            for _ in self.colors:
+            for _ in range(2):
                 moved = self._sparse_half(moved, beta)
                 changed += moved.size
             yield changed
 
-    def _dense_costs(self, beta):
-        """Yield each class's (H, W) plane of nll_k - beta * (neighbors
-        labeled k), counting same-label neighbors as an int8 sum of four
-        shifted slices of the frame."""
-        for k, plane in enumerate(self.planes):
-            np.equal(self.framed, k, out=self.same)
+    def _dense_costs(self, color, beta):
+        """Yield each class's packed (H, ceil(W/2)) plane of color `color`,
+        nll_k - beta * (neighbors labeled k), counting same-label neighbors
+        in the other color's packed labels as an int8 sum of shifted slices."""
+        for k, plane in enumerate(self.planes[:, color]):
+            np.equal(self.packed[1 - color], k, out=self.same)
             np.add(self.up, self.down, out=self.agree)
-            self.agree += self.left
-            self.agree += self.right
+            np.add(self.flags[:, :-1], self.flags[:, 1:], out=self.sides)
+            for rows, sides in self.rows[color]:
+                rows += sides
             np.multiply(self.agree, beta, out=self.cost)
             np.subtract(plane, self.cost, out=self.cost)
             yield self.cost
@@ -315,28 +349,33 @@ class _Icm:
         cells = near[keep]
         pixels = self.pixel_of[cells]
         around = self.cells[cells + self.steps[:, None]]  # (4, n) neighbor labels
-        n_classes, size = len(self.planes), self.own.size
         agree = np.add.reduce(around == self.classes, axis=1)
-        costs = np.take(self.planes.reshape(n_classes, size), pixels, axis=1)
+        costs = np.take(self.table, self.inverse[pixels], axis=1)
         costs -= agree * beta
         work = [buf.reshape(-1)[: cells.size] for buf in self.work]
         _argmin_classes(costs, *work)
         new = work[1]
         move = np.flatnonzero(new != self.cells[cells])
         moved = cells[move]
-        self._relabel(moved, new[move])
+        self._relabel(moved, pixels[move], around[:, move], new[move])
         return moved
 
-    def _relabel(self, cells, new):
-        """Give the frame cells `cells`, all of one color, the labels `new`,
-        and update both energy terms there."""
-        pixels = self.pixel_of[cells]
-        around = self.cells[cells + self.steps[:, None]]  # (4, n) neighbor labels
+    def _relabel(self, cells, pixels, around, new):
+        """Give the frame cells `cells`, all of one color, of raster index
+        `pixels` and neighbor labels `around` (4, n), the labels `new` in
+        both copies of the field, and update both energy terms, the keys and
+        the histogram there."""
         old = self.cells[cells]
         # neighbors keep their labels within a half-sweep; the -1 border cancels
         self.pairs += int(np.count_nonzero(around != new)) - int(np.count_nonzero(around != old))
-        self.own[pixels] = np.take(self.planes.reshape(-1), new * self.own.size + pixels)
+        keys = new * self.counts.shape[1] + self.inverse[pixels]
+        counts = self.counts.reshape(-1)
+        np.subtract.at(counts, self.keys[pixels], 1)
+        np.add.at(counts, keys, 1)
+        self.keys[pixels] = keys
+        self.own[pixels] = self.table.reshape(-1)[keys]
         self.cells[cells] = new
+        self.packed.reshape(-1)[self.packed_of[cells]] = new
 
 
 def _fit_class(row, columns, likelihood, prev):
@@ -382,19 +421,13 @@ def _fit_class(row, columns, likelihood, prev):
     return (fallback if prev is None else prev), True
 
 
-def _refit(labels, inverse, columns, likelihood, class_params):
-    """Re-estimate per-class parameters from the label field `labels`, given
-    the image's np.unique inverse index `inverse` in the same shape and
-    `columns` from `segment`; returns the new parameters and the starved
-    classes (see `_fit_class`). One bincount gives the (K, D) table whose
-    row k counts class k's pixels at each of the D distinct intensities.
-    """
-    n_distinct = columns[0].size
-    table = np.bincount((labels * n_distinct + inverse).reshape(-1),
-                        minlength=len(class_params) * n_distinct)
-    rows = table.reshape(-1, n_distinct)
+def _refit(counts, columns, likelihood, class_params):
+    """Re-estimate per-class parameters from the (K, D) histogram `counts`,
+    whose row k counts class k's pixels at each of the D distinct
+    intensities, and `columns` from `segment`; returns the new parameters
+    and the starved classes (see `_fit_class`)."""
     params, starved = zip(*(_fit_class(row, columns, likelihood, prev)
-                            for row, prev in zip(rows, class_params)))
+                            for row, prev in zip(counts, class_params)))
     return params, tuple(k for k, flag in enumerate(starved) if flag)
 
 
@@ -457,7 +490,7 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     class_params = (None,) * n_classes
     trace = []
     for _ in range(_MAX_OUTER):
-        class_params, starved = _refit(icm.inner, icm.inverse, columns, likelihood, class_params)
+        class_params, starved = _refit(icm.counts, columns, likelihood, class_params)
         icm.fill(_class_costs(distinct, likelihood, class_params))
         trace.append((len(trace), "params", icm.energy(beta)))
         round_changed = 0

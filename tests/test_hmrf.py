@@ -88,9 +88,11 @@ def update_params(img, labels, likelihood, params):
     """`hmrf._refit` of `params` from the label field `labels` on `img`, with
     the fit inputs `segment` computes: (new params, starved classes)."""
     distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
+    counts = np.bincount(labels.reshape(-1) * distinct.size + inverse,
+                         minlength=len(params) * distinct.size)
     x2 = distinct * distinct
     columns = (distinct,) if likelihood is Likelihood.GAUSSIAN else (x2, np.log(x2))
-    return hmrf._refit(labels, inverse.reshape(img.shape), columns, likelihood, params)
+    return hmrf._refit(counts.reshape(len(params), -1), columns, likelihood, params)
 
 
 # --- k-means -----------------------------------------------------------------
@@ -364,7 +366,9 @@ def argmin_sweep_reference(nll, labels, beta):
 
 
 @pytest.mark.parametrize(
-    "shape", [(1, 1), (1, 7), (7, 1), (33, 17), (37, 23)], ids=lambda s: "%dx%d" % s
+    "shape",
+    [(1, 1), (1, 7), (7, 1), (33, 17), (37, 23), (2, 3), (3, 2), (6, 5), (5, 8), (16, 16)],
+    ids=lambda s: "%dx%d" % s,
 )
 @pytest.mark.parametrize("n_classes", [2, 3, 5])
 @pytest.mark.parametrize("table", ["finite", "nonfinite"])
@@ -391,6 +395,32 @@ def test_icm_kernel_matches_argmin_reference(shape, n_classes, table):
                 assert np.array_equal(got, want)
                 assert changed == want_changed
         assert np.array_equal(labels, before)
+
+
+@pytest.mark.parametrize("width", [7, 8], ids=["odd_width", "even_width"])
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+def test_icm_histogram_equals_a_bincount_after_every_sweep(likelihood, n_classes, width):
+    # the sweeps update the (K, D) histogram that `_refit` reads at the
+    # pixels they relabel; a bincount of the whole field is the reference.
+    # Few levels on many pixels, so each column of the histogram counts many.
+    rng = np.random.default_rng([n_classes, width])
+    img = np.rint(8.0 * np.sqrt(rng.gamma(2.0, 0.5, (11, width)))) + 1.0
+    distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
+    labels = rng.integers(0, n_classes, img.shape)
+    params, _ = update_params(img, labels, likelihood, (None,) * n_classes)
+    icm = filled_icm(img, labels, likelihood, params)
+
+    def bincount():
+        keys = icm.inner.reshape(-1) * distinct.size + inverse
+        return np.bincount(keys, minlength=n_classes * distinct.size).reshape(n_classes, -1)
+
+    assert np.array_equal(icm.counts, bincount())
+    moved = 0
+    for changed in islice(icm.sweeps(1.0), 6):
+        assert np.array_equal(icm.counts, bincount())
+        moved += changed
+    assert moved > 0
 
 
 # --- parameter updates ---------------------------------------------------------
@@ -442,11 +472,9 @@ def refit_rows(likelihood, values, row, prev):
     3 and 5, which always fit. Returns (new params, starved classes)."""
     distinct = np.array([*values, 3.0, 5.0])
     counts = np.array([[*row, 0, 0], [0] * len(values) + [1, 1]])
-    inverse = np.repeat(np.tile(np.arange(distinct.size), 2), counts.reshape(-1))
-    labels = np.repeat([0, 1], counts.sum(axis=1))
     x2 = distinct * distinct
     columns = (distinct,) if likelihood is Likelihood.GAUSSIAN else (x2, np.log(x2))
-    return hmrf._refit(labels[None, :], inverse[None, :], columns, likelihood, prev)
+    return hmrf._refit(counts, columns, likelihood, prev)
 
 
 def ml_fit(values):
