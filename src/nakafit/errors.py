@@ -13,8 +13,8 @@ bound_value, `GaussianParams`' mu, `segment`'s beta and the bounds' n (a
 `_integer` is the count and seed rule. Only `sample`'s seed, which numpy
 checks, keeps its own rule in its module. `_float_array` is the array rule
 of a sample block, `segment`'s image and `log_pdf`'s x: real numbers that
-numpy converts to float64, so a complex, string or bool array is refused,
-never cast."""
+numpy converts to float64, so a complex, string or bool array, or a bool
+or a string among the entries, is refused, never cast."""
 
 import numbers
 import sys
@@ -74,21 +74,37 @@ def _positive(x, name):
 _FLOAT64 = np.dtype(float)
 
 
+def _not_real_entry(values):
+    """The type name of the first entry of `values` that is a bool or not a
+    real number, or None where every entry is a real number."""
+    # each distinct type once, in the order of its first entry
+    for kind in dict.fromkeys(map(type, np.asarray(values, dtype=object).flat)):
+        if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+            return kind.__name__
+    return None
+
+
 def _float_array(values, name):
     """values as a float64 ndarray, itself where it is one; a ValueError
-    naming it where it is complex, strings or bools, or numpy cannot convert
-    it. A complex array is refused, not cast: the cast would drop its
-    imaginary part. String and bool arrays are refused as `_real` refuses a
-    string or a bool, though numpy would parse the one and cast the other."""
+    naming it where it is complex, strings or bools, holds an entry that is
+    a bool or not a real number, or numpy cannot convert it. A complex array
+    is refused, not cast: the cast would drop its imaginary part. String and
+    bool arrays are refused as `_real` refuses a string or a bool, though
+    numpy would parse the one and cast the other. numpy also casts a bool
+    among the numbers of a list and parses a string in an object array, so
+    input that is not already a numeric ndarray is checked entry by entry."""
     try:
         array = np.asarray(values)
-        if array.dtype is _FLOAT64:
+        if array.dtype is _FLOAT64 and array is values:
             return array
-        if array.dtype.kind not in "cUSb":
-            return array.astype(float)
+        shown = array.dtype if array.dtype.kind in "cUSb" else None
+        if shown is None and (array.dtype.kind == "O" or array is not values):
+            shown = _not_real_entry(values)
+        if shown is None:
+            return array.astype(float, copy=False)
     except (TypeError, ValueError) as exc:  # numpy's message names no argument
         raise ValueError(f"{name} must be real numbers: {exc}") from None
-    raise ValueError(f"{name} must be real numbers, got {array.dtype}")
+    raise ValueError(f"{name} must be real numbers, got {shown}")
 
 
 def _integer(x, name, low, high=sys.maxsize):

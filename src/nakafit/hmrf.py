@@ -32,7 +32,8 @@ and its sweeps keep current at the pixels they relabel. After each refit
 `segment` evaluates the (K, D) class-cost table, `_class_costs` at the D
 distinct intensities, and hands it to `_Icm.fill`; the `_Icm`, built once
 as `_Icm(labels, inverse, n_classes)` from the k-means field and the
-inverse index, sees only costs. The tests hold the full-gather energy, the
+inverse index, sees only costs, and its sweeps gather them from that
+table, which it keeps as the only copy. The tests hold the full-gather energy, the
 one-hot argmin sweep and the per-pixel class fit as references. Images
 must be >= 0 with peak^2 * pixel count finite; the Nakagami likelihood
 also needs every square positive. A cost that overflows is +inf.
@@ -188,16 +189,15 @@ class _Icm:
     `_Icm(labels, inverse, n_classes)` takes the starting (H, W) label field
     and the image's np.unique inverse index in the same shape, which maps
     each pixel to its column of every cost table. `fill(table)` takes the
-    (K, D) table of each class's cost at each of the D distinct intensities.
-    The field is kept twice: in raster order in a (H+2, W+2) frame with a -1
-    border, and checkerboard-packed, each color's labels in a -1 frame of
-    their own. Color c, row i, slot q is pixel (i, 2q + (i + c) % 2), so a
-    color's rows are ceil(W/2) slots long; a slot past the end of a row of
-    odd width lies on the frame and is never relabelled. The K cost planes,
-    which `fill` fills, are packed the same way. Beside the field it keeps
-    the energy's two terms, `own`, each pixel's own-class cost in raster
-    order, and `pairs`, the count of unlike 4-neighbor pairs, and `counts`,
-    the (K, D) histogram of each class's pixels at each distinct intensity,
+    (K, D) table of each class's cost at each of the D distinct intensities;
+    the sweeps read every cost from it, and no copy of it is kept. The
+    field lives in raster order in a (H+2, W+2) frame with a -1 border.
+    Frame cell (i + 1) * (W + 2) + j + 1 is pixel i * W + j, worked out
+    where it is needed, and a cell is on the border where its label is -1;
+    no map from frame cells to pixels is kept. Beside the field it keeps the
+    energy's two terms, `own`, each pixel's own-class cost in raster order,
+    and `pairs`, the count of unlike 4-neighbor pairs, and `counts`, the
+    (K, D) histogram of each class's pixels at each distinct intensity,
     which `_refit` reads. The constructor counts pairs and counts in full,
     and `fill` gathers own in full; every sweep updates all three at the
     pixels it relabels. Every buffer is allocated once and reused by each
@@ -209,21 +209,29 @@ class _Icm:
     exact coordinate-descent step (Besag's coding scheme) and the energy
     never rises. A pixel's neighbor count is the same for every class, so
     its best class is argmin over k of nll_k - beta * (neighbors labeled k),
-    ties going to the lower class (`_argmin_classes`). The first sweep
-    scores every pixel, one color and class plane at a time, in contiguous
-    packed memory, with int8 neighbor counts and a running minimum: up and
-    down are the other color's same slot, left and right its slots q - 1
-    and q or q and q + 1, by the row's parity. After it, a half-sweep
-    re-scores only the pixels with a neighbor relabelled by the half-sweep
-    before it, gathered by flat index from the raster frame and their costs
-    from the table. This is exact: every other pixel of that color has the
-    same K costs and the same neighbor labels as when it was last scored,
-    so it would get back the label it already has.
+    ties going to the lower class (`_argmin_classes`).
+
+    The first sweep of each `sweeps` call, one per round, is dense: it
+    scores every pixel, one color and class at a time, in contiguous memory
+    on a checkerboard-packed copy of the field, each color's labels in a -1
+    frame of their own. Color c, row i, slot q is pixel (i, 2q + (i + c) %
+    2), so a color's rows are ceil(W/2) slots long; a slot past the end of a
+    row of odd width lies on the frame and is never relabelled. The copy is
+    rebuilt from the raster frame when the round starts, and the dense
+    half-sweeps write their relabels to both. A class's costs are gathered
+    from its table row at the color's slots; its int8 neighbor counts are
+    sums of shifted slices: up and down are the other color's same slot,
+    left and right its slots q - 1 and q or q and q + 1, by the row's
+    parity. After it, a half-sweep re-scores only the pixels with a neighbor
+    relabelled by the half-sweep before it, gathered by flat index from the
+    raster frame, which is all it writes, and their costs from the table.
+    This is exact: every other pixel of that color has the same K costs and
+    the same neighbor labels as when it was last scored, so it would get
+    back the label it already has.
     """
 
     def __init__(self, labels, inverse, n_classes):
-        shape = height, width = labels.shape
-        size = height * width
+        height, width = labels.shape
         slots = (width + 1) // 2  # per packed row
         self.inverse = inverse.reshape(-1)
         self.framed = np.full((height + 2, width + 2), -1, dtype=np.intp)
@@ -232,10 +240,6 @@ class _Icm:
         self.cells = self.framed.reshape(-1)
         self.steps = np.array([-(width + 2), -1, 1, width + 2])
         self.classes = np.arange(n_classes)[:, None, None]
-        # the raster index of each frame cell, -1 on the border
-        pixel_of = np.full(self.framed.shape, -1, dtype=np.intp)
-        pixel_of[1:-1, 1:-1] = np.arange(size).reshape(shape)
-        self.pixel_of = pixel_of.reshape(-1)
         # the raster index i * W + j of each color's slots, then their frame
         # cells and intensity indices; a slot past the end of a row falls on
         # the row's right border and reads the next pixel's intensity
@@ -245,13 +249,6 @@ class _Icm:
         self.slot_levels = np.take(self.inverse, raster, mode="clip")
         self.inner[...] = labels
         self.packed = np.full((2, height + 2, slots + 2), -1, dtype=np.min_scalar_type(-n_classes))
-        self.packed[:, 1:-1, 1:-1] = self.cells[self.slot_cells].reshape(2, height, slots)
-        # each frame cell's place in `packed`: color (i + j) % 2, row i + 1, slot j // 2 + 1
-        packed_of = np.add.outer(np.arange(height + 2) * (slots + 2), np.arange(1, width + 3) // 2)
-        packed_of[1::2, ::2] += self.packed[0].size
-        packed_of[::2, 1::2] += self.packed[0].size
-        self.packed_of = packed_of.reshape(-1)
-        self.planes = np.empty((n_classes, 2, height, slots))
         self.same = np.empty(self.packed.shape[1:], dtype=bool)
         flags = self.same.view(np.int8)
         self.up, self.down = flags[:-2, 1:-1], flags[2:, 1:-1]
@@ -263,13 +260,13 @@ class _Icm:
         # per color: its rows of parity 0, then 1, and the sums they add
         self.rows = [((self.agree[c::2], self.sides[1 + c:height + 1:2, :-1]),
                       (self.agree[1 - c::2], self.sides[2 - c:height + 1:2, 1:])) for c in (0, 1)]
-        self.cost, self.best = np.empty((height, slots)), np.empty((height, slots))
+        self.cost, self.scaled, self.best = (np.empty((height, slots)) for _ in range(3))
         self.better = np.empty((height, slots), dtype=bool)
         self.arg = np.empty((height, slots), dtype=np.intp)
         self.marked = np.empty((height, slots), dtype=np.intp)
         # the running minimum's buffers, in `_argmin_classes` order
         self.work = (self.best, self.arg, self.better, self.marked)
-        self.own = np.empty(size)
+        self.own = np.empty(height * width)
         self.pairs = (np.count_nonzero(labels[1:] != labels[:-1])
                       + np.count_nonzero(labels[:, 1:] != labels[:, :-1]))
         n_distinct = int(self.inverse.max()) + 1
@@ -279,13 +276,10 @@ class _Icm:
             n_classes, n_distinct)
 
     def fill(self, table):
-        """Fill the packed planes from the (K, D) class-cost table `table`,
-        whose column d is the cost of the image's distinct intensity d,
-        through the packed inverse index, and gather `own` in full from the
-        table at each pixel's key. A refit refills without relabelling."""
+        """Take the (K, D) class-cost table `table`, whose column d is the
+        cost of the image's distinct intensity d, and gather `own` in full
+        from it at each pixel's key. A refit refills without relabelling."""
         self.table = table
-        for plane, costs in zip(self.planes, table):
-            np.take(costs, self.slot_levels, out=plane, mode="clip")
         np.take(table.reshape(-1), self.keys, out=self.own, mode="clip")
 
     def energy(self, beta):
@@ -299,16 +293,20 @@ class _Icm:
         terms and the histogram at the pixels it relabels, so no full gather
         runs."""
         beta = float(beta)  # an int beta would keep beta * agree in int8
-        width = self.inner.shape[1]
+        height, width = self.inner.shape
+        # the sparse half-sweeps of earlier rounds wrote the frame only
+        self.packed[:, 1:-1, 1:-1] = self.cells[self.slot_cells].reshape(2, height, -1)
         changed = 0
         for color in (0, 1):
             _argmin_classes(self._dense_costs(color, beta), *self.work)
-            np.not_equal(self.arg, self.packed[color, 1:-1, 1:-1], out=self.better)
+            inside = self.packed[color, 1:-1, 1:-1]
+            np.not_equal(self.arg, inside, out=self.better)
             if width % 2:
                 self.better[1 - color::2, -1] = False  # the slots past the end of a row
+            np.copyto(inside, self.arg, where=self.better)
             slots = np.flatnonzero(self.better)
             moved = self.slot_cells[color][slots]
-            self._relabel(moved, self.pixel_of[moved], self.cells[moved + self.steps[:, None]],
+            self._relabel(moved, self._pixels(moved), self.cells[moved + self.steps[:, None]],
                           self.arg.reshape(-1)[slots])
             changed += slots.size
         yield changed
@@ -319,23 +317,32 @@ class _Icm:
                 changed += moved.size
             yield changed
 
+    def _pixels(self, cells):
+        """The raster index of each inner frame cell in `cells`: cell
+        (i + 1) * (W + 2) + j + 1 is pixel i * W + j."""
+        stride = self.steps[-1]
+        return cells - 2 * (cells // stride) - (stride - 1)
+
     def _dense_costs(self, color, beta):
-        """Yield each class's packed (H, ceil(W/2)) plane of color `color`,
-        nll_k - beta * (neighbors labeled k), counting same-label neighbors
-        in the other color's packed labels as an int8 sum of shifted slices."""
-        for k, plane in enumerate(self.planes[:, color]):
+        """Yield each class's (H, ceil(W/2)) cost of color `color`'s slots,
+        nll_k - beta * (neighbors labeled k): the class's table row gathered
+        at the slots' intensities, less beta times the same-label neighbors
+        counted in the other color's packed labels as an int8 sum of shifted
+        slices."""
+        for k, costs in enumerate(self.table):
             np.equal(self.packed[1 - color], k, out=self.same)
             np.add(self.up, self.down, out=self.agree)
             np.add(self.flags[:, :-1], self.flags[:, 1:], out=self.sides)
             for rows, sides in self.rows[color]:
                 rows += sides
-            np.multiply(self.agree, beta, out=self.cost)
-            np.subtract(plane, self.cost, out=self.cost)
+            np.multiply(self.agree, beta, out=self.scaled)
+            np.take(costs, self.slot_levels[color], out=self.cost, mode="clip")
+            np.subtract(self.cost, self.scaled, out=self.cost)
             yield self.cost
 
     def _sparse_half(self, moved, beta):
         """Re-score the pixels next to the frame cells `moved`, which the
-        previous half-sweep relabelled, and update the field and its energy
+        previous half-sweep relabelled, and update the frame and its energy
         terms; returns the frame cells this half-sweep relabelled."""
         if moved.size == 0:
             return moved
@@ -345,9 +352,9 @@ class _Icm:
         keep = np.empty(near.size, dtype=bool)
         keep[0] = True
         np.not_equal(near[1:], near[:-1], out=keep[1:])
-        keep &= self.pixel_of[near] >= 0
+        keep &= self.cells[near] >= 0  # the border's -1 labels
         cells = near[keep]
-        pixels = self.pixel_of[cells]
+        pixels = self._pixels(cells)
         around = self.cells[cells + self.steps[:, None]]  # (4, n) neighbor labels
         agree = np.add.reduce(around == self.classes, axis=1)
         costs = np.take(self.table, self.inverse[pixels], axis=1)
@@ -363,8 +370,8 @@ class _Icm:
     def _relabel(self, cells, pixels, around, new):
         """Give the frame cells `cells`, all of one color, of raster index
         `pixels` and neighbor labels `around` (4, n), the labels `new` in
-        both copies of the field, and update both energy terms, the keys and
-        the histogram there."""
+        the frame, and update both energy terms, the keys and the histogram
+        there."""
         old = self.cells[cells]
         # neighbors keep their labels within a half-sweep; the -1 border cancels
         self.pairs += int(np.count_nonzero(around != new)) - int(np.count_nonzero(around != old))
@@ -375,7 +382,6 @@ class _Icm:
         self.keys[pixels] = keys
         self.own[pixels] = self.table.reshape(-1)[keys]
         self.cells[cells] = new
-        self.packed.reshape(-1)[self.packed_of[cells]] = new
 
 
 def _fit_class(row, columns, likelihood, prev):
@@ -476,7 +482,7 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
             raise ValueError("cannot use the Nakagami likelihood on an all-zero image")
         # the lift can take peak^2 * pixel count past the float range
         img = _as_image(img + _ZERO_SHIFT * peak)
-    # one np.unique serves k-means, the class fits and the cost-plane gather:
+    # one np.unique serves k-means, the class fits and the ICM's cost gathers:
     # fit inputs and class costs are evaluated once per distinct intensity
     distinct, inverse, counts = np.unique(img.reshape(-1), return_inverse=True, return_counts=True)
     labels = _kmeans(distinct, inverse, counts, n_classes, seed)

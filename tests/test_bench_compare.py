@@ -40,12 +40,12 @@ def test_bench_compare_counts_wins_ties_unpaired_seeds_and_a_breach(tmp_path, ca
     setup, units, rss = lines[3:6]
     assert setup.startswith("  setup_s (lower is better, bound 0.25): parent 0.1 [0.1, 0.1], "
                             "change 0.2 [0.2, 0.2]; parent IQR 0; change won 0 of 2 pairs (0 ties)")
-    assert setup.endswith("change median +100.0% worse; BREACH")
+    assert setup.endswith("change median 100.0% worse; BREACH")
     # the change's medians take the unpaired run too: 150, 200, 300 against 100, 200, 300
     assert units == ("  units_per_s (higher is better, bound 0.25): parent 200 [150, 250], "
                      "change 200 [175, 250]; parent IQR 100; change won 1 of 2 pairs (1 ties); "
-                     "change median +0.0% worse; within bound")
-    assert rss.endswith("change won 0 of 2 pairs (2 ties); change median +0.0% worse; within bound")
+                     "change median no change; within bound")
+    assert rss.endswith("change won 0 of 2 pairs (2 ties); change median no change; within bound")
     assert lines[6] == "estimate_files: no runs"
 
 
@@ -55,6 +55,30 @@ def test_bench_compare_exits_0_within_every_bound(tmp_path, capsys):
     assert code == 0
     assert "BREACH" not in "\n".join(lines)
     assert lines[1] == "segment_256: 2 seed pairs; unpaired seeds: parent [], change []"
+
+
+def test_bench_compare_words_each_change_in_the_metrics_direction(tmp_path, capsys):
+    # a higher units_per_s and a lower setup_s are both gains
+    code, lines = _lines(capsys, tmp_path, [_run(1, 0.10, 100.0)], [_run(1, 0.08, 125.0)])
+    assert code == 0
+    setup, units = lines[3:5]
+    assert setup.endswith("change won 1 of 1 pairs (0 ties); change median 20.0% better; within bound")
+    assert units.endswith("change won 1 of 1 pairs (0 ties); change median 25.0% better; within bound")
+
+
+def test_bench_compare_reports_traced_runs_apart(tmp_path, capsys):
+    # a traced run carries per-layer metrics only; it is counted, not paired
+    traced = {"workload": "segment_256", "seed": 1, "trace": 1,
+              "result": {"correct": True, "attempted": 4, "failed": 0,
+                         "metrics": {"trace.overhead": {"value": 1.2, "unit": "ratio"}}}}
+    untraced = [{**_run(seed, 0.10, 100.0), "trace": 0} for seed in (1, 2)]
+    code, lines = _lines(capsys, tmp_path, [*untraced, traced], [*untraced, traced, traced])
+    assert code == 0
+    assert lines[1] == ("segment_256: traced runs, per-layer metrics only, not compared: "
+                        "parent 1, change 2")
+    assert lines[2] == "segment_256: 2 seed pairs; unpaired seeds: parent [], change []"
+    assert lines[3] == "  failed/attempted operations: parent 0/20, change 0/20"
+    assert lines[4].startswith("  setup_s (lower is better, bound 0.25): parent 0.1 [0.1, 0.1]")
 
 
 def test_quartiles_interpolate_linearly():

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -21,10 +22,12 @@ def _tool(name):
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """One run of tools/cli_outputs.py on this checkout, shared by the tests below."""
+    """One run of tools/cli_outputs.py on this checkout, with 8 of its seeded
+    cases, shared by the tests below."""
     out = tmp_path_factory.mktemp("cli_outputs")
     subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "cli_outputs.py"), "--root", str(ROOT), str(out)],
+        [sys.executable, str(ROOT / "tools" / "cli_outputs.py"), "--root", str(ROOT),
+         "--random", "8", "--seed", "34", str(out)],
         check=True, timeout=120,
     )
     return out
@@ -33,13 +36,31 @@ def outputs(tmp_path_factory):
 def test_cli_outputs_script_runs_every_case(outputs):
     # one directory per case name, and no name twice; `usage_*` cases exit 2,
     # `*_fails` cases exit 1, all others exit 0
-    cases = sorted(p for p in outputs.iterdir() if p.name != "inputs")
+    cases = sorted(p for p in outputs.iterdir() if p.name not in ("inputs", "random"))
     assert [case.name for case in cases] == sorted(name for name, _ in _tool("cli_outputs").cases())
     for case in cases:
         expected = 2 if case.name.startswith("usage_") else 1 if case.name.endswith("_fails") else 0
         assert (case / "exit_code").read_text() == f"{expected}\n", case.name
     assert (outputs / "bench_small_grid" / "bench.csv").exists()
     assert (outputs / "segment_pgm64_nakagami_k2" / "labels.pgm").exists()
+
+
+def test_cli_outputs_random_cases_are_named_by_what_they_run(outputs):
+    # seed 34's first 8 cases hold both formats and likelihoods, a strip each
+    # way and one image with fewer distinct values than K, which must fail
+    random = outputs / "random"
+    cases = sorted(p.name for p in random.iterdir() if p.is_dir() and p.name != "inputs")
+    assert len(cases) == 8
+    assert "000_pgm_1x2_nakagami_k4_fails" in cases
+    for name in cases:
+        match = re.fullmatch(r"(\d{3})_(pgm|txt)_(\d+)x(\d+)_(gaussian|nakagami)_k([2-5])(_fails)?", name)
+        assert match, name
+        index, kind, height, width, likelihood, k, fails = match.groups()
+        assert (random / name / "exit_code").read_text() == ("1\n" if fails else "0\n"), name
+        assert (random / name / "labels.pgm").exists() != bool(fails), name
+        line = f"nakafit segment --in random/inputs/{index}.{kind} --k {k} --likelihood {likelihood}"
+        assert line in (random / "cases.txt").read_text(), name
+    assert {name[4:7] for name in cases} == {"pgm", "txt"}
 
 
 def test_cli_outputs_match_the_committed_digests(outputs):

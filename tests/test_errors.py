@@ -117,6 +117,9 @@ NOT_REAL_ARRAYS = [
     pytest.param([["1", "2"], ["3", "4"]], id="numeric_str_matrix"),
     pytest.param([True, True], id="list_of_bool"),
     pytest.param(np.array([[True, False], [False, True]]), id="bool_ndarray"),
+    # mixed input: numpy would cast the bool to 1.0 and parse the string
+    pytest.param([True, 2.0], id="list_with_bool_among_floats"),
+    pytest.param(np.array(["1.5", 2.0], dtype=object), id="object_ndarray_with_numeric_str"),
 ]
 ARRAY_ENTRY_POINTS = {
     "compute_stats": (compute_stats, "sample block"),
@@ -133,7 +136,10 @@ ARRAY_ENTRY_POINTS = {
 def test_array_inputs_refuse_entries_that_are_not_real(entry, bad):
     call, name = ARRAY_ENTRY_POINTS[entry]
     message = _refused(lambda: call(bad), name)
-    assert message == f"{name} must be real numbers, got {np.asarray(bad).dtype}"
+    dtype = np.asarray(bad).dtype
+    # of mixed input, the message names the type of the first entry refused
+    shown = dtype if dtype.kind in "cUSb" else type(np.asarray(bad, dtype=object).flat[0]).__name__
+    assert message == f"{name} must be real numbers, got {shown}"
 
 
 @pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)

@@ -423,6 +423,29 @@ def test_icm_histogram_equals_a_bincount_after_every_sweep(likelihood, n_classes
     assert moved > 0
 
 
+@pytest.mark.parametrize("shape", [(9, 7), (7, 8), (1, 9)], ids=["9x7", "7x8", "1x9"])
+def test_icm_rounds_on_one_icm_equal_a_fresh_icm_per_round(shape):
+    # `segment` runs every round on one `_Icm`, refilled between rounds; each
+    # round's sweeps must equal those of an `_Icm` built from the labels the
+    # round starts from, and every energy a full gather
+    rng = np.random.default_rng(list(shape))
+    labels = rng.integers(0, 3, shape)
+    tables = [rng.uniform(0.0, 2.0, (3, *shape)) for _ in range(3)]
+    icm = hmrf._Icm(labels, np.arange(labels.size).reshape(shape), 3)
+    moved = 0
+    for costs in tables:
+        icm.fill(costs.reshape(3, -1))
+        assert icm.energy(0.7) == full_gather_energy(costs, labels, 0.7)
+        for (want, want_changed), changed in zip(icm_sweeps(costs, labels, 0.7),
+                                                 islice(icm.sweeps(0.7), 3)):
+            assert np.array_equal(icm.inner, want)
+            assert changed == want_changed
+            assert icm.energy(0.7) == full_gather_energy(costs, want, 0.7)
+            moved += changed
+        labels = want
+    assert moved > 0
+
+
 # --- parameter updates ---------------------------------------------------------
 
 

@@ -7,11 +7,15 @@ of the checkout holding this script), prints each side's median and
 quartiles, the parent's interquartile distance, how many seed-paired runs
 the change won (the metric's `better` gives the direction; ties count for
 neither side), and whether the change's median is worse than the parent's
-by more than the metric's `bound`, taken as a relative difference. Runs
-pair by workload and seed, in the order each file holds them; a run with no
-partner is listed as unpaired and counts only in the medians. Also prints
-each side's failed and attempted operations. Exits 1 if any metric breaches
-its bound, else 0.
+by more than the metric's `bound`, taken as a relative difference. Each
+change is worded in the metric's own direction: "12.0% better" is a 12%
+higher median of a higher-is-better metric or a 12% lower one of a
+lower-is-better metric. Runs pair by workload and seed, in the order each
+file holds them; a run with no partner is listed as unpaired and counts
+only in the medians. Also prints each side's failed and attempted
+operations. Traced runs (`bench_record.py --trace 1`) carry per-layer
+metrics only: they are counted on a line of their own and left out of
+everything else. Exits 1 if any metric breaches its bound, else 0.
 """
 
 import argparse
@@ -40,10 +44,10 @@ def quartiles(values):
 
 
 def _by_seed(runs, workload):
-    """The runs of `workload` keyed by (seed, occurrence of that seed)."""
+    """The untraced runs of `workload` keyed by (seed, occurrence of that seed)."""
     keyed, seen = {}, defaultdict(int)
     for run in runs:
-        if run["workload"] == workload:
+        if run["workload"] == workload and not run.get("trace"):
             keyed[run["seed"], seen[run["seed"]]] = run["result"]
             seen[run["seed"]] += 1
     return keyed
@@ -58,14 +62,26 @@ def worse_by(parent, change, better):
     return math.copysign(math.inf, gap) if gap else 0.0
 
 
+def _worded(worse):
+    """A `worse_by` value in words: "4.0% worse", "4.0% better" or "no change"."""
+    if not worse:
+        return "no change"
+    return f"{abs(worse):.1%} {'worse' if worse > 0 else 'better'}"
+
+
 def compare(spec, parent_runs, change_runs, out):
     """Print the comparison of the two run lists to `out`; returns the
     number of metrics whose change median breaches its bound."""
     breaches = 0
     for workload in (w["name"] for w in spec["workloads"]):
         sides = _by_seed(parent_runs, workload), _by_seed(change_runs, workload)
+        traced = [sum(run["workload"] == workload and bool(run.get("trace")) for run in runs)
+                  for runs in (parent_runs, change_runs)]
+        if any(traced):
+            print(f"{workload}: traced runs, per-layer metrics only, not compared: "
+                  f"parent {traced[0]}, change {traced[1]}", file=out)
         if not any(sides):
-            print(f"{workload}: no runs", file=out)
+            print(f"{workload}: no {'untraced ' if any(traced) else ''}runs", file=out)
             continue
         paired = sorted(set(sides[0]) & set(sides[1]))
         unpaired = [sorted({seed for seed, _ in set(side) - set(paired)}) for side in sides]
@@ -91,7 +107,7 @@ def compare(spec, parent_runs, change_runs, out):
             print(f"  {name} ({better} is better, bound {bound:g}): "
                   f"parent {pm:.6g} [{p1:.6g}, {p3:.6g}], change {cm:.6g} [{c1:.6g}, {c3:.6g}]; "
                   f"parent IQR {p3 - p1:.6g}; change won {wins} of {len(paired)} pairs "
-                  f"({ties} ties); change median {worse:+.1%} worse; "
+                  f"({ties} ties); change median {_worded(worse)}; "
                   f"{'BREACH' if breach else 'within bound'}", file=out)
     return breaches
 

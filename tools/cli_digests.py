@@ -5,6 +5,8 @@
 
 The JSON holds the Python and numpy versions of this interpreter beside the
 digests, keyed by each file's path relative to OUTDIR with `/` separators.
+Files under OUTDIR/random/, the seeded `--random` cases, are left out: they
+are compared between two checkouts with `diff -r`, not pinned.
 Bench and segment digits depend on numpy's generators and libm, so a
 mismatch under other versions may not be a change in nakafit.
 `tests/test_cli_outputs.py` reruns the tool and compares with the
@@ -28,9 +30,11 @@ def versions():
 
 
 def digests(outdir):
-    """{relative path: SHA-256 hex} for every file under outdir, sorted by path."""
+    """{relative path: SHA-256 hex} for every file under outdir but random/,
+    sorted by path."""
     root = Path(outdir)
-    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*")
+                   if p.is_file() and p.relative_to(root).parts[0] != "random")
     return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in files}
 
 

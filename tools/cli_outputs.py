@@ -1,6 +1,6 @@
 """Run a fixed list of `nakafit` CLI calls in-process and record every output.
 
-    python tools/cli_outputs.py --root CHECKOUT OUTDIR
+    python tools/cli_outputs.py --root CHECKOUT [--random N --seed S] OUTDIR
 
 Imports `nakafit` from CHECKOUT/src, writes the shared inputs under
 OUTDIR/inputs, and for each case writes OUTDIR/<case>/stdout, stderr and
@@ -13,6 +13,13 @@ with nakafit, so two checkouts get identical inputs. Compare two checkouts
 with `diff -r OUT_A OUT_B`. Usage messages are wrapped at 80 columns
 whatever the terminal, and `tools/cli_digests.py` records one SHA-256 per
 file written.
+
+With --random N, N seeded `segment` cases drawn with numpy only
+(`random_cases`) also run, under OUTDIR/random/: odd, even and strip
+shapes, 8-bit PGM and text inputs, both likelihoods, K in 2..5 and beta
+from 0 up to half the pair limit. They are not pinned in the digest file;
+to show that a change keeps `segment`'s bytes, run the same N and S on two
+checkouts and compare them with `diff -r`.
 
 Case names say what the exit code should be: `usage_*` exit 2, `*_fails`
 exit 1, every other case exits 0. A call that raises anything but SystemExit
@@ -288,6 +295,53 @@ def cases():
     ]
 
 
+
+def random_cases(count, seed):
+    """`count` seeded `segment` cases under random/, drawn with numpy only:
+    writes each case's input under random/inputs/ and its command line to
+    random/cases.txt, and returns (name, argv) for each case.
+
+    An image is side-by-side Nakagami bands, 1 to 3 of them, each of its
+    own shape and scale. Both sides are drawn from 2..64, so either parity;
+    a third of the images are one-row or one-column strips. Half are 8-bit
+    PGMs, half text matrices scaled by 10^u, u in [-3, 3]. Each case draws
+    the likelihood, K in 2..5, the k-means seed, and beta: 0, 10^u for u in
+    [-2, 2], or up to half of the largest float over the image's 4-neighbor
+    pair count. A case whose image holds fewer distinct values than K
+    is named `*_fails`."""
+    rng = np.random.default_rng(seed)
+    os.makedirs("random/inputs", exist_ok=True)
+    drawn = []
+    for i in range(count):
+        height, width = (int(n) for n in rng.integers(2, 65, size=2))
+        strip = int(rng.integers(6))
+        height, width = (1, width) if strip == 0 else (height, 1) if strip == 1 else (height, width)
+        parts = np.array_split(np.arange(width), int(rng.integers(1, 4)))
+        shapes = rng.choice((0.7, 1.0, 3.0, 8.0, 12.0), len(parts))
+        img = np.hstack([rng.choice((0.5, 1.0, 2.0)) * _bands(rng, height, ((m, part.size),))
+                         for m, part in zip(shapes, parts)])
+        kind = ("pgm", "txt")[int(rng.integers(2))]
+        data = _pgm(_levels(img)) if kind == "pgm" else _matrix(img * 10.0 ** rng.uniform(-3, 3))
+        path = f"random/inputs/{i:03d}.{kind}"
+        with open(path, "wb") as fh:
+            fh.write(data)
+        # the values the CLI reads back: the PGM's bytes, or the matrix's tokens
+        values = (np.frombuffer(data[-height * width:], np.uint8) if kind == "pgm"
+                  else [float(t) for t in data.split()[2:]])
+        likelihood = ("gaussian", "nakagami")[int(rng.integers(2))]
+        k = int(rng.integers(2, 6))
+        pairs = 2 * height * width - height - width
+        beta = (0.0, 10.0 ** rng.uniform(-2, 2),
+                rng.uniform(0, 0.5) * sys.float_info.max / pairs)[int(rng.integers(3))]
+        fails = "_fails" if np.unique(values).size < k else ""
+        name = f"random/{i:03d}_{kind}_{height}x{width}_{likelihood}_k{k}{fails}"
+        drawn.append(_segment(name, path, "--k", str(k), "--likelihood", likelihood,
+                              "--beta", repr(float(beta)), "--seed", str(int(rng.integers(1000)))))
+    with open("random/cases.txt", "w", encoding="ascii") as fh:
+        for name, argv in drawn:
+            fh.write(" ".join(["nakafit"] + [arg.replace("{out}", name) for arg in argv]) + "\n")
+    return drawn
+
 # the `FILE:LINE: ` that starts a warning's first line, as warnings.formatwarning writes it
 _WARNING_LINE = re.compile(r"^(\S+\.py):\d+: (?=\w*Warning: )", re.MULTILINE)
 
@@ -320,6 +374,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", required=True, help="checkout whose src/ holds nakafit")
     parser.add_argument("outdir", help="directory for inputs and outputs (created)")
+    parser.add_argument("--random", type=int, default=0, metavar="N",
+                        help="also run N seeded segment cases under OUTDIR/random/")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the --random cases")
     args = parser.parse_args(argv)
     src = os.path.join(os.path.abspath(args.root), "src")
     sys.path.insert(0, src)
@@ -329,7 +386,7 @@ def main(argv=None):
     os.makedirs(args.outdir, exist_ok=True)
     os.chdir(args.outdir)
     make_inputs()
-    for name, case_argv in cases():
+    for name, case_argv in cases() + (random_cases(args.random, args.seed) if args.random else []):
         run_case(nakafit_main, name, case_argv, src)
     return 0
 
