@@ -1,5 +1,9 @@
 """Grayscale image I/O: binary PGM (P5, 8-bit) and a plain-text matrix format.
 
+`read_image` is the one reader: it reads the file once and parses its
+bytes as a PGM where they start with `P5`, else as a text matrix. Every
+refusal of the bytes is a ValueError that starts with the path.
+
 A PGM header is four tokens: magic, width, height and maxval. A token is a
 run of bytes that are neither ASCII whitespace nor '#'. Before each token
 come any number of whitespace bytes and comments; a comment runs from '#'
@@ -40,33 +44,30 @@ def _decimal(token):
         raise ValueError(f"header field of {len(token)} digits is too large") from None
 
 
-def read_pgm(path):
-    """Read an 8-bit binary PGM into a float64 (height, width) array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    with _refusals_naming(path):
-        header = _HEADER.match(data)
-        if header is None:
-            raise ValueError("truncated PGM header")
-        magic, *tokens = header.groups()
-        if magic != b"P5":
-            raise ValueError(f"not a binary PGM (magic {magic!r})")
-        width, height, maxval = fields = [_decimal(t) for t in tokens]
-        if None in fields:
-            raise ValueError(
-                f"bad PGM header {tokens}: width, height and maxval must be decimal digits"
-            )
-        if width < 1 or height < 1:
-            raise ValueError(f"bad PGM dimensions {width}x{height}")
-        if not (0 < maxval < 256):
-            raise ValueError(f"only 8-bit PGM supported (maxval {maxval})")
-        # exactly one whitespace byte separates the header from the raster
-        raster = data[header.end() + 1 : header.end() + 1 + width * height]
-        if len(raster) != width * height:
-            raise ValueError("truncated PGM raster")
-        pixels = np.frombuffer(raster, dtype=np.uint8)
-        if pixels.max() > maxval:
-            raise ValueError(f"PGM raster byte {pixels.max()} above maxval {maxval}")
+def _pgm(data):
+    """The bytes of an 8-bit binary PGM as a float64 (height, width) array."""
+    header = _HEADER.match(data)
+    if header is None:
+        raise ValueError("truncated PGM header")
+    magic, *tokens = header.groups()
+    if magic != b"P5":
+        raise ValueError(f"not a binary PGM (magic {magic!r})")
+    width, height, maxval = fields = [_decimal(t) for t in tokens]
+    if None in fields:
+        raise ValueError(
+            f"bad PGM header {tokens}: width, height and maxval must be decimal digits"
+        )
+    if width < 1 or height < 1:
+        raise ValueError(f"bad PGM dimensions {width}x{height}")
+    if not (0 < maxval < 256):
+        raise ValueError(f"only 8-bit PGM supported (maxval {maxval})")
+    # exactly one whitespace byte separates the header from the raster
+    raster = data[header.end() + 1 : header.end() + 1 + width * height]
+    if len(raster) != width * height:
+        raise ValueError("truncated PGM raster")
+    pixels = np.frombuffer(raster, dtype=np.uint8)
+    if pixels.max() > maxval:
+        raise ValueError(f"PGM raster byte {pixels.max()} above maxval {maxval}")
     return pixels.astype(float).reshape(height, width)
 
 
@@ -89,22 +90,20 @@ def labels_to_gray(labels, n_classes):
     return np.asarray(labels) * (255 // (_integer(n_classes, "n_classes", 2, 256) - 1))
 
 
-def read_matrix(path):
-    """Read the text matrix format into a float64 (rows, cols) array."""
+def _matrix(data):
+    """The bytes of the text matrix format as a float64 (rows, cols) array."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            tokens = fh.read().split()
+        tokens = data.decode("ascii").split()
     except UnicodeDecodeError:
-        raise ValueError(f"{path}: not ASCII text") from None
-    with _refusals_naming(path):
-        if len(tokens) < 2:
-            raise ValueError("missing 'rows cols' header")
-        rows, cols = (_decimal(t) or 0 for t in tokens[:2])
-        if rows < 1 or cols < 1:
-            raise ValueError(f"bad matrix dimensions {tokens[0]} {tokens[1]}")
-        values = np.array([float(t) for t in tokens[2:]], dtype=float)
-        if values.size != rows * cols:
-            raise ValueError(f"expected {rows * cols} values, found {values.size}")
+        raise ValueError("not ASCII text") from None
+    if len(tokens) < 2:
+        raise ValueError("missing 'rows cols' header")
+    rows, cols = (_decimal(t) or 0 for t in tokens[:2])
+    if rows < 1 or cols < 1:
+        raise ValueError(f"bad matrix dimensions {tokens[0]} {tokens[1]}")
+    values = np.array([float(t) for t in tokens[2:]], dtype=float)
+    if values.size != rows * cols:
+        raise ValueError(f"expected {rows * cols} values, found {values.size}")
     return values.reshape(rows, cols)
 
 
@@ -125,9 +124,9 @@ def write_matrix(path, array):
 
 
 def read_image(path):
-    """Load an image, auto-detecting binary PGM vs the text matrix format."""
+    """Read an image file once: binary PGM where its bytes start with `P5`,
+    else the text matrix format. Every refusal names the path."""
     with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"P5":
-        return read_pgm(path)
-    return read_matrix(path)
+        data = fh.read()
+    with _refusals_naming(path):
+        return _pgm(data) if data.startswith(b"P5") else _matrix(data)

@@ -433,11 +433,11 @@ def test_segment_end_to_end(tmp_path, capsys):
     assert out.startswith("energy=")
     assert "sweeps=" in out
 
-    labels = pgm.read_matrix(tmp_path / "lab.txt").astype(int)
+    labels = pgm.read_image(tmp_path / "lab.txt").astype(int)
     acc = np.mean(labels == truth)
     assert max(acc, 1 - acc) >= 0.85
 
-    gray = pgm.read_pgm(tmp_path / "lab.pgm")
+    gray = pgm.read_image(tmp_path / "lab.pgm")
     assert set(np.unique(gray)) <= {0.0, 255.0}
 
     rows = trace.read_text().strip().split("\n")

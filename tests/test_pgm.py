@@ -13,7 +13,7 @@ def test_pgm_round_trip(tmp_path):
     img = np.arange(12, dtype=float).reshape(3, 4) * 20.0
     path = tmp_path / "a.pgm"
     pgm.write_pgm(path, img)
-    back = pgm.read_pgm(path)
+    back = pgm.read_image(path)
     assert back.shape == (3, 4)
     assert np.array_equal(back, img)
 
@@ -21,7 +21,7 @@ def test_pgm_round_trip(tmp_path):
 def test_pgm_header_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([0, 50, 100, 255]))
-    img = pgm.read_pgm(path)
+    img = pgm.read_image(path)
     assert img.shape == (2, 2)
     assert img[1, 1] == 255.0
 
@@ -109,25 +109,24 @@ def test_refusals_name_the_file(tmp_path, name, data, message):
         pgm.read_image(path)
 
 
-def test_pgm_rejects_bad_magic(tmp_path):
-    path = tmp_path / "b.pgm"
-    path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
-    with pytest.raises(ValueError):
-        pgm.read_pgm(path)
+def test_pgm_rejects_bad_magic():
+    # read_image hands bytes that do not start with P5 to the matrix parser
+    with pytest.raises(ValueError, match=re.escape("not a binary PGM (magic b'P2')")):
+        pgm._pgm(b"P2\n2 2\n255\n0 1 2 3\n")
 
 
 def test_pgm_rejects_truncated_raster(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
     with pytest.raises(ValueError):
-        pgm.read_pgm(path)
+        pgm.read_image(path)
 
 
 def test_pgm_rejects_16_bit(tmp_path):
     path = tmp_path / "w.pgm"
     path.write_bytes(b"P5\n1 1\n65535\n\x00\x01")
     with pytest.raises(ValueError):
-        pgm.read_pgm(path)
+        pgm.read_image(path)
 
 
 @pytest.mark.parametrize(
@@ -139,16 +138,16 @@ def test_pgm_header_fields_are_decimal_digits_only(tmp_path, header):
     path = tmp_path / "h.pgm"
     path.write_bytes(header + b"\n" + bytes(40))
     with pytest.raises(ValueError, match=re.escape(f"{path}: bad PGM header")):
-        pgm.read_pgm(path)
+        pgm.read_image(path)
 
 
 def test_pgm_rejects_raster_byte_above_maxval(tmp_path):
     path = tmp_path / "m.pgm"
     path.write_bytes(b"P5\n2 1\n100\n" + bytes([100, 255]))
     with pytest.raises(ValueError, match=re.escape(f"{path}: PGM raster byte 255 above maxval 100")):
-        pgm.read_pgm(path)
+        pgm.read_image(path)
     path.write_bytes(b"P5\n2 1\n100\n" + bytes([0, 100]))
-    assert np.array_equal(pgm.read_pgm(path), [[0.0, 100.0]])
+    assert np.array_equal(pgm.read_image(path), [[0.0, 100.0]])
 
 
 def test_write_pgm_rejects_out_of_range(tmp_path):
@@ -162,7 +161,7 @@ def test_matrix_round_trip(tmp_path):
     arr = np.array([[0.5, 1.25], [3.0, 0.0078125]])
     path = tmp_path / "m.txt"
     pgm.write_matrix(path, arr)
-    back = pgm.read_matrix(path)
+    back = pgm.read_image(path)
     assert np.allclose(back, arr, rtol=1e-11)
     assert back.shape == (2, 2)
 
@@ -171,7 +170,7 @@ def test_matrix_header_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 3\n1 2 3 4\n")
     with pytest.raises(ValueError):
-        pgm.read_matrix(path)
+        pgm.read_image(path)
 
 
 @pytest.mark.parametrize("header", ["-1 0", "0 3", "2 x"])
@@ -179,14 +178,17 @@ def test_matrix_rejects_dimensions_below_one_or_not_integers(tmp_path, header):
     path = tmp_path / "bad.txt"
     path.write_text(header + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: bad matrix dimensions {header}")):
-        pgm.read_matrix(path)
+        pgm.read_image(path)
 
 
 def test_matrix_rejects_non_ascii_bytes(tmp_path):
     path = tmp_path / "u.txt"
     path.write_bytes("1 2\n0.5 \u00bd\n".encode("utf-8"))
     with pytest.raises(ValueError, match=re.escape(f"{path}: not ASCII text")):
-        pgm.read_matrix(path)
+        pgm.read_image(path)
+    # the parser sees bytes only; the path comes from read_image
+    with pytest.raises(ValueError, match="^not ASCII text$"):
+        pgm._matrix(path.read_bytes())
 
 
 def test_read_image_dispatch(tmp_path):
@@ -196,6 +198,30 @@ def test_read_image_dispatch(tmp_path):
     binary = tmp_path / "img.pgm"
     pgm.write_pgm(binary, np.zeros((2, 3)))
     assert pgm.read_image(binary).shape == (2, 3)
+
+
+def test_read_image_is_the_one_reader():
+    public = {name for name, value in vars(pgm).items()
+              if callable(value) and not name.startswith("_") and value.__module__ == pgm.__name__}
+    assert public == {"read_image", "write_pgm", "write_matrix", "labels_to_gray"}
+
+
+def test_read_image_opens_the_file_once(tmp_path, monkeypatch):
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    for name, write, image in (("i.pgm", pgm.write_pgm, np.zeros((2, 3))),
+                               ("i.txt", pgm.write_matrix, np.ones((2, 3)))):
+        path = tmp_path / name
+        write(path, image)
+        opened.clear()
+        assert np.array_equal(pgm.read_image(path), image)
+        assert opened == [path], name
 
 
 def test_labels_to_gray():
