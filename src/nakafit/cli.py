@@ -193,7 +193,7 @@ def _build_bench_config(args, parser):
 
 
 def cmd_bench(args):
-    rows = run_bench(args.bench_config)
+    rows = run_bench(_build_bench_config(args, args.parser))
     with _open_sink(args.out) as sink:
         emit_csv(rows, sink)
     return 0
@@ -249,7 +249,8 @@ def build_parser():
     for name, convert in _BENCH_FIELDS.items():
         p.add_argument("--" + name.replace("_", "-"), type=convert)
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_bench)
+    # config and BenchConfig refusals are reported as usage errors of `bench`
+    p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("bounds", help="tabulate CRLB and the modified bound")
     p.add_argument("--m-grid", dest="m_grid", type=_m_grid, required=True)
@@ -280,8 +281,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench":
-        args.bench_config = _build_bench_config(args, parser)
     try:
         return args.func(args)
     except (NakafitError, ValueError, OSError) as exc:

@@ -286,6 +286,25 @@ def test_bench_repeated_shape_or_estimator_is_usage_error(capsys, argv):
     assert "must be distinct" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["--config", "{cfg}"], "trials = 0\n", "config field trials: '0' must be >= 1"),
+    (["--block-size", "1"], None, "block_size must be >= 2"),
+    (["--m-grid", "1", "--estimators", "exact_ml,exact_ml"], None, "estimators must be distinct"),
+    (["--trials", "2.5"], None, "argument --trials: '2.5' is not an integer"),
+], ids=["config_value", "block_size", "repeated_estimator", "flag"])
+def test_bench_usage_errors_come_from_the_bench_subcommand(tmp_path, capsys, argv, config, message):
+    # a config or BenchConfig refusal is reported as a bad bench flag is
+    cfg = tmp_path / "bench.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bench", *(arg.format(cfg=cfg) for arg in argv)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nakafit bench [-h] [--config CONFIG]"), err
+    assert err.endswith(f"\nnakafit bench: error: {message}\n"), err
+
+
 # field: (config-file text, its value, flag text, its value)
 BENCH_SETTINGS = {
     "m_grid": ("0.7, 3", (0.7, 3.0), "5", (5.0,)),
@@ -304,8 +323,8 @@ BENCH_SETTINGS = {
 
 
 def bench_config(argv):
-    parser = build_parser()
-    return _build_bench_config(parser.parse_args(["bench", *argv]), parser)
+    args = build_parser().parse_args(["bench", *argv])
+    return _build_bench_config(args, args.parser)
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(BenchConfig)])
