@@ -2,7 +2,9 @@
 
 `read_image` is the one reader: it reads the file once and parses its
 bytes as a PGM where they start with `P5`, else as a text matrix. Every
-refusal of the bytes is a ValueError that starts with the path.
+refusal of the bytes is a ValueError that starts with the path. The
+writers refuse an empty array, or one that is not 2-D, before they open
+their file: neither format holds an image without pixels.
 
 A PGM header is four tokens: magic, width, height and maxval. A token is a
 run of bytes that are neither ASCII whitespace nor '#'. Before each token
@@ -74,8 +76,8 @@ def _pgm(data):
 def write_pgm(path, image):
     """Write a (height, width) array of values in [0, 255] as binary PGM."""
     arr = np.asarray(image)
-    if arr.ndim != 2:
-        raise ValueError("image must be 2-D")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError("image must be a non-empty 2-D array")
     if not (arr.min() >= 0 and arr.max() <= 255):
         raise ValueError("pixel values must be finite and lie in [0, 255]")
     data = np.rint(arr).astype(np.uint8)
@@ -110,8 +112,8 @@ def _matrix(data):
 def write_matrix(path, array):
     """Write a 2-D array in the text matrix format (12 significant digits)."""
     arr = np.asarray(array)
-    if arr.ndim != 2:
-        raise ValueError("array must be 2-D")
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError("array must be a non-empty 2-D array")
     # Each distinct value is formatted once, as np.savetxt(fmt="%.12g") would
     # format it, and the rows are joined through the inverse index. Values
     # are told apart by their bits, so -0.0 and 0.0 keep their own texts.

@@ -157,6 +157,18 @@ def test_write_pgm_rejects_out_of_range(tmp_path):
     assert not (tmp_path / "x.pgm").exists()
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (3,), (2, 2, 2)],
+                         ids=["0x3", "3x0", "0x0", "1-D", "3-D"])
+@pytest.mark.parametrize("write, name", [(pgm.write_pgm, "image"), (pgm.write_matrix, "array")],
+                         ids=["write_pgm", "write_matrix"])
+def test_writers_refuse_an_array_that_is_empty_or_not_2d(tmp_path, write, name, shape):
+    # refused before the file is opened: neither format holds an image without pixels
+    path = tmp_path / "x"
+    with pytest.raises(ValueError, match=f"^{name} must be a non-empty 2-D array$"):
+        write(path, np.ones(shape))
+    assert not path.exists()
+
+
 def test_matrix_round_trip(tmp_path):
     arr = np.array([[0.5, 1.25], [3.0, 0.0078125]])
     path = tmp_path / "m.txt"
