@@ -142,6 +142,14 @@ def test_array_inputs_refuse_entries_that_are_not_real(entry, bad):
     assert message == f"{name} must be real numbers, got {shown}"
 
 
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_array_inputs_refuse_a_ragged_row_with_numpys_reason(entry):
+    # numpy cannot make an array of rows of two lengths; its message follows the name
+    call, name = ARRAY_ENTRY_POINTS[entry]
+    message = _refused(lambda: call([[1.0], [1.0, 2.0]]), name)
+    assert message.startswith(f"{name} must be real numbers: setting an array element with a sequence")
+
+
 @pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)
 def test_log_gamma_refuses(bad):
     _refused(lambda: log_gamma(bad), "x")

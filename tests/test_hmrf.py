@@ -811,6 +811,14 @@ def test_segment_bootstraps_a_constant_class_whose_squares_are_subnormal():
     assert all(math.isfinite(energy) for _, _, energy in result.trace)
 
 
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+@pytest.mark.parametrize("shape", [(2, 2, 2), (4,), (0, 3), (3, 0)], ids=["3-D", "1-D", "0x3", "3x0"])
+def test_segment_refuses_an_image_that_is_empty_or_not_2d(likelihood, shape):
+    image = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+    with pytest.raises(ValueError, match="^image must be a non-empty 2-D array$"):
+        segment(image, 2, likelihood, seed=0)
+
+
 def test_segment_rejects_all_zero_image_for_nakagami():
     with pytest.raises(ValueError):
         segment(np.zeros((6, 6)), 2, Likelihood.NAKAGAMI, seed=0)
