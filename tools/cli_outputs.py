@@ -69,6 +69,9 @@ LITERAL = {
     "inputs/not_ascii.cfg": b"trials = 5\xff\n",
     # a bench config that sets trials twice
     "inputs/repeated_key.cfg": b"m_grid = 1\ntrials = 5\ntrials = 7\n",
+    # bench configs with a line that has no '=' and with a value its converter refuses
+    "inputs/no_equals.cfg": b"m_grid = 1\ntrials 5\n",
+    "inputs/zero_trials.cfg": b"trials = 0\n",
     # block files: a non-ASCII byte, a token that is not a number, and values
     # split by every ASCII separator str.split knows
     "inputs/not_ascii_block.txt": b"1.5\n2.\xbd\n",
@@ -101,8 +104,13 @@ LITERAL = {
         b"1e-160 2e-160 1.5e-160 3e-160 300 310\n"
         b"1.2e-160 2.5e-160 1e-160 290 305 300\n"
         b"1e-160 1.1e-160 295 300 300 320\n",
+    # `--random 512 --seed 9032`'s case 097, a 5x1 column: at its beta, half
+    # the pair limit, the two classes' costs tie, so ties going to the higher
+    # class would label every pixel 1, not 0
+    "inputs/tie_5x1.txt":
+        b"5 1\n0.0443895211648\n0.0414167846815\n0.0370926161753\n0.0380462573697\n0.0353096954681\n",
 }
-# a directory given where a block file or an image is expected
+# a directory given where a block file, an image or a config file is expected
 DIRECTORY = "inputs/a_directory"
 
 
@@ -283,13 +291,20 @@ def cases():
                              ("directory", DIRECTORY))),
         # ramp4.pgm holds 16 distinct intensities, fewer than 17 classes
         _segment("segment_k_above_distinct_fails", "inputs/ramp4.pgm", "--k", "17"),
+        _segment("segment_tie_nakagami_k2", "inputs/tie_5x1.txt", "--k", "2",
+                 "--likelihood", "nakagami", "--beta", "5.253808233850028e+306", "--seed", "658"),
         ("usage_sample_negative_m", ["sample", "--m", "-1", "--n", "5"]),
+        ("usage_sample_m_not_a_number", ["sample", "--m", "abc", "--n", "5"]),
+        ("usage_bench_trials_not_an_integer", ["bench", "--trials", "2.5"]),
         ("usage_bench_bad_estimator", ["bench", "--estimators", "bogus"]),
         ("usage_bench_repeated_estimator",
          ["bench", "--m-grid", "1", "--trials", "5", "--estimators", "exact_ml,exact_ml"]),
         ("usage_bounds_empty_grid", ["bounds", "--m-grid", "", "--n", "10"]),
         ("usage_bench_config_not_ascii", ["bench", "--config", "inputs/not_ascii.cfg"]),
         ("usage_bench_config_repeated_key", ["bench", "--config", "inputs/repeated_key.cfg"]),
+        ("usage_bench_config_no_equals", ["bench", "--config", "inputs/no_equals.cfg"]),
+        ("usage_bench_config_zero_trials", ["bench", "--config", "inputs/zero_trials.cfg"]),
+        ("usage_bench_config_directory", ["bench", "--config", DIRECTORY]),
         # 2,304 distinct values: more than --k, so only the 256-level PGM limit refuses 257
         _segment("usage_segment_k_above_256", "inputs/three_region.txt", "--k", "257"),
     ]
