@@ -45,22 +45,55 @@ def test_cli_outputs_script_runs_every_case(outputs):
     assert (outputs / "segment_pgm64_nakagami_k2" / "labels.pgm").exists()
 
 
+# the name of each family's --random cases
+RANDOM_NAMES = {
+    "segment": r"(\d{3})_(pgm|txt)_(\d+)x(\d+)_(gaussian|nakagami)_k([2-5])(_fails)?",
+    "estimate": r"estimate_(\d{3})_(exact_ml|cheng_beaulieu_1|cheng_beaulieu_2|greenwood_durand"
+                r"|moment_based)_([1-6])f(_fails)?",
+    "bench": r"bench_(\d{3})_([1-3])m_(\d+)t_([1-4])x(\d+)",
+}
+
+
 def test_cli_outputs_random_cases_are_named_by_what_they_run(outputs):
-    # seed 34's first 8 cases hold both formats and likelihoods, a strip each
-    # way and one image with fewer distinct values than K, which must fail
+    # seed 34's first 8 cases of each family; its segment cases hold both
+    # formats and likelihoods, a strip each way and one image with fewer
+    # distinct values than K, which must fail
     random = outputs / "random"
     cases = sorted(p.name for p in random.iterdir() if p.is_dir() and p.name != "inputs")
-    assert len(cases) == 8
+    lines = (random / "cases.txt").read_text().splitlines()
+    assert len(cases) == len(lines) == 24
     assert "000_pgm_1x2_nakagami_k4_fails" in cases
+    found = {family: [] for family in RANDOM_NAMES}
     for name in cases:
-        match = re.fullmatch(r"(\d{3})_(pgm|txt)_(\d+)x(\d+)_(gaussian|nakagami)_k([2-5])(_fails)?", name)
+        family = name.split("_")[0] if name.startswith(("estimate_", "bench_")) else "segment"
+        match = re.fullmatch(RANDOM_NAMES[family], name)
         assert match, name
-        index, kind, height, width, likelihood, k, fails = match.groups()
+        found[family].append(match.groups())
+        fails = name.endswith("_fails")
         assert (random / name / "exit_code").read_text() == ("1\n" if fails else "0\n"), name
-        assert (random / name / "labels.pgm").exists() != bool(fails), name
-        line = f"nakafit segment --in random/inputs/{index}.{kind} --k {k} --likelihood {likelihood}"
-        assert line in (random / "cases.txt").read_text(), name
-    assert {name[4:7] for name in cases} == {"pgm", "txt"}
+        if family == "segment":
+            index, kind, height, width, likelihood, k, _ = match.groups()
+            assert (random / name / "labels.pgm").exists() != fails, name
+            line = f"nakafit segment --in random/inputs/{index}.{kind} --k {k} --likelihood {likelihood} "
+            assert any(case.startswith(line) for case in lines), name
+        elif family == "estimate":
+            index, method, files, _ = match.groups()
+            paths = " ".join(f"random/inputs/estimate_{index}_{j}.txt" for j in range(int(files)))
+            assert f"nakafit estimate --in {paths} --method {method}" in lines, name
+            if not fails:  # the smoothed estimate closes the output
+                assert (random / name / "stdout").read_text().splitlines()[-1].startswith("m_hat="), name
+        else:
+            index, shapes, trials, blocks, size = match.groups()
+            flags = next(case for case in lines if case.endswith(f" random/{name}/bench.csv")).split()
+            assert flags[:2] == ["nakafit", "bench"], name
+            value = dict(zip(flags[2::2], flags[3::2]))
+            assert (value["--trials"], value["--num-blocks"], value["--block-size"]) == (trials, blocks, size)
+            rows = int(shapes) * len(value["--estimators"].split(","))
+            assert len((random / name / "bench.csv").read_text().splitlines()) == 1 + rows, name
+    assert {family: len(names) for family, names in found.items()} == dict.fromkeys(RANDOM_NAMES, 8)
+    assert {groups[1] for groups in found["segment"]} == {"pgm", "txt"}
+    # seed 34's estimate cases both pass and fail
+    assert {groups[-1] for groups in found["estimate"]} == {None, "_fails"}
 
 
 def test_cli_outputs_match_the_committed_digests(outputs):

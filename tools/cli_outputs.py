@@ -14,12 +14,15 @@ with `diff -r OUT_A OUT_B`. Usage messages are wrapped at 80 columns
 whatever the terminal, and `tools/cli_digests.py` records one SHA-256 per
 file written.
 
-With --random N, N seeded `segment` cases drawn with numpy only
-(`random_cases`) also run, under OUTDIR/random/: odd, even and strip
-shapes, 8-bit PGM and text inputs, both likelihoods, K in 2..5 and beta
-from 0 up to half the pair limit. They are not pinned in the digest file;
-to show that a change keeps `segment`'s bytes, run the same N and S on two
-checkouts and compare them with `diff -r`.
+With --random N, N seeded cases of each of `segment`, `estimate` and
+`bench`, drawn with numpy only (`random_cases`), also run under
+OUTDIR/random/: `segment` on odd, even and strip shapes, 8-bit PGM and
+text inputs, both likelihoods, K in 2..5 and beta from 0 up to half the
+pair limit; `estimate` over block files that include constant, refused
+and out-of-range ones, with any --method; `bench` on small grids. They are
+not pinned in the digest file; to show that a change keeps the bytes of
+these commands, run the same N and S on two checkouts and compare them
+with `diff -r`.
 
 Case names say what the exit code should be: `usage_*` exit 2, `*_fails`
 exit 1, every other case exits 0. A call that raises anything but SystemExit
@@ -45,6 +48,8 @@ import warnings
 import numpy as np
 
 ESTIMATORS = ("exact_ml", "cheng_beaulieu_1", "cheng_beaulieu_2", "greenwood_durand", "moment_based")
+# the Nakagami shapes of the --random images and block files
+SHAPES = (0.7, 1.0, 3.0, 8.0, 12.0)
 BLOCKS = [f"inputs/block{i}.txt" for i in range(8)] + ["inputs/constant.txt", "inputs/short.txt"]
 
 # the hand-written inputs: path -> bytes
@@ -312,27 +317,38 @@ def cases():
 
 
 def random_cases(count, seed):
-    """`count` seeded `segment` cases under random/, drawn with numpy only:
-    writes each case's input under random/inputs/ and its command line to
-    random/cases.txt, and returns (name, argv) for each case.
-
-    An image is side-by-side Nakagami bands, 1 to 3 of them, each of its
-    own shape and scale. Both sides are drawn from 2..64, so either parity;
-    a third of the images are one-row or one-column strips. Half are 8-bit
-    PGMs, half text matrices scaled by 10^u, u in [-3, 3]. Each case draws
-    the likelihood, K in 2..5, the k-means seed, and beta: 0, 10^u for u in
-    [-2, 2], or up to half of the largest float over the image's 4-neighbor
-    pair count. A case whose image holds fewer distinct values than K
-    is named `*_fails`."""
-    rng = np.random.default_rng(seed)
+    """`count` seeded cases of each family, `segment`, `estimate` and
+    `bench`, under random/, drawn with numpy only and each family from a
+    stream of its own, so a family's cases for a given count and seed stay
+    as they are when another family changes: writes each case's inputs
+    under random/inputs/ and its command line to random/cases.txt, and
+    returns (name, argv) for each case."""
     os.makedirs("random/inputs", exist_ok=True)
+    drawn = [*_random_segments(np.random.default_rng(seed), count),
+             *_random_estimates(np.random.default_rng([seed, 1]), count),
+             *_random_benches(np.random.default_rng([seed, 2]), count)]
+    with open("random/cases.txt", "w", encoding="ascii") as fh:
+        for name, argv in drawn:
+            fh.write(" ".join(["nakafit"] + [arg.replace("{out}", name) for arg in argv]) + "\n")
+    return drawn
+
+
+def _random_segments(rng, count):
+    """`count` `segment` cases. An image is side-by-side Nakagami bands, 1
+    to 3 of them, each of its own shape and scale. Both sides are drawn
+    from 2..64, so either parity; a third of the images are one-row or
+    one-column strips. Half are 8-bit PGMs, half text matrices scaled by
+    10^u, u in [-3, 3]. Each case draws the likelihood, K in 2..5, the
+    k-means seed, and beta: 0, 10^u for u in [-2, 2], or up to half of the
+    largest float over the image's 4-neighbor pair count. A case whose
+    image holds fewer distinct values than K is named `*_fails`."""
     drawn = []
     for i in range(count):
         height, width = (int(n) for n in rng.integers(2, 65, size=2))
         strip = int(rng.integers(6))
         height, width = (1, width) if strip == 0 else (height, 1) if strip == 1 else (height, width)
         parts = np.array_split(np.arange(width), int(rng.integers(1, 4)))
-        shapes = rng.choice((0.7, 1.0, 3.0, 8.0, 12.0), len(parts))
+        shapes = rng.choice(SHAPES, len(parts))
         img = np.hstack([rng.choice((0.5, 1.0, 2.0)) * _bands(rng, height, ((m, part.size),))
                          for m, part in zip(shapes, parts)])
         kind = ("pgm", "txt")[int(rng.integers(2))]
@@ -352,9 +368,70 @@ def random_cases(count, seed):
         name = f"random/{i:03d}_{kind}_{height}x{width}_{likelihood}_k{k}{fails}"
         drawn.append(_segment(name, path, "--k", str(k), "--likelihood", likelihood,
                               "--beta", repr(float(beta)), "--seed", str(int(rng.integers(1000)))))
-    with open("random/cases.txt", "w", encoding="ascii") as fh:
-        for name, argv in drawn:
-            fh.write(" ".join(["nakafit"] + [arg.replace("{out}", name) for arg in argv]) + "\n")
+    return drawn
+
+
+# the kinds of block file an `estimate` case draws, with their odds; every
+# --method refuses the five after "constant"
+BLOCK_KINDS = ("nakagami", "constant", "zero", "inf", "nan", "huge", "tiny")
+BLOCK_ODDS = (0.7, 0.12, 0.036, 0.036, 0.036, 0.036, 0.036)
+
+
+def _random_estimates(rng, count):
+    """`count` `estimate` cases, each over 1 to 6 block files and with a
+    drawn --method. A file holds 1 to 60 Nakagami draws at a shape of the
+    segment family's and a scale 10^u, u in [-3, 3], or one such scale
+    repeated (constant). The refused kinds hold 2 to 60 draws: one entry
+    set to 0, inf or NaN, one entry 10^u with u in [155, 308], whose square
+    overflows, or every entry scaled by 10^u with u in [-280, -200], so
+    that every square underflows to 0. A block of one value, or of one
+    value repeated, is skipped as degenerate. A case that holds a refused
+    file, or whose every file is skipped, is named `*_fails`."""
+    drawn = []
+    for i in range(count):
+        method = ESTIMATORS[int(rng.integers(len(ESTIMATORS)))]
+        paths, refused, skipped = [], False, 0
+        for j in range(int(rng.integers(1, 7))):
+            kind = str(rng.choice(BLOCK_KINDS, p=BLOCK_ODDS))
+            size = int(rng.integers(1 if kind in ("nakagami", "constant") else 2, 61))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            values = (np.full(size, scale) if kind == "constant"
+                      else scale * _nakagami(rng, rng.choice(SHAPES), size))
+            if kind in ("zero", "inf", "nan"):
+                values[rng.integers(size)] = {"zero": 0.0, "inf": np.inf, "nan": np.nan}[kind]
+            elif kind == "huge":
+                values[rng.integers(size)] = 10.0 ** rng.uniform(155, 308)
+            elif kind == "tiny":
+                values *= 10.0 ** rng.uniform(-280, -200)
+            refused = refused or kind not in ("nakagami", "constant")
+            skipped += kind == "constant" or size == 1
+            paths.append(f"random/inputs/estimate_{i:03d}_{j}.txt")
+            with open(paths[-1], "wb") as fh:
+                fh.write(_lines(values))
+        fails = "_fails" if refused or skipped == len(paths) else ""
+        name = f"random/estimate_{i:03d}_{method}_{len(paths)}f{fails}"
+        drawn.append((name, ["estimate", "--in", *paths, "--method", method]))
+    return drawn
+
+
+def _random_benches(rng, count):
+    """`count` `bench` cases: 1 to 3 shapes 10^u, u in [-0.5, 1.3], at
+    --omega 10^u, u in [-3, 3]; 2 to 20 trials of 1 to 4 blocks of 2 to 40
+    values; 1 to 5 of the estimators, in a drawn order; and a base seed.
+    Every bound at those shapes is finite, so every case exits 0."""
+    drawn = []
+    for i in range(count):
+        shapes = (10.0 ** rng.uniform(-0.5, 1.3, int(rng.integers(1, 4)))).tolist()
+        omega = float(10.0 ** rng.uniform(-3, 3))
+        trials, blocks, size = (int(rng.integers(low, high)) for low, high in ((2, 21), (1, 5), (2, 41)))
+        order = rng.permutation(len(ESTIMATORS))[: int(rng.integers(1, len(ESTIMATORS) + 1))]
+        name = f"random/bench_{i:03d}_{len(shapes)}m_{trials}t_{blocks}x{size}"
+        drawn.append((name, [
+            "bench", "--m-grid", ",".join(map(repr, shapes)), "--omega", repr(omega),
+            "--block-size", str(size), "--num-blocks", str(blocks), "--trials", str(trials),
+            "--estimators", ",".join(ESTIMATORS[k] for k in order),
+            "--base-seed", str(int(rng.integers(1000))),
+            "--out", "{out}/bench.csv"]))
     return drawn
 
 # the `FILE:LINE: ` that starts a warning's first line, as warnings.formatwarning writes it
@@ -390,7 +467,7 @@ def main(argv=None):
     parser.add_argument("--root", required=True, help="checkout whose src/ holds nakafit")
     parser.add_argument("outdir", help="directory for inputs and outputs (created)")
     parser.add_argument("--random", type=int, default=0, metavar="N",
-                        help="also run N seeded segment cases under OUTDIR/random/")
+                        help="also run N seeded segment, estimate and bench cases each under OUTDIR/random/")
     parser.add_argument("--seed", type=int, default=0, help="seed of the --random cases")
     args = parser.parse_args(argv)
     src = os.path.join(os.path.abspath(args.root), "src")
