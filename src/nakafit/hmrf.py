@@ -32,17 +32,18 @@ and its sweeps keep current at the pixels they relabel. After each refit
 `segment` evaluates the (K, D) class-cost table, `_class_costs` at the D
 distinct intensities, and hands it to `_Icm.fill`; the `_Icm`, built once
 as `_Icm(labels, inverse, n_classes)` from the k-means field and the
-inverse index, sees only costs, and its sweeps gather them from that
-table, which it keeps as the only copy. The tests hold the full-gather energy, the
-one-hot argmin sweep and the per-pixel class fit as references. Images
-must be >= 0 with peak^2 * pixel count finite; the Nakagami likelihood
-also needs every square positive. A cost that overflows is +inf.
+inverse index, sees only costs. Each round runs one dense checkerboard
+sweep, which gathers them from that table, kept as the only copy; the
+number of sweeps is the number of rounds. The tests hold the full-gather
+energy, the one-hot argmin sweep and the per-pixel class fit as
+references. Images must be >= 0 with peak^2 * pixel count finite; the
+Nakagami likelihood also needs every square positive. A cost that
+overflows is +inf.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
 import numpy as np
 
@@ -64,7 +65,6 @@ _SIGMA_MIN = math.ulp(0.0)
 
 _KMEANS_MAX_ITER = 100
 
-_MAX_SWEEPS = 3
 _MAX_OUTER = 100
 _ZERO_SHIFT = 1e-6
 
@@ -90,7 +90,7 @@ class GaussianParams:
 class SegmentResult:
     """The final label field, each class's fitted parameters, the classes
     whose parameters the last refit froze (too few pixels, or a degenerate
-    fit), the trace and the number of ICM sweeps run."""
+    fit), the trace and the number of ICM sweeps run, one per round."""
 
     labels: np.ndarray
     class_params: tuple
@@ -211,23 +211,17 @@ class _Icm:
     its best class is argmin over k of nll_k - beta * (neighbors labeled k),
     ties going to the lower class (`_argmin_classes`).
 
-    The first sweep of each `sweeps` call, one per round, is dense: it
-    scores every pixel, one color and class at a time, in contiguous memory
-    on a checkerboard-packed copy of the field, each color's labels in a -1
-    frame of their own. Color c, row i, slot q is pixel (i, 2q + (i + c) %
-    2), so a color's rows are ceil(W/2) slots long; a slot past the end of a
-    row of odd width lies on the frame and is never relabelled. The copy is
-    rebuilt from the raster frame when the round starts, and the dense
-    half-sweeps write their relabels to both. A class's costs are gathered
-    from its table row at the color's slots; its int8 neighbor counts are
-    sums of shifted slices: up and down are the other color's same slot,
-    left and right its slots q - 1 and q or q and q + 1, by the row's
-    parity. After it, a half-sweep re-scores only the pixels with a neighbor
-    relabelled by the half-sweep before it, gathered by flat index from the
-    raster frame, which is all it writes, and their costs from the table.
-    This is exact: every other pixel of that color has the same K costs and
-    the same neighbor labels as when it was last scored, so it would get
-    back the label it already has.
+    `sweep` scores every pixel, one color and class at a time, in
+    contiguous memory on a checkerboard-packed copy of the field, each
+    color's labels in a -1 frame of their own. Color c, row i, slot q is
+    pixel (i, 2q + (i + c) % 2), so a color's rows are ceil(W/2) slots
+    long; a slot past the end of a row of odd width lies on the frame and
+    is never relabelled. The constructor fills the copy once from the
+    raster frame, and every half-sweep writes its relabels to both, so the
+    two never differ between half-sweeps. A class's costs are gathered from
+    its table row at the color's slots; its int8 neighbor counts are sums
+    of shifted slices: up and down are the other color's same slot, left
+    and right its slots q - 1 and q or q and q + 1, by the row's parity.
     """
 
     def __init__(self, labels, inverse, n_classes):
@@ -239,7 +233,6 @@ class _Icm:
         # the frame's cells by flat index; a pixel's 4 neighbors are these steps away
         self.cells = self.framed.reshape(-1)
         self.steps = np.array([-(width + 2), -1, 1, width + 2])
-        self.classes = np.arange(n_classes)[:, None, None]
         # the raster index i * W + j of each color's slots, then their frame
         # cells and intensity indices; a slot past the end of a row falls on
         # the row's right border and reads the next pixel's intensity
@@ -249,6 +242,7 @@ class _Icm:
         self.slot_levels = np.take(self.inverse, raster, mode="clip")
         self.inner[...] = labels
         self.packed = np.full((2, height + 2, slots + 2), -1, dtype=np.min_scalar_type(-n_classes))
+        self.packed[:, 1:-1, 1:-1] = self.cells[self.slot_cells].reshape(2, height, slots)
         self.same = np.empty(self.packed.shape[1:], dtype=bool)
         flags = self.same.view(np.int8)
         self.up, self.down = flags[:-2, 1:-1], flags[2:, 1:-1]
@@ -287,15 +281,12 @@ class _Icm:
         order, plus beta * pairs."""
         return float(self.own.sum()) + beta * self.pairs
 
-    def sweeps(self, beta):
-        """Checkerboard sweeps of the current field, one per step; yields the
-        number of pixels each changed. Each half-sweep updates the energy
-        terms and the histogram at the pixels it relabels, so no full gather
-        runs."""
+    def sweep(self, beta):
+        """One checkerboard sweep of the current field; returns the number
+        of pixels it changed. Each half-sweep updates the energy terms and
+        the histogram at the pixels it relabels, so no full gather runs."""
         beta = float(beta)  # an int beta would keep beta * agree in int8
-        height, width = self.inner.shape
-        # the sparse half-sweeps of earlier rounds wrote the frame only
-        self.packed[:, 1:-1, 1:-1] = self.cells[self.slot_cells].reshape(2, height, -1)
+        width = self.inner.shape[1]
         changed = 0
         for color in (0, 1):
             _argmin_classes(self._dense_costs(color, beta), *self.work)
@@ -309,13 +300,7 @@ class _Icm:
             self._relabel(moved, self._pixels(moved), self.cells[moved + self.steps[:, None]],
                           self.arg.reshape(-1)[slots])
             changed += slots.size
-        yield changed
-        while True:
-            changed = 0
-            for _ in range(2):
-                moved = self._sparse_half(moved, beta)
-                changed += moved.size
-            yield changed
+        return changed
 
     def _pixels(self, cells):
         """The raster index of each inner frame cell in `cells`: cell
@@ -339,33 +324,6 @@ class _Icm:
             np.take(costs, self.slot_levels[color], out=self.cost, mode="clip")
             np.subtract(self.cost, self.scaled, out=self.cost)
             yield self.cost
-
-    def _sparse_half(self, moved, beta):
-        """Re-score the pixels next to the frame cells `moved`, which the
-        previous half-sweep relabelled, and update the frame and its energy
-        terms; returns the frame cells this half-sweep relabelled."""
-        if moved.size == 0:
-            return moved
-        # the sort and mask np.unique would run, without its overhead: it
-        # measured slower per segment image
-        near = np.sort((moved + self.steps[:, None]).reshape(-1))
-        keep = np.empty(near.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(near[1:], near[:-1], out=keep[1:])
-        keep &= self.cells[near] >= 0  # the border's -1 labels
-        cells = near[keep]
-        pixels = self._pixels(cells)
-        around = self.cells[cells + self.steps[:, None]]  # (4, n) neighbor labels
-        agree = np.add.reduce(around == self.classes, axis=1)
-        costs = np.take(self.table, self.inverse[pixels], axis=1)
-        costs -= agree * beta
-        work = [buf.reshape(-1)[: cells.size] for buf in self.work]
-        _argmin_classes(costs, *work)
-        new = work[1]
-        move = np.flatnonzero(new != self.cells[cells])
-        moved = cells[move]
-        self._relabel(moved, pixels[move], around[:, move], new[move])
-        return moved
 
     def _relabel(self, cells, pixels, around, new):
         """Give the frame cells `cells`, all of one color, of raster index
@@ -440,18 +398,18 @@ def _refit(counts, columns, likelihood, class_params):
 def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     """Full pipeline: k-means init, then alternate parameter updates and ICM.
 
-    Each outer round refits the class parameters and runs at most
-    _MAX_SWEEPS ICM sweeps; keeping the sweep budget small lets labels and
-    parameters co-evolve instead of freezing early around the
-    initialization. The loop stops after the first round whose sweeps
-    change no pixel, or after _MAX_OUTER rounds: the next round would refit
-    the same parameters from the same labels and repeat that round exactly.
+    Each outer round refits the class parameters, refills the cost table
+    and runs one ICM sweep, so labels and parameters co-evolve instead of
+    freezing early around the initialization. The loop stops after the
+    first round whose sweep changes no pixel, or after _MAX_OUTER rounds:
+    the next round would refit the same parameters from the same labels and
+    repeat that round exactly.
 
     For the Nakagami likelihood, images containing zeros are shifted up by
     _ZERO_SHIFT * max intensity to restore positive support. Returns a
     `SegmentResult`: the labels, each class's parameters and the classes
     the last refit starved, the (step, phase, energy) trace, and the
-    number of ICM sweeps executed.
+    number of ICM sweeps executed, which is the number of rounds.
 
     The arguments are checked in this order, each refusal a ValueError
     naming its argument: likelihood (a `Likelihood` member), the image
@@ -499,19 +457,14 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
         class_params, starved = _refit(icm.counts, columns, likelihood, class_params)
         icm.fill(_class_costs(distinct, likelihood, class_params))
         trace.append((len(trace), "params", icm.energy(beta)))
-        round_changed = 0
-        for changed in islice(icm.sweeps(beta), _MAX_SWEEPS):
-            round_changed += changed
-            trace.append((len(trace), "icm", icm.energy(beta)))
-            if changed == 0:
-                break
-        if round_changed == 0:
+        changed = icm.sweep(beta)
+        trace.append((len(trace), "icm", icm.energy(beta)))
+        if changed == 0:
             break
-    sweeps = sum(phase == "icm" for _, phase, _ in trace)
     return SegmentResult(
         labels=icm.inner.copy(),
         class_params=class_params,
         starved=starved,
         trace=tuple(trace),
-        sweeps=sweeps,
+        sweeps=len(trace) // 2,
     )

@@ -54,6 +54,11 @@ RANDOM_NAMES = {
 }
 
 
+def _printed(exact):
+    """The lines of an `exact` file with each float.hex token at %.12g, as printed."""
+    return re.sub(r"-?0x[0-9a-f.]+p[-+]\d+", lambda h: format(float.fromhex(h[0]), ".12g"), exact)
+
+
 def test_cli_outputs_random_cases_are_named_by_what_they_run(outputs):
     # seed 34's first 8 cases of each family; its segment cases hold both
     # formats and likelihoods, a strip each way and one image with fewer
@@ -80,8 +85,10 @@ def test_cli_outputs_random_cases_are_named_by_what_they_run(outputs):
             index, method, files, _ = match.groups()
             paths = " ".join(f"random/inputs/estimate_{index}_{j}.txt" for j in range(int(files)))
             assert f"nakafit estimate --in {paths} --method {method}" in lines, name
+            stdout = (random / name / "stdout").read_text()
             if not fails:  # the smoothed estimate closes the output
-                assert (random / name / "stdout").read_text().splitlines()[-1].startswith("m_hat="), name
+                assert stdout.splitlines()[-1].startswith("m_hat="), name
+            assert _printed((random / name / "exact").read_text()) == stdout, name
         else:
             index, shapes, trials, blocks, size = match.groups()
             flags = next(case for case in lines if case.endswith(f" random/{name}/bench.csv")).split()
@@ -89,7 +96,9 @@ def test_cli_outputs_random_cases_are_named_by_what_they_run(outputs):
             value = dict(zip(flags[2::2], flags[3::2]))
             assert (value["--trials"], value["--num-blocks"], value["--block-size"]) == (trials, blocks, size)
             rows = int(shapes) * len(value["--estimators"].split(","))
-            assert len((random / name / "bench.csv").read_text().splitlines()) == 1 + rows, name
+            csv = (random / name / "bench.csv").read_text()
+            assert len(csv.splitlines()) == 1 + rows, name
+            assert _printed((random / name / "exact").read_text()) == csv, name
     assert {family: len(names) for family, names in found.items()} == dict.fromkeys(RANDOM_NAMES, 8)
     assert {groups[1] for groups in found["segment"]} == {"pgm", "txt"}
     # seed 34's estimate cases both pass and fail

@@ -1,6 +1,5 @@
 import math
 import sys
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -43,13 +42,14 @@ def full_gather_energy(costs, labels, beta):
     return data + beta * pairs
 
 
-def icm_sweeps(costs, labels, beta):
-    """`hmrf._Icm`'s sweeps from `labels` over the (K, H, W) cost table `costs`,
-    given to it as a (K, H * W) table through the identity index."""
+def icm_sweeps(costs, labels, beta, n):
+    """`n` of `hmrf._Icm`'s sweeps from `labels` over the (K, H, W) cost table
+    `costs`, given to it as a (K, H * W) table through the identity index."""
     n_classes = costs.shape[0]
     icm = hmrf._Icm(labels, np.arange(labels.size).reshape(labels.shape), n_classes)
     icm.fill(costs.reshape(n_classes, -1))
-    for changed in icm.sweeps(beta):
+    for _ in range(n):
+        changed = icm.sweep(beta)
         yield icm.inner.copy(), changed
 
 
@@ -74,7 +74,7 @@ def icm_sweep(img, labels, model):
     beta) triple `model`: (new label field, pixels changed)."""
     likelihood, params, beta = model
     icm = filled_icm(img, labels, likelihood, params)
-    changed = next(icm.sweeps(beta))
+    changed = icm.sweep(beta)
     return icm.inner.copy(), changed
 
 
@@ -340,7 +340,7 @@ def test_icm_sweep_matches_scalar_checkerboard_reference(shape, n_classes, beta)
         nll = 0.5 * rng.integers(0, 6, (n_classes,) + shape)
         labels = rng.integers(0, n_classes, shape)
         before = labels.copy()
-        out, changed = next(icm_sweeps(nll, labels, beta))
+        out, changed = next(icm_sweeps(nll, labels, beta, 1))
         want, want_changed = checkerboard_reference(nll, labels, beta)
         assert np.array_equal(out, want)
         assert changed == want_changed
@@ -377,8 +377,7 @@ def test_icm_kernel_matches_argmin_reference(shape, n_classes, table):
     # +-inf, whose ties keep the lower class, and on the finite tables beta =
     # 1e308 makes beta * agree overflow, so costs reach -inf. No input makes a
     # cost NaN (+inf beside an overflowing beta * agree): `segment` scores
-    # none (`test_segment_class_costs_are_never_nan`). Every sweep after the
-    # first re-scores only the pixels next to a relabelled one.
+    # none (`test_segment_class_costs_are_never_nan`).
     rng = np.random.default_rng([shape[0], shape[1], n_classes, table == "finite"])
     for beta in (0.0, 0.7, 3.0, 1e308) if table == "finite" else (0.0, 0.7, 3.0):
         nll = rng.normal(0.0, 2.0, (n_classes,) + shape)
@@ -390,7 +389,7 @@ def test_icm_kernel_matches_argmin_reference(shape, n_classes, table):
         before = labels.copy()
         want = labels
         with np.errstate(over="ignore"):  # both formulas warn alike
-            for got, changed in islice(icm_sweeps(nll, labels, beta), 6):
+            for got, changed in icm_sweeps(nll, labels, beta, 6):
                 want, want_changed = argmin_sweep_reference(nll, want, beta)
                 assert np.array_equal(got, want)
                 assert changed == want_changed
@@ -417,7 +416,8 @@ def test_icm_histogram_equals_a_bincount_after_every_sweep(likelihood, n_classes
 
     assert np.array_equal(icm.counts, bincount())
     moved = 0
-    for changed in islice(icm.sweeps(1.0), 6):
+    for _ in range(6):
+        changed = icm.sweep(1.0)
         assert np.array_equal(icm.counts, bincount())
         moved += changed
     assert moved > 0
@@ -436,8 +436,8 @@ def test_icm_rounds_on_one_icm_equal_a_fresh_icm_per_round(shape):
     for costs in tables:
         icm.fill(costs.reshape(3, -1))
         assert icm.energy(0.7) == full_gather_energy(costs, labels, 0.7)
-        for (want, want_changed), changed in zip(icm_sweeps(costs, labels, 0.7),
-                                                 islice(icm.sweeps(0.7), 3)):
+        for want, want_changed in icm_sweeps(costs, labels, 0.7, 3):
+            changed = icm.sweep(0.7)
             assert np.array_equal(icm.inner, want)
             assert changed == want_changed
             assert icm.energy(0.7) == full_gather_energy(costs, want, 0.7)
@@ -680,13 +680,9 @@ def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
         starved.update(round_starved)
         costs = hmrf._class_costs(img, likelihood, params)
         want.append(full_gather_energy(costs, labels, 1.0))
-        round_changed = 0
-        for labels, changed in islice(icm_sweeps(costs, labels, 1.0), hmrf._MAX_SWEEPS):
-            want.append(full_gather_energy(costs, labels, 1.0))
-            round_changed += changed
-            if changed == 0:
-                break
-        if round_changed == 0:
+        [(labels, changed)] = icm_sweeps(costs, labels, 1.0, 1)
+        want.append(full_gather_energy(costs, labels, 1.0))
+        if changed == 0:
             break
     assert [energy for _, _, energy in result.trace] == want
     assert np.array_equal(result.labels, labels)

@@ -22,7 +22,10 @@ pair limit; `estimate` over block files that include constant, refused
 and out-of-range ones, with any --method; `bench` on small grids. They are
 not pinned in the digest file; to show that a change keeps the bytes of
 these commands, run the same N and S on two checkouts and compare them
-with `diff -r`.
+with `diff -r`. Each `estimate` and `bench` case under random/ also gets a
+file `exact` (`exact_lines`): its printed lines recomputed in-process
+through the library with every float as `float.hex`, so the comparison
+sees a change in the last bit that the printed 12 digits hide.
 
 Case names say what the exit code should be: `usage_*` exit 2, `*_fails`
 exit 1, every other case exits 0. A call that raises anything but SystemExit
@@ -44,6 +47,7 @@ import re
 import sys
 import traceback
 import warnings
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -434,6 +438,48 @@ def _random_benches(rng, count):
             "--out", "{out}/bench.csv"]))
     return drawn
 
+
+def exact_lines(argv):
+    """The lines an `estimate` or `bench` call prints, recomputed through
+    the library with every estimate, mean, variance and bound written by
+    float.hex, so that `format(float.fromhex(h), ".12g")` of each hex token
+    gives the printed line back: `estimate` stops before the block it
+    refuses and prints no final line when every block is skipped, and
+    `bench` writes its CSV rows in `emit_csv` order."""
+    from nakafit import (BenchConfig, BlockEstimatorState, DegenerateBlockError, NakafitError,
+                         estimate_block, finalize, ingest_block, run_bench)
+    from nakafit.cli import build_parser
+    from nakafit.montecarlo import CSV_HEADER
+
+    args = build_parser().parse_args(argv)
+    if args.command == "bench":
+        given = {f.name: getattr(args, f.name) for f in fields(BenchConfig)
+                 if getattr(args, f.name) is not None}
+        rows = sorted(run_bench(BenchConfig(**given)), key=lambda r: (r.m_true, r.estimator.value))
+        cells = (",".join(v.hex() if isinstance(v, float) else str(getattr(v, "value", v))
+                          for v in astuple(row)) for row in rows)
+        return [CSV_HEADER, *cells]
+    lines, state = [], BlockEstimatorState(args.method)
+    for index, path in enumerate(args.infiles, start=1):
+        with open(path, "rb") as fh:
+            block = np.array([float(token) for token in fh.read().split()])
+        try:
+            est = estimate_block(args.method, block)
+        except DegenerateBlockError:
+            lines.append(f"block={index} skipped degenerate")
+        except (NakafitError, ValueError):
+            return lines
+        else:
+            lines.append(f"block={index} m_hat={float(est.m_hat).hex()} "
+                         f"sigma_hat={float(est.sigma_hat).hex()}")
+        state = ingest_block(state, block)
+    if state.blocks_seen:
+        final = finalize(state)
+        lines.append(f"m_hat={float(final.m_hat).hex()} sigma_hat={float(final.sigma_hat).hex()} "
+                     f"blocks={state.blocks_seen} skipped={state.skipped}")
+    return lines
+
+
 # the `FILE:LINE: ` that starts a warning's first line, as warnings.formatwarning writes it
 _WARNING_LINE = re.compile(r"^(\S+\.py):\d+: (?=\w*Warning: )", re.MULTILINE)
 
@@ -478,8 +524,15 @@ def main(argv=None):
     os.makedirs(args.outdir, exist_ok=True)
     os.chdir(args.outdir)
     make_inputs()
-    for name, case_argv in cases() + (random_cases(args.random, args.seed) if args.random else []):
+    drawn = random_cases(args.random, args.seed) if args.random else []
+    for name, case_argv in cases() + drawn:
         run_case(nakafit_main, name, case_argv, src)
+    for name, case_argv in drawn:
+        if case_argv[0] in ("estimate", "bench"):
+            with open(os.path.join(name, "exact"), "w", encoding="ascii") as fh, \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the call itself recorded them in stderr
+                fh.writelines(line + "\n" for line in exact_lines(case_argv))
     return 0
 
 
