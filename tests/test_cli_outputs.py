@@ -81,6 +81,12 @@ def test_cli_outputs_random_cases_are_named_by_what_they_run(outputs):
             assert (random / name / "labels.pgm").exists() != fails, name
             line = f"nakafit segment --in random/inputs/{index}.{kind} --k {k} --likelihood {likelihood} "
             assert any(case.startswith(line) for case in lines), name
+            exact = (random / name / "exact").read_text()
+            if fails:  # a refused image writes no trace and prints nothing
+                assert exact == "" == (random / name / "stdout").read_text(), name
+            else:
+                printed = (random / name / "trace.csv").read_text() + (random / name / "stdout").read_text()
+                assert _printed(exact) == printed, name
         elif family == "estimate":
             index, method, files, _ = match.groups()
             paths = " ".join(f"random/inputs/estimate_{index}_{j}.txt" for j in range(int(files)))

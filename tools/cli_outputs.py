@@ -22,10 +22,10 @@ pair limit; `estimate` over block files that include constant, refused
 and out-of-range ones, with any --method; `bench` on small grids. They are
 not pinned in the digest file; to show that a change keeps the bytes of
 these commands, run the same N and S on two checkouts and compare them
-with `diff -r`. Each `estimate` and `bench` case under random/ also gets a
-file `exact` (`exact_lines`): its printed lines recomputed in-process
-through the library with every float as `float.hex`, so the comparison
-sees a change in the last bit that the printed 12 digits hide.
+with `diff -r`. Each case under random/ also gets a file `exact`
+(`exact_lines`): its printed lines recomputed in-process through the
+library with every float as `float.hex`, so the comparison sees a change
+in the last bit that the printed 12 digits hide.
 
 Case names say what the exit code should be: `usage_*` exit 2, `*_fails`
 exit 1, every other case exits 0. A call that raises anything but SystemExit
@@ -440,18 +440,29 @@ def _random_benches(rng, count):
 
 
 def exact_lines(argv):
-    """The lines an `estimate` or `bench` call prints, recomputed through
-    the library with every estimate, mean, variance and bound written by
-    float.hex, so that `format(float.fromhex(h), ".12g")` of each hex token
-    gives the printed line back: `estimate` stops before the block it
-    refuses and prints no final line when every block is skipped, and
-    `bench` writes its CSV rows in `emit_csv` order."""
+    """The lines an `estimate`, `bench` or `segment` call prints or writes,
+    recomputed through the library with every estimate, mean, variance,
+    bound and energy written by float.hex, so that
+    `format(float.fromhex(h), ".12g")` of each hex token gives the printed
+    line back: `estimate` stops before the block it refuses and prints no
+    final line when every block is skipped, `bench` writes its CSV rows in
+    `emit_csv` order, and `segment` gives its trace CSV, then its summary
+    line, or nothing when it refuses the image."""
     from nakafit import (BenchConfig, BlockEstimatorState, DegenerateBlockError, NakafitError,
-                         estimate_block, finalize, ingest_block, run_bench)
+                         estimate_block, finalize, ingest_block, pgm, run_bench, segment)
     from nakafit.cli import build_parser
     from nakafit.montecarlo import CSV_HEADER
 
     args = build_parser().parse_args(argv)
+    if args.command == "segment":
+        try:
+            result = segment(pgm.read_image(args.infile), args.k, args.likelihood,
+                             beta=args.beta, seed=args.seed)
+        except (NakafitError, ValueError):
+            return []
+        rows = (f"{step},{phase},{energy.hex()}" for step, phase, energy in result.trace)
+        return ["iteration,phase,energy", *rows,
+                f"energy={result.trace[-1][2].hex()} sweeps={result.sweeps}"]
     if args.command == "bench":
         given = {f.name: getattr(args, f.name) for f in fields(BenchConfig)
                  if getattr(args, f.name) is not None}
@@ -528,11 +539,10 @@ def main(argv=None):
     for name, case_argv in cases() + drawn:
         run_case(nakafit_main, name, case_argv, src)
     for name, case_argv in drawn:
-        if case_argv[0] in ("estimate", "bench"):
-            with open(os.path.join(name, "exact"), "w", encoding="ascii") as fh, \
-                    warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # the call itself recorded them in stderr
-                fh.writelines(line + "\n" for line in exact_lines(case_argv))
+        with open(os.path.join(name, "exact"), "w", encoding="ascii") as fh, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the call itself recorded them in stderr
+            fh.writelines(line + "\n" for line in exact_lines(case_argv))
     return 0
 
 
