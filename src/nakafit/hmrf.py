@@ -26,19 +26,21 @@ at the first refit.
 `segment` computes what no round changes once per call: the image's
 np.unique, whose distinct intensities are the only values each class
 cost is evaluated at, and x^2 and ln x^2 of each distinct intensity.
-Each refit reads the image as a histogram per class, the count of the
-class's pixels at each distinct intensity, which the `_Icm` counts once
-and its sweeps keep current at the pixels they relabel. After each refit
+The image is read as a histogram per class, the count of the class's
+pixels at each distinct intensity, which the `_Icm` counts once and its
+sweeps keep current at the pixels they relabel. After each refit
 `segment` evaluates the (K, D) class-cost table, `_class_costs` at the D
-distinct intensities, and hands it to `_Icm.fill`; the `_Icm`, built once
-as `_Icm(labels, inverse, n_classes)` from the k-means field and the
-inverse index, sees only costs. Each round runs one dense checkerboard
-sweep, which gathers them from that table, kept as the only copy; the
-number of sweeps is the number of rounds. The tests hold the full-gather
-energy, the one-hot argmin sweep and the per-pixel class fit as
-references. Images must be >= 0 with peak^2 * pixel count finite; the
-Nakagami likelihood also needs every square positive. A cost that
-overflows is +inf.
+distinct intensities, and hands it to the `_Icm`'s energy and sweep; the
+`_Icm`, built once as `_Icm(labels, inverse, n_classes)` from the k-means
+field and the inverse index, sees only costs. Refit and energy both read
+the one histogram: the energy's data term is the histogram dotted with
+the table. Each round runs one dense checkerboard sweep, which gathers
+its costs from that table; the number of sweeps is the number of rounds.
+The tests hold the energy of a histogram counted from the whole field,
+the exact sum of every pixel's own-class cost, the one-hot argmin sweep
+and the per-pixel class fit as references. Images must be >= 0 with
+peak^2 * pixel count finite; the Nakagami likelihood also needs every
+square positive. A cost that overflows is +inf.
 """
 
 import math
@@ -182,27 +184,24 @@ def _argmin_classes(costs, best, arg, better, marked):
 
 
 class _Icm:
-    """ICM over a class-cost table, with its energy and class histogram kept
-    current; `segment` runs every stage on one. It sees only costs, never a
-    likelihood.
+    """ICM over a class-cost table, with its class histogram and unlike
+    pair count kept current; `segment` runs every stage on one. It sees
+    only costs, never a likelihood.
 
     `_Icm(labels, inverse, n_classes)` takes the starting (H, W) label field
     and the image's np.unique inverse index in the same shape, which maps
-    each pixel to its column of every cost table. `fill(table)` takes the
-    (K, D) table of each class's cost at each of the D distinct intensities;
-    the sweeps read every cost from it, and no copy of it is kept. The
-    field lives in raster order in a (H+2, W+2) frame with a -1 border.
-    Frame cell (i + 1) * (W + 2) + j + 1 is pixel i * W + j, worked out
-    where it is needed, and a cell is on the border where its label is -1;
-    no map from frame cells to pixels is kept. Beside the field it keeps the
-    energy's two terms, `own`, each pixel's own-class cost in raster order,
-    and `pairs`, the count of unlike 4-neighbor pairs, and `counts`, the
-    (K, D) histogram of each class's pixels at each distinct intensity,
-    which `_refit` reads. The constructor counts pairs and counts in full,
-    and `fill` gathers own in full; every sweep updates all three at the
-    pixels it relabels. Every buffer is allocated once and reused by each
-    round: fresh (H, W) temporaries cost more in page faults than the
-    arithmetic done on them.
+    each pixel to its column of every cost table. `energy` and `sweep` take
+    the (K, D) table of each class's cost at each of the D distinct
+    intensities; no copy of it is kept. The field lives in raster order in
+    a (H+2, W+2) frame with a -1 border, where a cell is on the border when
+    its label is -1. Beside the field it keeps `counts`, the (K, D)
+    histogram of each class's pixels at each distinct intensity, and
+    `pairs`, the count of unlike 4-neighbor pairs. `_refit` reads counts,
+    and the energy is counts dotted with the table plus beta * pairs. The
+    constructor counts both in full; every sweep updates both at the pixels
+    it relabels. Every buffer is allocated once and reused by each round:
+    fresh (H, W) temporaries cost more in page faults than the arithmetic
+    done on them.
 
     A sweep relabels the pixels with even i + j, then those with odd i + j.
     Pixels of one color are never 4-neighbors, so each half-sweep is an
@@ -227,7 +226,7 @@ class _Icm:
     def __init__(self, labels, inverse, n_classes):
         height, width = labels.shape
         slots = (width + 1) // 2  # per packed row
-        self.inverse = inverse.reshape(-1)
+        inverse = inverse.reshape(-1)
         self.framed = np.full((height + 2, width + 2), -1, dtype=np.intp)
         self.inner = self.framed[1:-1, 1:-1]
         # the frame's cells by flat index; a pixel's 4 neighbors are these steps away
@@ -239,7 +238,7 @@ class _Icm:
         color, row, slot = np.ogrid[:2, :height, :slots]
         raster = 2 * slot + (row + color) % 2 + row * width
         self.slot_cells = (raster + 2 * row + width + 3).reshape(2, -1)
-        self.slot_levels = np.take(self.inverse, raster, mode="clip")
+        self.slot_levels = np.take(inverse, raster, mode="clip")
         self.inner[...] = labels
         self.packed = np.full((2, height + 2, slots + 2), -1, dtype=np.min_scalar_type(-n_classes))
         self.packed[:, 1:-1, 1:-1] = self.cells[self.slot_cells].reshape(2, height, slots)
@@ -260,61 +259,49 @@ class _Icm:
         self.marked = np.empty((height, slots), dtype=np.intp)
         # the running minimum's buffers, in `_argmin_classes` order
         self.work = (self.best, self.arg, self.better, self.marked)
-        self.own = np.empty(height * width)
         self.pairs = (np.count_nonzero(labels[1:] != labels[:-1])
                       + np.count_nonzero(labels[:, 1:] != labels[:, :-1]))
-        n_distinct = int(self.inverse.max()) + 1
-        # each pixel's column of the flat (K, D) tables, label * D + inverse, in raster order
-        self.keys = self.inner.reshape(-1) * n_distinct + self.inverse
-        self.counts = np.bincount(self.keys, minlength=n_classes * n_distinct).reshape(
-            n_classes, n_distinct)
+        n_distinct = int(inverse.max()) + 1
+        self.counts = np.bincount(labels.reshape(-1) * n_distinct + inverse,
+                                  minlength=n_classes * n_distinct).reshape(n_classes, n_distinct)
 
-    def fill(self, table):
-        """Take the (K, D) class-cost table `table`, whose column d is the
-        cost of the image's distinct intensity d, and gather `own` in full
-        from it at each pixel's key. A refit refills without relabelling."""
-        self.table = table
-        np.take(table.reshape(-1), self.keys, out=self.own, mode="clip")
+    def energy(self, table, beta):
+        """Posterior energy of the current field under the (K, D) class-cost
+        table `table`, whose column d is the cost of the image's distinct
+        intensity d: counts dotted with the table, plus beta * pairs. Only
+        the entries whose class holds a pixel there are summed, so a +inf
+        cost of an empty entry adds nothing instead of 0 * inf = NaN."""
+        held = self.counts > 0
+        return float(self.counts[held] @ table[held]) + beta * self.pairs
 
-    def energy(self, beta):
-        """Posterior energy of the current field: the sum of `own`, in raster
-        order, plus beta * pairs."""
-        return float(self.own.sum()) + beta * self.pairs
-
-    def sweep(self, beta):
-        """One checkerboard sweep of the current field; returns the number
-        of pixels it changed. Each half-sweep updates the energy terms and
-        the histogram at the pixels it relabels, so no full gather runs."""
+    def sweep(self, table, beta):
+        """One checkerboard sweep of the current field under the (K, D)
+        class-cost table `table`; returns the number of pixels it changed.
+        Each half-sweep updates the histogram and the pair count at the
+        pixels it relabels."""
         beta = float(beta)  # an int beta would keep beta * agree in int8
         width = self.inner.shape[1]
         changed = 0
         for color in (0, 1):
-            _argmin_classes(self._dense_costs(color, beta), *self.work)
+            _argmin_classes(self._dense_costs(table, color, beta), *self.work)
             inside = self.packed[color, 1:-1, 1:-1]
             np.not_equal(self.arg, inside, out=self.better)
             if width % 2:
                 self.better[1 - color::2, -1] = False  # the slots past the end of a row
             np.copyto(inside, self.arg, where=self.better)
             slots = np.flatnonzero(self.better)
-            moved = self.slot_cells[color][slots]
-            self._relabel(moved, self._pixels(moved), self.cells[moved + self.steps[:, None]],
+            self._relabel(self.slot_cells[color][slots], self.slot_levels[color].reshape(-1)[slots],
                           self.arg.reshape(-1)[slots])
             changed += slots.size
         return changed
 
-    def _pixels(self, cells):
-        """The raster index of each inner frame cell in `cells`: cell
-        (i + 1) * (W + 2) + j + 1 is pixel i * W + j."""
-        stride = self.steps[-1]
-        return cells - 2 * (cells // stride) - (stride - 1)
-
-    def _dense_costs(self, color, beta):
+    def _dense_costs(self, table, color, beta):
         """Yield each class's (H, ceil(W/2)) cost of color `color`'s slots,
-        nll_k - beta * (neighbors labeled k): the class's table row gathered
-        at the slots' intensities, less beta times the same-label neighbors
-        counted in the other color's packed labels as an int8 sum of shifted
-        slices."""
-        for k, costs in enumerate(self.table):
+        nll_k - beta * (neighbors labeled k): the class's row of `table`
+        gathered at the slots' intensities, less beta times the same-label
+        neighbors counted in the other color's packed labels as an int8 sum
+        of shifted slices."""
+        for k, costs in enumerate(table):
             np.equal(self.packed[1 - color], k, out=self.same)
             np.add(self.up, self.down, out=self.agree)
             np.add(self.flags[:, :-1], self.flags[:, 1:], out=self.sides)
@@ -325,20 +312,16 @@ class _Icm:
             np.subtract(self.cost, self.scaled, out=self.cost)
             yield self.cost
 
-    def _relabel(self, cells, pixels, around, new):
-        """Give the frame cells `cells`, all of one color, of raster index
-        `pixels` and neighbor labels `around` (4, n), the labels `new` in
-        the frame, and update both energy terms, the keys and the histogram
-        there."""
+    def _relabel(self, cells, levels, new):
+        """Give the frame cells `cells`, all of one color, at distinct
+        intensities `levels`, the labels `new` in the frame, and update the
+        pair count and the histogram there."""
         old = self.cells[cells]
+        around = self.cells[cells + self.steps[:, None]]
         # neighbors keep their labels within a half-sweep; the -1 border cancels
         self.pairs += int(np.count_nonzero(around != new)) - int(np.count_nonzero(around != old))
-        keys = new * self.counts.shape[1] + self.inverse[pixels]
-        counts = self.counts.reshape(-1)
-        np.subtract.at(counts, self.keys[pixels], 1)
-        np.add.at(counts, keys, 1)
-        self.keys[pixels] = keys
-        self.own[pixels] = self.table.reshape(-1)[keys]
+        np.subtract.at(self.counts, (old, levels), 1)
+        np.add.at(self.counts, (new, levels), 1)
         self.cells[cells] = new
 
 
@@ -455,10 +438,10 @@ def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     trace = []
     for _ in range(_MAX_OUTER):
         class_params, starved = _refit(icm.counts, columns, likelihood, class_params)
-        icm.fill(_class_costs(distinct, likelihood, class_params))
-        trace.append((len(trace), "params", icm.energy(beta)))
-        changed = icm.sweep(beta)
-        trace.append((len(trace), "icm", icm.energy(beta)))
+        table = _class_costs(distinct, likelihood, class_params)
+        trace.append((len(trace), "params", icm.energy(table, beta)))
+        changed = icm.sweep(table, beta)
+        trace.append((len(trace), "icm", icm.energy(table, beta)))
         if changed == 0:
             break
     return SegmentResult(

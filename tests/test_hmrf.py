@@ -1,12 +1,15 @@
+import importlib.util
 import math
+import pathlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nakafit import estimators, hmrf
+from nakafit import estimators, hmrf, pgm
 from nakafit import GaussianParams, Likelihood, NakagamiParams, sample, segment
 
 
@@ -30,16 +33,19 @@ def accuracy(labels, truth):
     return max(a, 1.0 - a)
 
 
-def full_gather_energy(costs, labels, beta):
-    """Posterior energy from the (K, H, W) cost table `costs`: one flat
-    gather, in raster order, of each pixel's own-class cost, plus beta times
-    the unlike 4-neighbor pairs."""
-    flat = costs.reshape(costs.shape[0], -1)
-    data = float(flat[labels.reshape(-1), np.arange(labels.size)].sum())
+def histogram_energy(table, labels, inverse, beta):
+    """Posterior energy of `labels` from the (K, D) cost table `table`: the
+    (K, D) histogram of each class's pixels at each column, counted from the
+    whole field through the index `inverse`, dotted with the table where it
+    is non-zero, plus beta times the unlike 4-neighbor pairs."""
+    n_distinct = table.shape[1]
+    counts = np.bincount(labels.reshape(-1) * n_distinct + inverse.reshape(-1),
+                         minlength=table.size).reshape(table.shape)
+    held = counts > 0
     pairs = np.count_nonzero(labels[:, 1:] != labels[:, :-1]) + np.count_nonzero(
         labels[1:, :] != labels[:-1, :]
     )
-    return data + beta * pairs
+    return float(counts[held] @ table[held]) + beta * pairs
 
 
 def icm_sweeps(costs, labels, beta, n):
@@ -47,34 +53,33 @@ def icm_sweeps(costs, labels, beta, n):
     `costs`, given to it as a (K, H * W) table through the identity index."""
     n_classes = costs.shape[0]
     icm = hmrf._Icm(labels, np.arange(labels.size).reshape(labels.shape), n_classes)
-    icm.fill(costs.reshape(n_classes, -1))
     for _ in range(n):
-        changed = icm.sweep(beta)
+        changed = icm.sweep(costs.reshape(n_classes, -1), beta)
         yield icm.inner.copy(), changed
 
 
-def filled_icm(img, labels, likelihood, params):
-    """An `hmrf._Icm` holding `labels`, its planes filled as `segment` fills
-    them: the class costs at the distinct intensities of `img`."""
+def scored_icm(img, labels, likelihood, params):
+    """An `hmrf._Icm` holding `labels` on `img`, and the table `segment`
+    hands it: the class costs at the distinct intensities of `img`."""
     distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
     icm = hmrf._Icm(labels, inverse.reshape(img.shape), len(params))
-    icm.fill(hmrf._class_costs(distinct, likelihood, params))
-    return icm
+    return icm, hmrf._class_costs(distinct, likelihood, params)
 
 
 def total_energy(img, labels, model):
     """Posterior energy of the label field `labels` on `img` under the
     (likelihood, params, beta) triple `model`."""
     likelihood, params, beta = model
-    return filled_icm(img, labels, likelihood, params).energy(beta)
+    icm, table = scored_icm(img, labels, likelihood, params)
+    return icm.energy(table, beta)
 
 
 def icm_sweep(img, labels, model):
     """One checkerboard sweep from `labels` under the (likelihood, params,
     beta) triple `model`: (new label field, pixels changed)."""
     likelihood, params, beta = model
-    icm = filled_icm(img, labels, likelihood, params)
-    changed = icm.sweep(beta)
+    icm, table = scored_icm(img, labels, likelihood, params)
+    changed = icm.sweep(table, beta)
     return icm.inner.copy(), changed
 
 
@@ -224,7 +229,8 @@ def test_total_energy_counts_each_pair_once():
 @pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
 def test_total_energy_equals_take_along_axis_sum(likelihood, quantized):
     # the 8-bit image repeats each intensity at many pixels, whose costs are
-    # evaluated once and gathered through np.unique's inverse index
+    # evaluated once; the reference counts the histogram with np.bincount
+    # through np.unique's inverse index and dots it with the same table
     rng = np.random.default_rng(31)
     img = rng.gamma(2.0, 1.0, (61, 43)) + 0.01
     if quantized:
@@ -235,10 +241,34 @@ def test_total_energy_equals_take_along_axis_sum(likelihood, quantized):
         params = [NakagamiParams(0.8, 1.0), NakagamiParams(2.0, 4.0), NakagamiParams(9.0, 16.0)]
     model = (likelihood, tuple(params), 0.3)
     labels = rng.integers(0, 3, img.shape)
-    costs = hmrf._class_costs(img, likelihood, tuple(params))
-    data = float(np.take_along_axis(costs, labels[None], axis=0).sum())
-    pairs = (labels[:, 1:] != labels[:, :-1]).sum() + (labels[1:, :] != labels[:-1, :]).sum()
-    assert total_energy(img, labels, model) == data + 0.3 * int(pairs)
+    distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
+    table = hmrf._class_costs(distinct, likelihood, tuple(params))
+    assert total_energy(img, labels, model) == histogram_energy(table, labels, inverse, 0.3)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
+def test_energy_leaves_out_inf_costs_where_a_class_holds_no_pixel(likelihood, n_classes, tmp_path):
+    # the golden fixture's inf_costs image: classes fitted to the pixels near
+    # 1e-160 are so narrow that the pixels near 300 cost +inf under them.
+    # Those entries of the table meet a histogram count of 0, and 0 * inf is
+    # NaN, with a warning, unless the energy leaves them out.
+    spec = importlib.util.spec_from_file_location(
+        "cli_outputs", pathlib.Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = tmp_path / "inf_costs.txt"
+    path.write_bytes(tool.LITERAL["inputs/inf_costs.txt"])
+    img = pgm.read_image(str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = segment(img, n_classes, likelihood, seed=1)
+    distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)  # no zero: no lift
+    table = hmrf._class_costs(distinct, likelihood, result.class_params)
+    counts = np.bincount(result.labels.reshape(-1) * distinct.size + inverse,
+                         minlength=table.size).reshape(table.shape)
+    assert np.count_nonzero(np.isposinf(table) & (counts == 0)) >= 1
+    assert all(math.isfinite(energy) for _, _, energy in result.trace)
 
 
 # --- ICM ----------------------------------------------------------------------
@@ -408,7 +438,7 @@ def test_icm_histogram_equals_a_bincount_after_every_sweep(likelihood, n_classes
     distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
     labels = rng.integers(0, n_classes, img.shape)
     params, _ = update_params(img, labels, likelihood, (None,) * n_classes)
-    icm = filled_icm(img, labels, likelihood, params)
+    icm, table = scored_icm(img, labels, likelihood, params)
 
     def bincount():
         keys = icm.inner.reshape(-1) * distinct.size + inverse
@@ -417,7 +447,7 @@ def test_icm_histogram_equals_a_bincount_after_every_sweep(likelihood, n_classes
     assert np.array_equal(icm.counts, bincount())
     moved = 0
     for _ in range(6):
-        changed = icm.sweep(1.0)
+        changed = icm.sweep(table, 1.0)
         assert np.array_equal(icm.counts, bincount())
         moved += changed
     assert moved > 0
@@ -425,22 +455,24 @@ def test_icm_histogram_equals_a_bincount_after_every_sweep(likelihood, n_classes
 
 @pytest.mark.parametrize("shape", [(9, 7), (7, 8), (1, 9)], ids=["9x7", "7x8", "1x9"])
 def test_icm_rounds_on_one_icm_equal_a_fresh_icm_per_round(shape):
-    # `segment` runs every round on one `_Icm`, refilled between rounds; each
-    # round's sweeps must equal those of an `_Icm` built from the labels the
-    # round starts from, and every energy a full gather
+    # `segment` runs every round on one `_Icm`, with a new table each round;
+    # each round's sweeps must equal those of an `_Icm` built from the labels
+    # the round starts from, and every energy that of a histogram counted
+    # from the whole field
     rng = np.random.default_rng(list(shape))
     labels = rng.integers(0, 3, shape)
     tables = [rng.uniform(0.0, 2.0, (3, *shape)) for _ in range(3)]
-    icm = hmrf._Icm(labels, np.arange(labels.size).reshape(shape), 3)
+    inverse = np.arange(labels.size)
+    icm = hmrf._Icm(labels, inverse.reshape(shape), 3)
     moved = 0
     for costs in tables:
-        icm.fill(costs.reshape(3, -1))
-        assert icm.energy(0.7) == full_gather_energy(costs, labels, 0.7)
+        table = costs.reshape(3, -1)
+        assert icm.energy(table, 0.7) == histogram_energy(table, labels, inverse, 0.7)
         for want, want_changed in icm_sweeps(costs, labels, 0.7, 3):
-            changed = icm.sweep(0.7)
+            changed = icm.sweep(table, 0.7)
             assert np.array_equal(icm.inner, want)
             assert changed == want_changed
-            assert icm.energy(0.7) == full_gather_energy(costs, want, 0.7)
+            assert icm.energy(table, 0.7) == histogram_energy(table, want, inverse, 0.7)
             moved += changed
         labels = want
     assert moved > 0
@@ -661,8 +693,9 @@ def test_segment_stops_at_the_first_round_that_relabels_nothing(likelihood, n_cl
 def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
     likelihood, n_classes, shape, flat_band
 ):
-    # segment keeps the energy up to date at the relabelled pixels only; a
-    # replay of its rounds recomputes every energy from the whole table
+    # segment keeps the histogram and pair count up to date at the
+    # relabelled pixels only; a replay of its rounds sweeps on per-pixel
+    # costs and recomputes every energy from a histogram of the whole field
     rng = np.random.default_rng([*shape, n_classes])
     height, width = shape
     x = np.hstack([np.sqrt(rng.gamma(1.0, 1.0, (height, width // 2))),
@@ -671,6 +704,7 @@ def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
     if flat_band:
         img[:, :5] = 1000.0  # a constant class: starved, so bootstrapped, then kept
     result = segment(img, n_classes, likelihood, beta=1.0, seed=5)
+    distinct, inverse = np.unique(img.reshape(-1), return_inverse=True)
     labels = kmeans_init(img, n_classes, 5)
     params = (None,) * n_classes
     want = []
@@ -679,9 +713,10 @@ def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
         params, round_starved = update_params(img, labels, likelihood, params)
         starved.update(round_starved)
         costs = hmrf._class_costs(img, likelihood, params)
-        want.append(full_gather_energy(costs, labels, 1.0))
+        table = hmrf._class_costs(distinct, likelihood, params)
+        want.append(histogram_energy(table, labels, inverse, 1.0))
         [(labels, changed)] = icm_sweeps(costs, labels, 1.0, 1)
-        want.append(full_gather_energy(costs, labels, 1.0))
+        want.append(histogram_energy(table, labels, inverse, 1.0))
         if changed == 0:
             break
     assert [energy for _, _, energy in result.trace] == want

@@ -18,6 +18,9 @@ Accuracy is the share of pixels labelled as planted, maximised over the
 relabellings of the classes. Its floors were fixed before the suite first
 ran; a miss is a finding to report, not a reason to re-seed.
 
+Every final energy is also checked against the exact sum of each pixel's
+own-class cost (`math.fsum`), on these images and an odd 23x17 field.
+
 For K = 2 the exact minimum of `segment`'s energy at its final class
 parameters is a minimum s-t cut (Greig, Porteous & Seheult, JRSS B 1989),
 found here by `scipy.sparse.csgraph.maximum_flow` on capacities scaled to
@@ -26,6 +29,7 @@ below the cut's energy less the scaling's rounding bound.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -77,22 +81,51 @@ def accuracy(labels, truth, n_classes):
                for perm in itertools.permutations(range(n_classes)))
 
 
+def scored(img, likelihood):
+    """The image as `segment` scores it: lifted by _ZERO_SHIFT * peak for
+    the Nakagami likelihood where it holds a zero."""
+    if likelihood is Likelihood.NAKAGAMI and img.min() <= 0.0:
+        return img + hmrf._ZERO_SHIFT * img.max()
+    return img
+
+
 def class_costs(img, likelihood, params):
     """(K, H, W) costs of every pixel under every class, on the image as
-    `segment` scores it: lifted by _ZERO_SHIFT * peak for the Nakagami
-    likelihood where it holds a zero."""
-    if likelihood is Likelihood.NAKAGAMI and img.min() <= 0.0:
-        img = img + hmrf._ZERO_SHIFT * img.max()
-    return hmrf._class_costs(img, likelihood, params)
+    `segment` scores it."""
+    return hmrf._class_costs(scored(img, likelihood), likelihood, params)
+
+
+def unlike_pairs(labels):
+    return (np.count_nonzero(labels[:, 1:] != labels[:, :-1])
+            + np.count_nonzero(labels[1:] != labels[:-1]))
 
 
 def field_energy(costs, labels, beta):
     """Posterior energy of `labels`: each pixel's own-class cost summed in
     raster order, plus beta times the unlike 4-neighbor pairs."""
     flat = costs.reshape(costs.shape[0], -1)
-    pairs = (np.count_nonzero(labels[:, 1:] != labels[:, :-1])
-             + np.count_nonzero(labels[1:] != labels[:-1]))
-    return float(flat[labels.reshape(-1), np.arange(labels.size)].sum()) + beta * pairs
+    return float(flat[labels.reshape(-1), np.arange(labels.size)].sum()) + beta * unlike_pairs(labels)
+
+
+def histogram_energy(img, likelihood, params, labels, beta):
+    """Posterior energy of `labels` as a histogram: the (K, D) count of each
+    class's pixels at each distinct intensity of the scored image, from
+    np.bincount of the whole field, dotted with the class costs at those
+    intensities where it is non-zero, plus beta times the unlike pairs."""
+    distinct, inverse = np.unique(scored(img, likelihood).reshape(-1), return_inverse=True)
+    table = hmrf._class_costs(distinct, likelihood, params)
+    counts = np.bincount(labels.reshape(-1) * distinct.size + inverse,
+                         minlength=table.size).reshape(table.shape)
+    held = counts > 0
+    return float(counts[held] @ table[held]) + beta * unlike_pairs(labels)
+
+
+def exact_energy(img, likelihood, params, labels, beta):
+    """Posterior energy of `labels` with every pixel's own-class cost summed
+    exactly by math.fsum, plus beta times the unlike pairs."""
+    costs = class_costs(img, likelihood, params)
+    own = np.take_along_axis(costs, labels[None], axis=0)
+    return math.fsum(own.ravel().tolist()) + beta * unlike_pairs(labels)
 
 
 def min_cut(costs, beta):
@@ -149,7 +182,8 @@ def run_case(kind, seed, likelihood):
         return result, acc, None
     costs = class_costs(img, likelihood, result.class_params)
     energy = result.trace[-1][2]
-    assert energy == field_energy(costs, result.labels, BETA)  # the costs are segment's
+    # the histogram and pair count are segment's
+    assert energy == histogram_energy(img, likelihood, result.class_params, result.labels, BETA)
     cut, bound = min_cut(costs, BETA)
     return result, acc, (energy, field_energy(costs, cut, BETA), bound, accuracy(cut, truth, 2))
 
@@ -165,6 +199,33 @@ def test_segment_accuracy_floor_and_min_cut_bound(kind, seed, likelihood):
         assert energy >= cut_energy - bound
         # and the cut is a minimum: it is not above ICM's labelling either
         assert cut_energy <= energy + bound
+
+
+# the largest relative distance of a final energy from its exact sum, fixed
+# before the first run
+ENERGY_RTOL = 1e-13
+FSUM_CASES = ([("recipe", k) for k in range(4)] + [("shape_1_8", seed) for seed in (1, 2)]
+              + [("odd_23x17", k) for k in (2, 3)])
+
+
+@pytest.mark.parametrize("likelihood", list(Likelihood), ids=lambda lik: lik.value)
+@pytest.mark.parametrize("kind, seed", FSUM_CASES,
+                         ids=[f"{kind}_{seed}" for kind, seed in FSUM_CASES])
+def test_segment_final_energy_is_the_exact_sum_of_its_costs(kind, seed, likelihood):
+    # the energy dots the class histogram with the cost table, so its data
+    # term is summed in no pixel order; it must still agree with the exact
+    # sum of every pixel's own-class cost
+    if kind == "odd_23x17":  # two bands on a field of odd height and width, K = seed
+        rng = np.random.default_rng([23, 17, seed])
+        img = np.hstack([np.sqrt(rng.gamma(1.0, 1.0, (23, 8))),
+                         np.sqrt(rng.gamma(8.0, 1.0 / 8.0, (23, 9)))])
+        n_classes, kmeans_seed = seed, seed
+    else:
+        img, _, n_classes, kmeans_seed = planted(kind, seed)
+    result = segment(img, n_classes, likelihood, beta=BETA, seed=kmeans_seed)
+    exact = exact_energy(img, likelihood, result.class_params, result.labels, BETA)
+    assert math.isfinite(exact)
+    assert abs(result.trace[-1][2] - exact) <= ENERGY_RTOL * abs(exact)
 
 
 def test_min_cut_finds_the_minimum_of_a_small_energy():
