@@ -381,8 +381,8 @@ def _refit(counts, columns, likelihood, class_params):
 def segment(image, n_classes, likelihood, *, beta=1.0, seed=0):
     """Full pipeline: k-means init, then alternate parameter updates and ICM.
 
-    Each outer round refits the class parameters, refills the cost table
-    and runs one ICM sweep, so labels and parameters co-evolve instead of
+    Each outer round refits the class parameters, evaluates their cost
+    table and runs one ICM sweep, so labels and parameters co-evolve instead of
     freezing early around the initialization. The loop stops after the
     first round whose sweep changes no pixel, or after _MAX_OUTER rounds:
     the next round would refit the same parameters from the same labels and
