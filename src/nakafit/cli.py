@@ -14,7 +14,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import pgm
+from . import montecarlo, pgm
 from .blockwise import BlockEstimatorState, finalize, ingest_block
 from .errors import DegenerateBlockError, NakafitError, _refusals_naming
 from .estimators import EstimatorKind, estimate_block
@@ -130,9 +130,8 @@ def cmd_estimate(args):
         block = _load_block(path)
         try:
             est = estimate_block(args.method, block)
-            print(
-                f"block={index} m_hat={est.m_hat:.12g} sigma_hat={est.sigma_hat:.12g}"
-            )
+            print(f"block={index} m_hat={montecarlo._cell(est.m_hat)} "
+                  f"sigma_hat={montecarlo._cell(est.sigma_hat)}")
         except DegenerateBlockError:
             print(f"block={index} skipped degenerate")
         except (NakafitError, ValueError) as exc:  # ValueError: the block rule
@@ -143,7 +142,7 @@ def cmd_estimate(args):
         state = ingest_block(state, block)
     final = finalize(state)
     print(
-        f"m_hat={final.m_hat:.12g} sigma_hat={final.sigma_hat:.12g} "
+        f"m_hat={montecarlo._cell(final.m_hat)} sigma_hat={montecarlo._cell(final.sigma_hat)} "
         f"blocks={state.blocks_seen} skipped={state.skipped}"
     )
     return 0
@@ -217,7 +216,7 @@ def cmd_segment(args):
     pgm.write_matrix(args.out_labels + ".txt", result.labels)
     with open(args.out_trace, "w", encoding="ascii") as fh:
         _write_table(fh, "iteration,phase,energy", result.trace)
-    print(f"energy={result.trace[-1][2]:.12g} sweeps={result.sweeps}")
+    print(f"energy={montecarlo._cell(result.trace[-1][2])} sweeps={result.sweeps}")
     return 0
 
 

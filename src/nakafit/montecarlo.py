@@ -127,6 +127,11 @@ def run_bench(cfg):
 
 
 def _cell(value):
+    """`value` as `nakafit` prints it: text as it is, an Enum member as its
+    value, a number in %.12g. Every float that `estimate`, `bench`, `bounds`
+    and `segment` print or write goes through this one module attribute, so
+    a test can swap it for `float.hex` to see every bit (tools/cli_outputs.py
+    does so to write each case's `exact/` tree)."""
     if isinstance(value, str):
         return value
     return value.value if isinstance(value, Enum) else format(value, ".12g")

@@ -55,7 +55,7 @@ RANDOM_NAMES = {
 
 
 def _printed(exact):
-    """The lines of an `exact` file with each float.hex token at %.12g, as printed."""
+    """The text of an exact/ file with each float.hex token at %.12g, as printed."""
     return re.sub(r"-?0x[0-9a-f.]+p[-+]\d+", lambda h: format(float.fromhex(h[0]), ".12g"), exact)
 
 
@@ -81,20 +81,16 @@ def test_cli_outputs_random_cases_are_named_by_what_they_run(outputs):
             assert (random / name / "labels.pgm").exists() != fails, name
             line = f"nakafit segment --in random/inputs/{index}.{kind} --k {k} --likelihood {likelihood} "
             assert any(case.startswith(line) for case in lines), name
-            exact = (random / name / "exact").read_text()
             if fails:  # a refused image writes no trace and prints nothing
-                assert exact == "" == (random / name / "stdout").read_text(), name
-            else:
-                printed = (random / name / "trace.csv").read_text() + (random / name / "stdout").read_text()
-                assert _printed(exact) == printed, name
+                assert (random / name / "stdout").read_text() == "", name
+                assert not (random / name / "trace.csv").exists(), name
         elif family == "estimate":
             index, method, files, _ = match.groups()
             paths = " ".join(f"random/inputs/estimate_{index}_{j}.txt" for j in range(int(files)))
             assert f"nakafit estimate --in {paths} --method {method}" in lines, name
-            stdout = (random / name / "stdout").read_text()
             if not fails:  # the smoothed estimate closes the output
+                stdout = (random / name / "stdout").read_text()
                 assert stdout.splitlines()[-1].startswith("m_hat="), name
-            assert _printed((random / name / "exact").read_text()) == stdout, name
         else:
             index, shapes, trials, blocks, size = match.groups()
             flags = next(case for case in lines if case.endswith(f" random/{name}/bench.csv")).split()
@@ -102,13 +98,49 @@ def test_cli_outputs_random_cases_are_named_by_what_they_run(outputs):
             value = dict(zip(flags[2::2], flags[3::2]))
             assert (value["--trials"], value["--num-blocks"], value["--block-size"]) == (trials, blocks, size)
             rows = int(shapes) * len(value["--estimators"].split(","))
-            csv = (random / name / "bench.csv").read_text()
-            assert len(csv.splitlines()) == 1 + rows, name
-            assert _printed((random / name / "exact").read_text()) == csv, name
+            assert len((random / name / "bench.csv").read_text().splitlines()) == 1 + rows, name
     assert {family: len(names) for family, names in found.items()} == dict.fromkeys(RANDOM_NAMES, 8)
     assert {groups[1] for groups in found["segment"]} == {"pgm", "txt"}
     # seed 34's estimate cases both pass and fail
     assert {groups[-1] for groups in found["estimate"]} == {None, "_fails"}
+
+
+def test_cli_outputs_exact_trees_print_as_their_cases(outputs):
+    # every case, fixed and seeded, is run again into <case>/exact/ with each
+    # float it prints or writes as float.hex: printed back at %.12g, each text
+    # file is its twin in the case directory, and the labels are the same bytes
+    cases = [p.parent for p in outputs.glob("**/exact")]
+    assert len(cases) == len(_tool("cli_outputs").cases()) + 24
+    for case in cases:
+        names = sorted(p.name for p in (case / "exact").iterdir())
+        assert names == sorted(p.name for p in case.iterdir() if p.name != "exact"), case
+        for name in names:
+            exact, twin = case / "exact" / name, case / name
+            if name.endswith(".pgm"):
+                assert exact.read_bytes() == twin.read_bytes(), exact
+            else:
+                assert _printed(exact.read_text()) == twin.read_text(), exact
+    # the hex tokens are there: 12 digits in the case, every bit in its exact tree
+    for path in ("estimate_default/exact/stdout", "bench_small_grid/exact/bench.csv",
+                 "bounds_default_grid/exact/stdout", "segment_pgm64_nakagami_k2/exact/stdout",
+                 "segment_pgm64_nakagami_k2/exact/trace.csv"):
+        assert "0x1." in (outputs / path).read_text(), path
+
+
+def test_decimal_floats_names_each_exact_line_a_print_left_in_decimal(tmp_path, monkeypatch):
+    tool = _tool("cli_outputs")
+    monkeypatch.chdir(tmp_path)
+    for case, stdout in (("est", "block=1 m_hat=0x1.8p+1 sigma_hat=2.5\n"),
+                         ("seg", "energy=-0x1.3e5p+2 sweeps=3\n"),
+                         ("smp", "1.5e+00\n")):
+        (tmp_path / case / "exact").mkdir(parents=True)
+        (tmp_path / case / "exact" / "stdout").write_text(stdout)
+    (tmp_path / "seg" / "exact" / "trace.csv").write_text("iteration,phase,energy\n0,params,1e-3\n")
+    drawn = [("est", ["estimate"]), ("seg", ["segment"]), ("smp", ["sample"])]
+    assert tool.decimal_floats(drawn) == [
+        "est/exact/stdout: block=1 m_hat=0x1.8p+1 sigma_hat=2.5",
+        "seg/exact/trace.csv: 0,params,1e-3",
+    ]
 
 
 def test_cli_outputs_match_the_committed_digests(outputs):

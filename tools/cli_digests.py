@@ -6,7 +6,9 @@
 The JSON holds the Python and numpy versions of this interpreter beside the
 digests, keyed by each file's path relative to OUTDIR with `/` separators.
 Files under OUTDIR/random/, the seeded `--random` cases, are left out: they
-are compared between two checkouts with `diff -r`, not pinned.
+are compared between two checkouts with `diff -r`, not pinned. The fixed
+cases' exact/ trees, every float of their outputs as float.hex, are
+pinned with the rest, so a change in an output's last bit changes a digest.
 Bench and segment digits depend on numpy's generators and libm, so a
 mismatch under other versions may not be a change in nakafit.
 `tests/test_cli_outputs.py` reruns the tool and compares with the

@@ -22,10 +22,21 @@ pair limit; `estimate` over block files that include constant, refused
 and out-of-range ones, with any --method; `bench` on small grids. They are
 not pinned in the digest file; to show that a change keeps the bytes of
 these commands, run the same N and S on two checkouts and compare them
-with `diff -r`. Each case under random/ also gets a file `exact`
-(`exact_lines`): its printed lines recomputed in-process through the
-library with every float as `float.hex`, so the comparison sees a change
-in the last bit that the printed 12 digits hide.
+with `diff -r`.
+
+The printed values have 12 significant digits, so every case, fixed and
+`--random` alike, runs a second time into OUTDIR/<case>/exact/, laid out
+like the case directory, with `nakafit.montecarlo._cell`, the one
+formatter of every float that `estimate`, `bench`, `bounds` and `segment`
+print or write, swapped for `float.hex` and restored afterwards; the
+comparison then sees a change in the last bit. `sample` prints %.12e
+draws outside the formatter. After that run the tool exits 1, naming each
+file and line (`decimal_floats`), if the stdout or a written CSV of an
+`estimate`, `bench`, `bounds` or `segment` exact tree still holds a
+decimal float outside its float.hex tokens: a print that bypasses the
+formatter, or a CHECKOUT from before the exact trees were built this way.
+So exact trees compare only between two checkouts that both build them
+from the formatter.
 
 Case names say what the exit code should be: `usage_*` exit 2, `*_fails`
 exit 1, every other case exits 0. A call that raises anything but SystemExit
@@ -47,7 +58,6 @@ import re
 import sys
 import traceback
 import warnings
-from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -439,56 +449,28 @@ def _random_benches(rng, count):
     return drawn
 
 
-def exact_lines(argv):
-    """The lines an `estimate`, `bench` or `segment` call prints or writes,
-    recomputed through the library with every estimate, mean, variance,
-    bound and energy written by float.hex, so that
-    `format(float.fromhex(h), ".12g")` of each hex token gives the printed
-    line back: `estimate` stops before the block it refuses and prints no
-    final line when every block is skipped, `bench` writes its CSV rows in
-    `emit_csv` order, and `segment` gives its trace CSV, then its summary
-    line, or nothing when it refuses the image."""
-    from nakafit import (BenchConfig, BlockEstimatorState, DegenerateBlockError, NakafitError,
-                         estimate_block, finalize, ingest_block, pgm, run_bench, segment)
-    from nakafit.cli import build_parser
-    from nakafit.montecarlo import CSV_HEADER
+# a float.hex token, and a decimal float: the self-check finds the second
+# in an exact/ tree once the first is removed
+_HEX = re.compile(r"-?0x[0-9a-f.]+p[-+]\d+")
+_DECIMAL = re.compile(r"\d\.\d|\de[-+]?\d")
 
-    args = build_parser().parse_args(argv)
-    if args.command == "segment":
-        try:
-            result = segment(pgm.read_image(args.infile), args.k, args.likelihood,
-                             beta=args.beta, seed=args.seed)
-        except (NakafitError, ValueError):
-            return []
-        rows = (f"{step},{phase},{energy.hex()}" for step, phase, energy in result.trace)
-        return ["iteration,phase,energy", *rows,
-                f"energy={result.trace[-1][2].hex()} sweeps={result.sweeps}"]
-    if args.command == "bench":
-        given = {f.name: getattr(args, f.name) for f in fields(BenchConfig)
-                 if getattr(args, f.name) is not None}
-        rows = sorted(run_bench(BenchConfig(**given)), key=lambda r: (r.m_true, r.estimator.value))
-        cells = (",".join(v.hex() if isinstance(v, float) else str(getattr(v, "value", v))
-                          for v in astuple(row)) for row in rows)
-        return [CSV_HEADER, *cells]
-    lines, state = [], BlockEstimatorState(args.method)
-    for index, path in enumerate(args.infiles, start=1):
-        with open(path, "rb") as fh:
-            block = np.array([float(token) for token in fh.read().split()])
-        try:
-            est = estimate_block(args.method, block)
-        except DegenerateBlockError:
-            lines.append(f"block={index} skipped degenerate")
-        except (NakafitError, ValueError):
-            return lines
-        else:
-            lines.append(f"block={index} m_hat={float(est.m_hat).hex()} "
-                         f"sigma_hat={float(est.sigma_hat).hex()}")
-        state = ingest_block(state, block)
-    if state.blocks_seen:
-        final = finalize(state)
-        lines.append(f"m_hat={float(final.m_hat).hex()} sigma_hat={float(final.sigma_hat).hex()} "
-                     f"blocks={state.blocks_seen} skipped={state.skipped}")
-    return lines
+
+def decimal_floats(drawn):
+    """`FILE: LINE` for each line of an `estimate`, `bench`, `bounds` or
+    `segment` case's exact/ tree, in its stdout or a CSV it wrote, that
+    holds a decimal float outside its float.hex tokens: a print that does
+    not go through `montecarlo._cell`, or a checkout from before it did."""
+    found = []
+    for name, argv in drawn:
+        if argv[0] not in ("estimate", "bench", "bounds", "segment"):
+            continue  # `sample` prints %.12e draws, outside the formatter
+        exact = os.path.join(name, "exact")
+        for file in sorted(os.listdir(exact)):
+            if file == "stdout" or file.endswith(".csv"):
+                with open(os.path.join(exact, file), encoding="utf-8") as fh:
+                    found += (f"{exact}/{file}: {line.rstrip()}" for line in fh
+                              if _DECIMAL.search(_HEX.sub("", line)))
+    return found
 
 
 # the `FILE:LINE: ` that starts a warning's first line, as warnings.formatwarning writes it
@@ -529,21 +511,27 @@ def main(argv=None):
     args = parser.parse_args(argv)
     src = os.path.join(os.path.abspath(args.root), "src")
     sys.path.insert(0, src)
+    from nakafit import montecarlo
     from nakafit.cli import main as nakafit_main
 
     os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
     os.makedirs(args.outdir, exist_ok=True)
     os.chdir(args.outdir)
     make_inputs()
-    drawn = random_cases(args.random, args.seed) if args.random else []
-    for name, case_argv in cases() + drawn:
+    every = cases() + (random_cases(args.random, args.seed) if args.random else [])
+    for name, case_argv in every:
         run_case(nakafit_main, name, case_argv, src)
-    for name, case_argv in drawn:
-        with open(os.path.join(name, "exact"), "w", encoding="ascii") as fh, \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the call itself recorded them in stderr
-            fh.writelines(line + "\n" for line in exact_lines(case_argv))
-    return 0
+    decimal = montecarlo._cell
+    montecarlo._cell = lambda v: v.hex() if isinstance(v, float) else decimal(v)
+    try:
+        for name, case_argv in every:
+            run_case(nakafit_main, f"{name}/exact", case_argv, src)
+    finally:
+        montecarlo._cell = decimal
+    stale = decimal_floats(every)
+    for line in stale:
+        print(f"decimal float outside float.hex: {line}", file=sys.stderr)
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":
