@@ -227,7 +227,7 @@ def test_total_energy_counts_each_pair_once():
 
 @pytest.mark.parametrize("quantized", [False, True], ids=["float", "8bit"])
 @pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
-def test_total_energy_equals_take_along_axis_sum(likelihood, quantized):
+def test_total_energy_equals_a_bincount_histogram_energy(likelihood, quantized):
     # the 8-bit image repeats each intensity at many pixels, whose costs are
     # evaluated once; the reference counts the histogram with np.bincount
     # through np.unique's inverse index and dots it with the same table
@@ -690,7 +690,7 @@ def test_segment_stops_at_the_first_round_that_relabels_nothing(likelihood, n_cl
                          ids=["24x24", "23x17", "24x24_flat_band"])
 @pytest.mark.parametrize("n_classes", [2, 3])
 @pytest.mark.parametrize("likelihood", [Likelihood.GAUSSIAN, Likelihood.NAKAGAMI])
-def test_segment_trace_energies_equal_a_full_gather_bit_for_bit(
+def test_segment_trace_energies_equal_a_bincount_histogram_energy(
     likelihood, n_classes, shape, flat_band
 ):
     # segment keeps the histogram and pair count up to date at the
