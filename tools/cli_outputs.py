@@ -455,13 +455,13 @@ _HEX = re.compile(r"-?0x[0-9a-f.]+p[-+]\d+")
 _DECIMAL = re.compile(r"\d\.\d|\de[-+]?\d")
 
 
-def decimal_floats(drawn):
+def decimal_floats(every):
     """`FILE: LINE` for each line of an `estimate`, `bench`, `bounds` or
     `segment` case's exact/ tree, in its stdout or a CSV it wrote, that
     holds a decimal float outside its float.hex tokens: a print that does
     not go through `montecarlo._cell`, or a checkout from before it did."""
     found = []
-    for name, argv in drawn:
+    for name, argv in every:
         if argv[0] not in ("estimate", "bench", "bounds", "segment"):
             continue  # `sample` prints %.12e draws, outside the formatter
         exact = os.path.join(name, "exact")
