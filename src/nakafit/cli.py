@@ -3,6 +3,12 @@
 Subcommands: sample, estimate, bench, bounds, segment. All randomness is
 keyed by explicit --seed flags, so every invocation is reproducible.
 Exit codes: 0 success, 1 domain errors, 2 usage errors.
+
+A module that only one command runs is imported by that command when it
+runs (`blockwise` by `estimate`, `montecarlo` by `bench`, `bounds` by
+`bounds`, `hmrf` and `pgm` by `segment`), so a caller that starts
+`nakafit estimate` once per block loads neither the Monte Carlo study nor
+the segmentation code.
 """
 
 import argparse
@@ -13,13 +19,9 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import montecarlo, pgm
-from .blockwise import BlockEstimatorState, finalize, ingest_block
+from . import _format
 from .errors import DegenerateBlockError, NakafitError, _refusals_naming
 from .estimators import EstimatorKind, estimate_block
-from .hmrf import Likelihood, segment
-from .montecarlo import BenchConfig, _write_table, emit_csv, run_bench
 from .nakagami import NakagamiParams, sample
 
 
@@ -70,7 +72,17 @@ _nonneg_float = _number(float, 0)
 _positive_int = _number(int, 1)
 _seed = _number(int, 0)
 _estimator = _choice(EstimatorKind, "estimator")
-_likelihood = _choice(Likelihood, "likelihood")
+
+
+def _likelihood(text):
+    """Argparse type of `segment --likelihood`: a `Likelihood` member,
+    looked up when `segment` parses its flags, so no other command loads
+    `hmrf`."""
+    from .hmrf import Likelihood
+
+    return _choice(Likelihood, "likelihood")(text)
+
+
 _m_grid = _comma_list(_positive_float, "grid")
 
 # Every BenchConfig field with the converter for its `bench` flag (--m-grid
@@ -125,24 +137,29 @@ def cmd_sample(args):
 
 
 def cmd_estimate(args):
+    from .blockwise import BlockEstimatorState, finalize, ingest_block
+
     state = BlockEstimatorState(method=args.method)
-    for index, path in enumerate(args.infiles, start=1):
-        block = _load_block(path)
-        try:
-            est = estimate_block(args.method, block)
-            print(f"block={index} m_hat={montecarlo._cell(est.m_hat)} "
-                  f"sigma_hat={montecarlo._cell(est.sigma_hat)}")
-        except DegenerateBlockError:
-            print(f"block={index} skipped degenerate")
-        except (NakafitError, ValueError) as exc:  # ValueError: the block rule
-            # the path is put here, not by `_refusals_naming`: this try runs
-            # for every block anyway, and a generator context manager entered
-            # per file would cost more than it
-            raise NakafitError(f"{path}: {exc}") from None
-        state = ingest_block(state, block)
+    # every overflow in the estimators ends in their refusal, which is the
+    # one message a refused block prints, not a RuntimeWarning before it
+    with np.errstate(over="ignore"):
+        for index, path in enumerate(args.infiles, start=1):
+            block = _load_block(path)
+            try:
+                est = estimate_block(args.method, block)
+                print(f"block={index} m_hat={_format._cell(est.m_hat)} "
+                      f"sigma_hat={_format._cell(est.sigma_hat)}")
+            except DegenerateBlockError:
+                print(f"block={index} skipped degenerate")
+            except (NakafitError, ValueError) as exc:  # ValueError: the block rule
+                # the path is put here, not by `_refusals_naming`: this try runs
+                # for every block anyway, and a generator context manager entered
+                # per file would cost more than it
+                raise NakafitError(f"{path}: {exc}") from None
+            state = ingest_block(state, block)
     final = finalize(state)
     print(
-        f"m_hat={montecarlo._cell(final.m_hat)} sigma_hat={montecarlo._cell(final.sigma_hat)} "
+        f"m_hat={_format._cell(final.m_hat)} sigma_hat={_format._cell(final.sigma_hat)} "
         f"blocks={state.blocks_seen} skipped={state.skipped}"
     )
     return 0
@@ -174,6 +191,8 @@ def _read_config_file(path, parser):
 
 
 def _build_bench_config(args, parser):
+    from .montecarlo import BenchConfig
+
     raw = _read_config_file(args.config, parser) if args.config else {}
     fields = {}
     for name, convert in _BENCH_FIELDS.items():
@@ -192,6 +211,8 @@ def _build_bench_config(args, parser):
 
 
 def cmd_bench(args):
+    from .montecarlo import emit_csv, run_bench
+
     rows = run_bench(_build_bench_config(args, args.parser))
     with _open_sink(args.out) as sink:
         emit_csv(rows, sink)
@@ -199,24 +220,30 @@ def cmd_bench(args):
 
 
 def cmd_bounds(args):
+    from .bounds import crlb, crlb_modified, normalized
+
     rows = []  # all of them before --out is opened: a refused bound writes no file
     for m in args.m_grid:
-        lo, hi = bounds_mod.crlb(m, args.n), bounds_mod.crlb_modified(m, args.n)
-        rows.append((m, lo, hi, bounds_mod.normalized(lo, m), bounds_mod.normalized(hi, m)))
+        lo, hi = crlb(m, args.n), crlb_modified(m, args.n)
+        rows.append((m, lo, hi, normalized(lo, m), normalized(hi, m)))
     with _open_sink(args.out) as sink:
-        _write_table(sink, "m,crlb,crlb_modified,normalized_crlb,normalized_crlb_modified", rows)
+        _format._write_table(
+            sink, "m,crlb,crlb_modified,normalized_crlb,normalized_crlb_modified", rows)
     return 0
 
 
 def cmd_segment(args):
+    from . import pgm
+    from .hmrf import segment
+
     image = pgm.read_image(args.infile)
     with _refusals_naming(args.infile):
         result = segment(image, args.k, args.likelihood, beta=args.beta, seed=args.seed)
     pgm.write_pgm(args.out_labels + ".pgm", pgm.labels_to_gray(result.labels, args.k))
     pgm.write_matrix(args.out_labels + ".txt", result.labels)
     with open(args.out_trace, "w", encoding="ascii") as fh:
-        _write_table(fh, "iteration,phase,energy", result.trace)
-    print(f"energy={montecarlo._cell(result.trace[-1][2])} sweeps={result.sweeps}")
+        _format._write_table(fh, "iteration,phase,energy", result.trace)
+    print(f"energy={_format._cell(result.trace[-1][2])} sweeps={result.sweeps}")
     return 0
 
 
@@ -262,7 +289,7 @@ def build_parser():
     # labels_to_gray gives each class its own gray level, so at most 256
     p.add_argument("--k", type=_number(int, 2, high=256), required=True, help="number of classes")
     p.add_argument(
-        "--likelihood", type=_likelihood, default=Likelihood.NAKAGAMI,
+        "--likelihood", type=_likelihood, default="nakagami",
         help="gaussian or nakagami",
     )
     p.add_argument("--beta", type=_nonneg_float, default=1.0, help="clique weight")

@@ -10,9 +10,9 @@ are seeded from (base_seed, m-index, trial); results are bit-reproducible.
 import math
 import statistics
 from dataclasses import astuple, dataclass, fields
-from enum import Enum
 
 from . import bounds
+from ._format import _write_table
 from .blockwise import BlockEstimatorState, finalize, ingest_block
 from .errors import NakafitError, OutOfRangeError, _integer, _positive
 from .estimators import EstimatorKind
@@ -124,25 +124,6 @@ def run_bench(cfg):
             rows.append(BenchRow(m_true, kind, mean, variance, variance / (m_true * m_true),
                                  cfg.trials - len(values), *bound_values))
     return tuple(rows)
-
-
-def _cell(value):
-    """`value` as `nakafit` prints it: text as it is, an Enum member as its
-    value, a number in %.12g. Every float that `estimate`, `bench`, `bounds`
-    and `segment` print or write goes through this one module attribute, so
-    a test can swap it for `float.hex` to see every bit (tools/cli_outputs.py
-    does so to write each case's `exact/` tree)."""
-    if isinstance(value, str):
-        return value
-    return value.value if isinstance(value, Enum) else format(value, ".12g")
-
-
-def _write_table(sink, header, rows):
-    """Write the CSV line `header`, then one line per row of `rows`: text
-    as it is, an Enum member as its value, a number in %.12g."""
-    sink.write(header + "\n")
-    for row in rows:
-        sink.write(",".join(map(_cell, row)) + "\n")
 
 
 def emit_csv(rows, sink):

@@ -127,6 +127,28 @@ def test_cli_outputs_exact_trees_print_as_their_cases(outputs):
         assert "0x1." in (outputs / path).read_text(), path
 
 
+# the fixed `estimate` cases whose squares overflow, with the refusal of each
+OVERFLOW_REFUSALS = {
+    f"estimate_{block}_overflow_{method}_fails": f"inputs/{path}: {message}"
+    for block, path, messages in (
+        ("squares", "squares_overflow.txt",
+         {"exact_ml": "block values square outside the float range",
+          "moment_based": "block values outside the float range of the moment estimator"}),
+        ("inf", "inf_overflow_block.txt",
+         dict.fromkeys(("exact_ml", "moment_based"), "sample block entries must be finite and > 0")),
+    )
+    for method, message in messages.items()
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOW_REFUSALS)
+def test_an_estimate_overflow_prints_its_refusal_and_no_warning(outputs, case):
+    # the overflow of a square ends in the estimator's refusal; no numpy
+    # RuntimeWarning is printed before it
+    for stderr in (outputs / case / "stderr", outputs / case / "exact" / "stderr"):
+        assert stderr.read_text() == f"error: {OVERFLOW_REFUSALS[case]}\n", stderr
+
+
 def test_decimal_floats_names_each_exact_line_a_print_left_in_decimal(tmp_path, monkeypatch):
     tool = _tool("cli_outputs")
     monkeypatch.chdir(tmp_path)

@@ -26,7 +26,7 @@ with `diff -r`.
 
 The printed values have 12 significant digits, so every case, fixed and
 `--random` alike, runs a second time into OUTDIR/<case>/exact/, laid out
-like the case directory, with `nakafit.montecarlo._cell`, the one
+like the case directory, with `nakafit._format._cell`, the one
 formatter of every float that `estimate`, `bench`, `bounds` and `segment`
 print or write, swapped for `float.hex` and restored afterwards; the
 comparison then sees a change in the last bit. `sample` prints %.12e
@@ -459,7 +459,7 @@ def decimal_floats(every):
     """`FILE: LINE` for each line of an `estimate`, `bench`, `bounds` or
     `segment` case's exact/ tree, in its stdout or a CSV it wrote, that
     holds a decimal float outside its float.hex tokens: a print that does
-    not go through `montecarlo._cell`, or a checkout from before it did."""
+    not go through `_format._cell`, or a checkout from before it did."""
     found = []
     for name, argv in every:
         if argv[0] not in ("estimate", "bench", "bounds", "segment"):
@@ -511,7 +511,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     src = os.path.join(os.path.abspath(args.root), "src")
     sys.path.insert(0, src)
-    from nakafit import montecarlo
+    from nakafit import _format
     from nakafit.cli import main as nakafit_main
 
     os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
@@ -521,13 +521,13 @@ def main(argv=None):
     every = cases() + (random_cases(args.random, args.seed) if args.random else [])
     for name, case_argv in every:
         run_case(nakafit_main, name, case_argv, src)
-    decimal = montecarlo._cell
-    montecarlo._cell = lambda v: v.hex() if isinstance(v, float) else decimal(v)
+    decimal = _format._cell
+    _format._cell = lambda v: v.hex() if isinstance(v, float) else decimal(v)
     try:
         for name, case_argv in every:
             run_case(nakafit_main, f"{name}/exact", case_argv, src)
     finally:
-        montecarlo._cell = decimal
+        _format._cell = decimal
     stale = decimal_floats(every)
     for line in stale:
         print(f"decimal float outside float.hex: {line}", file=sys.stderr)
