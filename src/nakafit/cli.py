@@ -1,7 +1,8 @@
 """Command-line surface binding the library modules.
 
 Subcommands: sample, estimate, bench, bounds, segment. All randomness is
-keyed by explicit --seed flags, so every invocation is reproducible.
+keyed by explicit --seed flags (--base-seed for bench), so every
+invocation is reproducible.
 Exit codes: 0 success, 1 domain errors, 2 usage errors.
 
 A module that only one command runs is imported by that command when it
@@ -85,8 +86,8 @@ def _likelihood(text):
 
 _m_grid = _comma_list(_positive_float, "grid")
 
-# Every BenchConfig field with the converter for its `bench` flag (--m-grid
-# for m_grid) and config-file key; unset fields take BenchConfig's defaults.
+# Every BenchConfig field with the converter of its `bench` flag (--m-grid
+# for m_grid); a flag left unset leaves its field at BenchConfig's default.
 _BENCH_FIELDS = {
     "m_grid": _m_grid,
     "omega": _positive_float,
@@ -165,45 +166,10 @@ def cmd_estimate(args):
     return 0
 
 
-def _read_config_file(path, parser):
-    values = {}
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        parser.error(f"cannot read config {path}: {exc.strerror}")
-    except UnicodeDecodeError:
-        parser.error(f"cannot read config {path}: not ASCII text")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            parser.error(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _BENCH_FIELDS:
-            parser.error(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in values:
-            parser.error(f"{path}:{lineno}: repeated config key {key!r}")
-        values[key] = val.strip()
-    return values
-
-
 def _build_bench_config(args, parser):
     from .montecarlo import BenchConfig
 
-    raw = _read_config_file(args.config, parser) if args.config else {}
-    fields = {}
-    for name, convert in _BENCH_FIELDS.items():
-        value = getattr(args, name)
-        if value is None and name in raw:
-            try:
-                value = convert(raw[name])
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"config field {name}: {exc}")
-        if value is not None:
-            fields[name] = value
+    fields = {name: value for name in _BENCH_FIELDS if (value := getattr(args, name)) is not None}
     try:
         return BenchConfig(**fields)
     except ValueError as exc:
@@ -271,11 +237,10 @@ def build_parser():
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bench", help="run the Monte Carlo estimator comparison")
-    p.add_argument("--config", default=None, help="flat key = value config file")
     for name, convert in _BENCH_FIELDS.items():
         p.add_argument("--" + name.replace("_", "-"), type=convert)
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
-    # config and BenchConfig refusals are reported as usage errors of `bench`
+    # BenchConfig refusals are reported as usage errors of `bench`
     p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("bounds", help="tabulate CRLB and the modified bound")

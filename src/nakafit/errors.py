@@ -87,12 +87,13 @@ def _not_real_entry(values):
 def _float_array(values, name):
     """values as a float64 ndarray, itself where it is one; a ValueError
     naming it where it is complex, strings or bools, holds an entry that is
-    a bool or not a real number, or numpy cannot convert it. A complex array
-    is refused, not cast: the cast would drop its imaginary part. String and
-    bool arrays are refused as `_real` refuses a string or a bool, though
-    numpy would parse the one and cast the other. numpy also casts a bool
-    among the numbers of a list and parses a string in an object array, so
-    input that is not already a numeric ndarray is checked entry by entry."""
+    a bool or not a real number, or numpy cannot convert it (a ragged row,
+    an int beyond the float range). A complex array is refused, not cast:
+    the cast would drop its imaginary part. String and bool arrays are
+    refused as `_real` refuses a string or a bool, though numpy would parse
+    the one and cast the other. numpy also casts a bool among the numbers
+    of a list and parses a string in an object array, so input that is not
+    already a numeric ndarray is checked entry by entry."""
     try:
         array = np.asarray(values)
         if array.dtype is _FLOAT64 and array is values:
@@ -102,7 +103,7 @@ def _float_array(values, name):
             shown = _not_real_entry(values)
         if shown is None:
             return array.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:  # numpy's message names no argument
+    except (TypeError, ValueError, OverflowError) as exc:  # numpy's message names no argument
         raise ValueError(f"{name} must be real numbers: {exc}") from None
     raise ValueError(f"{name} must be real numbers, got {shown}")
 

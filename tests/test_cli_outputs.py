@@ -149,6 +149,15 @@ def test_an_estimate_overflow_prints_its_refusal_and_no_warning(outputs, case):
         assert stderr.read_text() == f"error: {OVERFLOW_REFUSALS[case]}\n", stderr
 
 
+def test_no_case_prints_a_warning(outputs):
+    # every refusal is one `error:` line: no numpy or Python warning is
+    # printed by any fixed or seeded case, in its run or its exact run
+    stderrs = sorted(outputs.glob("**/stderr"))
+    assert len(stderrs) == 2 * (len(_tool("cli_outputs").cases()) + 24)
+    warned = [str(path.relative_to(outputs)) for path in stderrs if "Warning" in path.read_text()]
+    assert not warned, warned
+
+
 def test_decimal_floats_names_each_exact_line_a_print_left_in_decimal(tmp_path, monkeypatch):
     tool = _tool("cli_outputs")
     monkeypatch.chdir(tmp_path)

@@ -150,6 +150,14 @@ def test_array_inputs_refuse_a_ragged_row_with_numpys_reason(entry):
     assert message.startswith(f"{name} must be real numbers: setting an array element with a sequence")
 
 
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_array_inputs_refuse_an_int_beyond_the_float_range_with_numpys_reason(entry):
+    # an int entry is a real number, but its cast to float64 overflows
+    call, name = ARRAY_ENTRY_POINTS[entry]
+    message = _refused(lambda: call([[10**400, 1.0], [2.0, 3.0]]), name)
+    assert message == f"{name} must be real numbers: int too large to convert to float"
+
+
 @pytest.mark.parametrize("bad", NOT_POSITIVE_REALS)
 def test_log_gamma_refuses(bad):
     _refused(lambda: log_gamma(bad), "x")

@@ -84,13 +84,6 @@ LITERAL = {
     # subnormal: the Nakagami bootstrap spread mean(x^2) / 1e4 underflows to 0
     "inputs/subnormal_squares.txt":
         b"4 4\n" + b"1.5e-161 1.5e-161 1.5e-161 1.5e-161\n" * 2 + b"5 5 5 5\n5 5 5 6\n",
-    # a bench config whose last byte is not ASCII
-    "inputs/not_ascii.cfg": b"trials = 5\xff\n",
-    # a bench config that sets trials twice
-    "inputs/repeated_key.cfg": b"m_grid = 1\ntrials = 5\ntrials = 7\n",
-    # bench configs with a line that has no '=' and with a value its converter refuses
-    "inputs/no_equals.cfg": b"m_grid = 1\ntrials 5\n",
-    "inputs/zero_trials.cfg": b"trials = 0\n",
     # block files: a non-ASCII byte, a token that is not a number, and values
     # split by every ASCII separator str.split knows
     "inputs/not_ascii_block.txt": b"1.5\n2.\xbd\n",
@@ -129,7 +122,7 @@ LITERAL = {
     "inputs/tie_5x1.txt":
         b"5 1\n0.0443895211648\n0.0414167846815\n0.0370926161753\n0.0380462573697\n0.0353096954681\n",
 }
-# a directory given where a block file, an image or a config file is expected
+# a directory given where a block file or an image is expected
 DIRECTORY = "inputs/a_directory"
 
 
@@ -319,11 +312,8 @@ def cases():
         ("usage_bench_repeated_estimator",
          ["bench", "--m-grid", "1", "--trials", "5", "--estimators", "exact_ml,exact_ml"]),
         ("usage_bounds_empty_grid", ["bounds", "--m-grid", "", "--n", "10"]),
-        ("usage_bench_config_not_ascii", ["bench", "--config", "inputs/not_ascii.cfg"]),
-        ("usage_bench_config_repeated_key", ["bench", "--config", "inputs/repeated_key.cfg"]),
-        ("usage_bench_config_no_equals", ["bench", "--config", "inputs/no_equals.cfg"]),
-        ("usage_bench_config_zero_trials", ["bench", "--config", "inputs/zero_trials.cfg"]),
-        ("usage_bench_config_directory", ["bench", "--config", DIRECTORY]),
+        # bench takes its study from flags only: --config is not one of them
+        ("usage_bench_config_unrecognized", ["bench", "--config", "study.cfg"]),
         # 2,304 distinct values: more than --k, so only the 256-level PGM limit refuses 257
         _segment("usage_segment_k_above_256", "inputs/three_region.txt", "--k", "257"),
     ]
