@@ -3,22 +3,31 @@
 For every true shape on the grid, each trial draws the same block window
 (num_blocks blocks of block_size samples) once and runs every estimator
 through the recursive-mean smoother on that identical data, so variance
-differences across estimators reflect the estimators alone. Trial streams
-are seeded from (base_seed, m-index, trial); results are bit-reproducible.
+differences across estimators reflect the estimators alone. Each shape
+draws its trials' windows in order from one stream, seeded from
+(base_seed, m-index): trial k's window is the k-th block of num_blocks *
+block_size variates of that stream, however many trials one draw holds,
+so the results are bit-reproducible and the first k trials of a longer
+study are the k trials of a shorter one.
 """
 
 import math
 import statistics
 from dataclasses import astuple, dataclass, fields
 
+import numpy as np
+
 from . import bounds
 from ._format import _write_table
 from .blockwise import BlockEstimatorState, finalize, ingest_block
-from .errors import NakafitError, OutOfRangeError, _integer, _positive
+from .errors import NakafitError, _integer, _positive
 from .estimators import EstimatorKind
-from .nakagami import NakagamiParams, sample
+from .nakagami import NakagamiParams, _draw
 
 ALL_ESTIMATORS = tuple(EstimatorKind)
+
+# the most variates one draw holds, so a study's memory does not grow with its trials
+_DRAW_VALUES = 2**16
 
 
 def _items(values, name):
@@ -90,32 +99,37 @@ CSV_HEADER = ",".join(field.name for field in fields(BenchRow))
 def run_bench(cfg):
     """Execute the study described by cfg; returns its tuple of BenchRows,
     one per true shape and estimator, in grid then estimator order.
-    Deterministic given cfg. Every shape's bounds are computed before the
-    first trial, so a bound that is refused costs no sampling."""
+    Deterministic given cfg, and the same for any number of trials per
+    draw. Every shape's bounds are computed before the first trial, so a
+    bound that is refused costs no sampling."""
     total_n = cfg.block_size * cfg.num_blocks
     bound_columns = [
         (bounds.crlb(m, cfg.block_size), bounds.crlb(m, total_n), bounds.crlb_modified(m, total_n))
         for m in cfg.m_grid
     ]
+    per_draw = max(1, _DRAW_VALUES // total_n)
     rows = []
     for m_index, (m_true, bound_values) in enumerate(zip(cfg.m_grid, bound_columns)):
         params = NakagamiParams.from_omega(m_true, cfg.omega)
+        rng = np.random.default_rng([cfg.base_seed, m_index])
         finals = {kind: [] for kind in cfg.estimators}
-        for trial in range(cfg.trials):
-            try:
-                window = sample(params, total_n, [cfg.base_seed, m_index, trial])
-            except OutOfRangeError:  # no data for this trial: every estimator fails
-                continue
-            # the row views, made once for every estimator
-            blocks = tuple(window.reshape(cfg.num_blocks, cfg.block_size))
-            for kind in cfg.estimators:
-                state = BlockEstimatorState(kind)
-                try:
-                    for block in blocks:
-                        state = ingest_block(state, block)
-                    finals[kind].append(finalize(state).m_hat)
-                except NakafitError:  # counted as a failure: the trial adds no estimate
-                    pass
+        for start in range(0, cfg.trials, per_draw):
+            size = (min(per_draw, cfg.trials - start), cfg.num_blocks, cfg.block_size)
+            windows = _draw(params, size, rng)
+            # a window with a value that is not a positive finite float has no
+            # data: every estimator fails that trial
+            usable = (0.0 < windows.min(axis=(1, 2))) & (windows.max(axis=(1, 2)) < math.inf)
+            for window in windows[usable]:
+                # the row views, made once for every estimator
+                blocks = tuple(window)
+                for kind in cfg.estimators:
+                    state = BlockEstimatorState(kind)
+                    try:
+                        for block in blocks:
+                            state = ingest_block(state, block)
+                        finals[kind].append(finalize(state).m_hat)
+                    except NakafitError:  # counted as a failure: the trial adds no estimate
+                        pass
         for kind in cfg.estimators:
             values = finals[kind]
             mean = statistics.fmean(values) if values else math.nan

@@ -117,11 +117,22 @@ def sample(params, n, seed):
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:  # numpy's message names no argument
         raise ValueError(f"{_SEED_RULE}: {exc}") from None
-    with np.errstate(over="ignore"):
-        x = np.sqrt(params.sigma * rng.standard_gamma(params.m, n))
+    x = _draw(params, n, rng)
     if not 0.0 < x.min() <= x.max() < math.inf:
         raise OutOfRangeError(
             f"a draw at m={params.m!r}, sigma={params.sigma!r} is not a positive finite float"
         )
     return x
 
+
+def _draw(params, size, rng):
+    """sqrt(sigma * g) for an array of Gamma(m) variates g of the given size
+    from `rng`'s `standard_gamma`, computed in place. numpy fills the array
+    from the stream in C order, so one draw of shape (k, ...) holds the k
+    draws of shape (...) that k calls in a row would give. A variate that
+    underflows to 0 or overflows to inf is left for the caller to refuse."""
+    x = rng.standard_gamma(params.m, size)
+    with np.errstate(over="ignore"):
+        np.multiply(x, params.sigma, out=x)
+        np.sqrt(x, out=x)
+    return x

@@ -4,7 +4,9 @@
 bytes as a PGM where they start with `P5`, else as a text matrix. Every
 refusal of the bytes is a ValueError that starts with the path. The
 writers refuse an empty array, or one that is not 2-D, before they open
-their file: neither format holds an image without pixels.
+their file: neither format holds an image without pixels. They take
+bools, integers and floats, and refuse any other array by name, a complex
+one included: a cast would drop its imaginary part.
 
 A PGM header is four tokens: magic, width, height and maxval. A token is a
 run of bytes that are neither ASCII whitespace nor '#'. Before each token
@@ -73,11 +75,24 @@ def _pgm(data):
     return pixels.astype(float).reshape(height, width)
 
 
+def _pixels(array, name):
+    """array as an ndarray; a ValueError naming it unless it is a non-empty
+    2-D array of bools, integers or floats, worded as `_float_array` words
+    its refusals."""
+    try:
+        arr = np.asarray(array)
+    except ValueError as exc:  # a ragged row; numpy's message names no argument
+        raise ValueError(f"{name} must be real numbers: {exc}") from None
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty 2-D array")
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got {arr.dtype}")
+    return arr
+
+
 def write_pgm(path, image):
     """Write a (height, width) array of values in [0, 255] as binary PGM."""
-    arr = np.asarray(image)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("image must be a non-empty 2-D array")
+    arr = _pixels(image, "image")
     if not (arr.min() >= 0 and arr.max() <= 255):
         raise ValueError("pixel values must be finite and lie in [0, 255]")
     data = np.rint(arr).astype(np.uint8)
@@ -111,9 +126,9 @@ def _matrix(data):
 
 def write_matrix(path, array):
     """Write a 2-D array in the text matrix format (12 significant digits)."""
-    arr = np.asarray(array)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("array must be a non-empty 2-D array")
+    arr = _pixels(array, "array")
+    if arr.itemsize > 8:  # a long double, which "%.12g" formats as the float64 it rounds to
+        arr = arr.astype(float)
     # Each distinct value is formatted once, as np.savetxt(fmt="%.12g") would
     # format it, and the rows are joined through the inverse index. Values
     # are told apart by their bits, so -0.0 and 0.0 keep their own texts.

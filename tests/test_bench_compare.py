@@ -81,6 +81,38 @@ def test_bench_compare_reports_traced_runs_apart(tmp_path, capsys):
     assert lines[4].startswith("  setup_s (lower is better, bound 0.25): parent 0.1 [0.1, 0.1]")
 
 
+def test_bench_compare_prints_a_gain_verdict_per_metric(tmp_path, capsys):
+    # ten seed pairs. units_per_s: the change wins 9, loses seed 10, and its
+    # median 120 beats the parent's 101.5 by more than the parent's IQR 1.
+    # setup_s: the change wins 8 of 10, short of 9/10. peak_rss_mib: all ties.
+    parent = [_run(seed, 0.10, 100.0 + seed % 4) for seed in range(1, 11)]
+    change = [_run(seed, 0.09 if seed <= 8 else 0.11, 120.0 if seed < 10 else 90.0)
+              for seed in range(1, 11)]
+    code, lines = _lines(capsys, tmp_path, parent, change)
+    assert code == 0
+    at = lines.index("gain (won >= 9/10 of pairs, median gap > parent IQR):")
+    assert lines[at + 1:] == [
+        "  segment_256 setup_s: not shown: won 8 of 10 pairs, "
+        "median better by 0.01 against parent IQR 0",
+        "  segment_256 units_per_s: holds: won 9 of 10 pairs, "
+        "median better by 18.5 against parent IQR 1",
+        "  segment_256 peak_rss_mib: not shown: won 0 of 10 pairs, "
+        "median better by 0 against parent IQR 0",
+    ]
+
+
+def test_bench_compare_leaves_a_gain_unresolved_where_the_parent_spreads_beyond_the_bound(
+        tmp_path, capsys):
+    # the parent's units_per_s IQR is 62.5 about a median of 100, above the
+    # 0.25 bound: a 10-of-10 win tells nothing
+    parent = [_run(seed, 0.10, value) for seed, value in enumerate((50.0, 75.0, 125.0, 150.0), 1)]
+    change = [_run(seed, 0.10, 1000.0) for seed in range(1, 5)]
+    code, lines = _lines(capsys, tmp_path, parent, change)
+    assert code == 0
+    assert "  segment_256 units_per_s: unresolved: parent IQR is 62.5% of its median, " \
+           "above the bound 0.25" in lines
+
+
 def test_quartiles_interpolate_linearly():
     assert bench_compare.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 2.5, 3.25)
     assert bench_compare.quartiles([7.0]) == (7.0, 7.0, 7.0)

@@ -1,17 +1,27 @@
 import io
 import math
+import statistics
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from nakafit import (
     BenchConfig,
+    BenchRow,
+    BlockEstimatorState,
     EstimatorKind,
+    NakafitError,
+    NakagamiParams,
     OutOfRangeError,
     crlb,
     crlb_modified,
     emit_csv,
+    finalize,
+    ingest_block,
     montecarlo,
     run_bench,
+    sample,
 )
 
 SMALL = BenchConfig(
@@ -148,13 +158,97 @@ def test_estimators_see_identical_data():
     rows = run_bench(cfg)
     assert rows[0].mean_m_hat == pytest.approx(rows[1].mean_m_hat, rel=0.02)
 
+
+def run_bench_reference(cfg):
+    """`run_bench` by the stream rule, one `sample` call per trial: each
+    shape's trials draw their windows in turn from one generator seeded
+    from (base_seed, m-index), and a trial whose draw `sample` refuses is a
+    failure for every estimator."""
+    total_n = cfg.block_size * cfg.num_blocks
+    rows = []
+    for m_index, m_true in enumerate(cfg.m_grid):
+        params = NakagamiParams.from_omega(m_true, cfg.omega)
+        rng = np.random.default_rng([cfg.base_seed, m_index])
+        finals = {kind: [] for kind in cfg.estimators}
+        for _ in range(cfg.trials):
+            try:
+                window = sample(params, total_n, rng)
+            except OutOfRangeError:
+                continue
+            for kind in cfg.estimators:
+                state = BlockEstimatorState(kind)
+                try:
+                    for block in window.reshape(cfg.num_blocks, cfg.block_size):
+                        state = ingest_block(state, block)
+                    finals[kind].append(finalize(state).m_hat)
+                except NakafitError:
+                    pass
+        for kind in cfg.estimators:
+            values = finals[kind]
+            mean = statistics.fmean(values) if values else math.nan
+            variance = statistics.variance(values) if len(values) > 1 else 0.0
+            rows.append(BenchRow(m_true, kind, mean, variance, variance / (m_true * m_true),
+                                 cfg.trials - len(values), crlb(m_true, cfg.block_size),
+                                 crlb(m_true, total_n), crlb_modified(m_true, total_n)))
+    return tuple(rows)
+
+
+STREAM_CONFIGS = {
+    "small": SMALL,
+    "default_grid": BenchConfig(trials=60, base_seed=4),
+    # some variates underflow to 0: sampling failures amid usable trials
+    "tiny_m": BenchConfig(m_grid=(0.01, 0.5), block_size=10, num_blocks=3, trials=100,
+                          base_seed=2),
+    # some variates overflow to inf near the float limit of Omega
+    "huge_omega": BenchConfig(m_grid=(0.5, 2.0), omega=1e307, block_size=10, num_blocks=2,
+                              trials=50, base_seed=7),
+}
+
+
+def bits(run, cfg):
+    """The rows of run(cfg) with every float as its bits, so NaN equals NaN
+    and -0.0 is not 0.0."""
+    # near the float limit of Omega the estimators' sums overflow, and numpy
+    # warns of it; the rows hold what the overflow gives
+    with np.errstate(over="ignore"):
+        rows = run(cfg)
+    return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(row)) for row in rows]
+
+
+@pytest.mark.parametrize("cfg", STREAM_CONFIGS.values(), ids=STREAM_CONFIGS.keys())
+def test_run_bench_equals_one_sample_call_per_trial_on_one_stream_per_shape(cfg):
+    assert bits(run_bench, cfg) == bits(run_bench_reference, cfg)
+
+
+@pytest.mark.parametrize("name", ["tiny_m", "huge_omega"])
+def test_stream_configs_hold_sampling_failures(name):
+    # a trial whose window is not positive finite floats fails every
+    # estimator: at the first shape some trials do, not all
+    cfg = STREAM_CONFIGS[name]
+    with np.errstate(over="ignore"):
+        rows = run_bench(cfg)
+    assert 0 < min(row.failures for row in rows if row.m_true == cfg.m_grid[0]) < cfg.trials
+
+
+# at the default bound each config draws all its trials at once; 7 * 30
+# values hold 7 of tiny_m's 30-value windows (100 trials: the last draw
+# holds 2), 10 of huge_omega's 20-value ones and 1 of default_grid's 150
+@pytest.mark.parametrize("draw_values", [1, 7 * 30], ids=["one_trial", "seven_windows"])
+@pytest.mark.parametrize("name", ["default_grid", "tiny_m", "huge_omega"])
+def test_run_bench_rows_do_not_depend_on_the_trials_per_draw(monkeypatch, name, draw_values):
+    cfg = STREAM_CONFIGS[name]
+    want = bits(run_bench, cfg)
+    monkeypatch.setattr(montecarlo, "_DRAW_VALUES", draw_values)
+    assert bits(run_bench, cfg) == want
+
+
 def test_run_bench_refuses_a_bound_before_any_sampling(monkeypatch):
     # the bounds at m = 1e300 are not finite floats; with the bounds computed
     # after each shape's trials, m = 1 drew all its windows first
-    def sample(*args):
-        raise AssertionError("sample was called")
+    def draw(*args):
+        raise AssertionError("a window was drawn")
 
-    monkeypatch.setattr(montecarlo, "sample", sample)
+    monkeypatch.setattr(montecarlo, "_draw", draw)
     with pytest.raises(OutOfRangeError, match="at m=1e\\+300"):
         run_bench(BenchConfig(m_grid=(1.0, 1e300), trials=5))
 

@@ -157,15 +157,32 @@ def test_write_pgm_rejects_out_of_range(tmp_path):
     assert not (tmp_path / "x.pgm").exists()
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (3,), (2, 2, 2)],
-                         ids=["0x3", "3x0", "0x0", "1-D", "3-D"])
+_NOT_2D = "must be a non-empty 2-D array"
+
+
+@pytest.mark.parametrize(
+    "array, message",
+    [
+        *((np.ones(shape), _NOT_2D) for shape in [(0, 3), (3, 0), (0, 0), (3,), (2, 2, 2)]),
+        # neither format holds these values: a cast would drop an imaginary
+        # part or parse a string, and numpy cannot convert the int to a float
+        (np.array([[1 + 2j]]), "must be real numbers, got complex128"),
+        (np.array([["1", "2"]]), "must be real numbers, got <U1"),
+        ([[10**400, 1.0]], "must be real numbers, got object"),
+        ([[1.0, 2.0], [3.0]], "must be real numbers: setting an array element with a sequence. "
+                              "The requested array has an inhomogeneous shape after 1 dimensions. "
+                              "The detected shape was (2,) + inhomogeneous part."),
+    ],
+    ids=["0x3", "3x0", "0x0", "1-D", "3-D", "complex", "str", "int_beyond_float", "ragged"],
+)
 @pytest.mark.parametrize("write, name", [(pgm.write_pgm, "image"), (pgm.write_matrix, "array")],
                          ids=["write_pgm", "write_matrix"])
-def test_writers_refuse_an_array_that_is_empty_or_not_2d(tmp_path, write, name, shape):
-    # refused before the file is opened: neither format holds an image without pixels
+def test_writers_refuse_an_array_that_is_empty_not_2d_or_not_real(tmp_path, write, name, array,
+                                                                    message):
+    # refused by name before the file is opened
     path = tmp_path / "x"
-    with pytest.raises(ValueError, match=f"^{name} must be a non-empty 2-D array$"):
-        write(path, np.ones(shape))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}')}$"):
+        write(path, array)
     assert not path.exists()
 
 
@@ -296,8 +313,11 @@ SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e12, -1e12, 1e-300, 5e
         np.array([ROUND_OFF, SPECIALS[:10]]),
         np.random.default_rng(4).choice(ROUND_OFF + SPECIALS, (17, 19)),
         np.random.default_rng(5).normal(0.0, 1e6, (8, 8)),
+        np.random.default_rng(6).normal(0.0, 1e6, (3, 5)).astype(np.float32),
+        np.array([ROUND_OFF[:5], [1.0 / 3.0, -0.0, 1e-320, np.inf, 2.0**70]], dtype=np.longdouble),
     ],
-    ids=["labels_k2", "labels_k5", "int8_row", "int_column", "specials", "mixed", "normal"],
+    ids=["labels_k2", "labels_k5", "int8_row", "int_column", "specials", "mixed", "normal",
+         "float32", "longdouble"],
 )
 def test_write_matrix_matches_savetxt(tmp_path, arr):
     path = tmp_path / "m.txt"

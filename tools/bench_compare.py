@@ -15,7 +15,14 @@ file holds them; a run with no partner is listed as unpaired and counts
 only in the medians. Also prints each side's failed and attempted
 operations. Traced runs (`bench_record.py --trace 1`) carry per-layer
 metrics only: they are counted on a line of their own and left out of
-everything else. Exits 1 if any metric breaches its bound, else 0.
+everything else.
+
+Last comes the gain verdict of each compared metric. A gain holds where
+the change won at least 9 of every 10 seed pairs and its median is
+better than the parent's by more than the parent's interquartile
+distance. It is unresolved where that distance, relative to the parent's
+median, exceeds the metric's bound: the parent's runs spread too widely
+to tell. Exits 1 if any metric breaches its bound, else 0.
 """
 
 import argparse
@@ -69,10 +76,25 @@ def _worded(worse):
     return f"{abs(worse):.1%} {'worse' if worse > 0 else 'better'}"
 
 
+def gain_verdict(parent_quartiles, change_median, wins, pairs, better, bound):
+    """Whether the change shows a gain: "holds", "not shown" or
+    "unresolved", with the figures it rests on."""
+    p1, pm, p3 = parent_quartiles
+    iqr = p3 - p1
+    spread = iqr / abs(pm) if pm else (math.inf if iqr else 0.0)
+    if spread > bound:
+        return f"unresolved: parent IQR is {spread:.1%} of its median, above the bound {bound:g}"
+    gap = change_median - pm if better == "higher" else pm - change_median
+    holds = 10 * wins >= 9 * pairs > 0 and gap > iqr
+    return (f"{'holds' if holds else 'not shown'}: won {wins} of {pairs} pairs, "
+            f"median {'better' if gap >= 0 else 'worse'} by {abs(gap):.6g} against parent IQR {iqr:.6g}")
+
+
 def compare(spec, parent_runs, change_runs, out):
     """Print the comparison of the two run lists to `out`; returns the
     number of metrics whose change median breaches its bound."""
     breaches = 0
+    verdicts = []
     for workload in (w["name"] for w in spec["workloads"]):
         sides = _by_seed(parent_runs, workload), _by_seed(change_runs, workload)
         traced = [sum(run["workload"] == workload and bool(run.get("trace")) for run in runs)
@@ -109,6 +131,10 @@ def compare(spec, parent_runs, change_runs, out):
                   f"parent IQR {p3 - p1:.6g}; change won {wins} of {len(paired)} pairs "
                   f"({ties} ties); change median {_worded(worse)}; "
                   f"{'BREACH' if breach else 'within bound'}", file=out)
+            verdicts.append(f"  {workload} {name}: "
+                            f"{gain_verdict((p1, pm, p3), cm, wins, len(paired), better, bound)}")
+    if verdicts:
+        print("gain (won >= 9/10 of pairs, median gap > parent IQR):", *verdicts, sep="\n", file=out)
     return breaches
 
 
