@@ -6,13 +6,21 @@ into a running mean via
     running_i = (i-1)/i * running_{i-1} + (1/i) * estimate_i
 
 which equals the batch arithmetic mean of the per-block estimates. Only
-the incoming block is touched; history is never reprocessed.
+the incoming block is touched; history is never reprocessed. `_fold_table`
+runs the same fold over a whole table of per-block estimates at once.
 """
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DegenerateBlockError, NoBlocksError
 from .estimators import Estimate, EstimatorKind, estimate_block
+
+# The status of each block in a per-block table, one of `ingest_block`'s
+# outcomes: its estimate is folded, it is skipped as degenerate, or its
+# trial fails.
+_USED, _SKIPPED, _FAILED = range(3)
 
 
 class BlockEstimatorState(NamedTuple):
@@ -49,3 +57,20 @@ def finalize(state):
     if state.blocks_seen == 0:
         raise NoBlocksError("no usable blocks were ingested")
     return Estimate(state.running_m, state.running_sigma)
+
+
+def _fold_table(m_hat, status):
+    """`ingest_block` then `finalize` on every row of a per-block table at
+    once: each row's recursive mean of m_hat over its _USED blocks, folded
+    along the block axis with the same arithmetic, so the same bits, and
+    whether the row has a final estimate. A row has none where a block
+    failed, as `ingest_block` raises, or where no block was used, as
+    `finalize` raises NoBlocksError."""
+    running = np.zeros(len(m_hat))
+    seen = np.zeros(len(m_hat))
+    for x, s in zip(m_hat.T, status.T):
+        used = s == _USED
+        seen += used
+        i = seen[used]
+        running[used] = (i - 1.0) / i * running[used] + x[used] / i
+    return running, (seen > 0.0) & (status != _FAILED).all(axis=1)

@@ -192,28 +192,50 @@ def estimate_moment_based(block):
 
     The variance in the denominator is the plain n-divisor second moment
     spread, mean(x^4) - mean(x^2)^2. It counts as degenerate when it is at
-    or below DELTA_MIN relative to mean(x^2)^2.
+    or below DELTA_MIN relative to mean(x^2)^2. The one-block case of
+    `_moment_pass`.
     """
     b, _ = _positive_block(block)
     if b.size < 2:
         as_block(b)
         raise DegenerateBlockError("moment estimator needs at least 2 samples")
-    buf = np.empty((2, b.size))
-    x2 = np.multiply(b, b, out=buf[0])
-    np.multiply(x2, x2, out=buf[1])
-    sum_x2, sum_x4 = np.add.reduce(buf, axis=1).tolist()
-    mean_x2 = sum_x2 / b.size
-    square = mean_x2 * mean_x2
-    denom = sum_x4 / b.size - square
-    if not (square > 0.0 and math.isfinite(denom)):
+    mean_x2, var_x2, m, in_range, informative, _ = _moment_pass(b)
+    if not in_range:
         as_block(b)  # an inf entry is refused
         raise OutOfRangeError("block values outside the float range of the moment estimator")
-    if denom <= DELTA_MIN * square:
+    if not informative:
         raise DegenerateBlockError(
-            f"variance of x^2 ({denom!r}) too small for the moment estimator"
+            f"variance of x^2 ({float(var_x2)!r}) too small for the moment estimator"
         )
-    m = square / denom
-    return Estimate(m, _sigma_hat(mean_x2, m))
+    return Estimate(float(m), _sigma_hat(float(mean_x2), float(m)))
+
+
+def _moment_pass(blocks):
+    """The moment estimator on every block along the last axis of `blocks`,
+    positive floats, at least 2 a block: arrays of mean(x^2), var(x^2) and
+    m_hat, then its checks as masks, each of which counts only where the
+    ones before it hold: the sums are inside the float range, var(x^2) is
+    above DELTA_MIN * mean(x^2)^2 (else the block is degenerate), and
+    sigma_hat is a positive finite float. The last is every estimator's
+    rule; here it refuses no block that passes the first two, since m_hat
+    then lies between about 1/n and 1e12. numpy sums a contiguous last
+    axis as it sums a 1-D array, so each block's values have the same bits
+    in any shape."""
+    buf = np.empty((2, *blocks.shape))
+    x2 = np.multiply(blocks, blocks, out=buf[0])
+    np.multiply(x2, x2, out=buf[1])
+    sum_x2, sum_x4 = np.add.reduce(buf, axis=-1)
+    n = blocks.shape[-1]
+    # a block the masks refuse may give inf, NaN or a division by 0
+    with np.errstate(all="ignore"):
+        mean_x2 = sum_x2 / n
+        square = mean_x2 * mean_x2
+        var_x2 = sum_x4 / n - square
+        m_hat = square / var_x2
+        sigma = mean_x2 / m_hat
+    in_range = (square > 0.0) & (abs(var_x2) < math.inf)
+    sigma_ok = (0.0 < sigma) & (sigma < math.inf)
+    return mean_x2, var_x2, m_hat, in_range, var_x2 > DELTA_MIN * square, sigma_ok
 
 
 _DELTA_ESTIMATORS = {

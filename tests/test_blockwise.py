@@ -1,14 +1,20 @@
 import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nakafit import (
     BlockEstimatorState,
+    DegenerateBlockError,
     Estimate,
     EstimatorKind,
+    NakafitError,
     NakagamiParams,
     NoBlocksError,
+    OutOfRangeError,
     SufficientStats,
     compute_stats,
     estimate_block,
@@ -18,6 +24,8 @@ from nakafit import (
     ingest_block,
     sample,
 )
+from nakafit import blockwise
+from nakafit.blockwise import _FAILED, _SKIPPED, _USED
 
 
 def run_blocks(blocks, method=EstimatorKind.EXACT_ML):
@@ -157,3 +165,42 @@ def test_variance_shrinks_with_more_blocks():
             finals.append(finalize(run_blocks(list(blocks))).m_hat)
         var.append(statistics.variance(finals))
     assert var[1] < var[0]
+
+
+def _estimate_cell(kind, cell):
+    """`estimate_block` on a stand-in block, a table cell (m_hat, status)."""
+    m_hat, status = cell
+    if status == _SKIPPED:
+        raise DegenerateBlockError("skipped")
+    if status == _FAILED:
+        raise OutOfRangeError("failed")
+    return Estimate(m_hat, 1.0)
+
+
+def _tables(num_blocks):
+    cell = st.tuples(st.floats(min_value=5e-324, max_value=1e308),
+                     st.sampled_from([_USED, _USED, _SKIPPED, _FAILED]))
+    return st.lists(st.lists(cell, min_size=num_blocks, max_size=num_blocks), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(_tables))
+# a row of skips only, and a failure after a skip beside a row that keeps its estimate
+@example([[(2.0, _SKIPPED), (3.0, _SKIPPED)]])
+@example([[(2.0, _SKIPPED), (3.0, _FAILED), (5.0, _USED)], [(0.1, _USED), (7.0, _SKIPPED), (0.3, _USED)]])
+def test_fold_table_equals_ingest_block_and_finalize_bit_for_bit(table):
+    m_hat = np.array([[x for x, _ in row] for row in table])
+    status = np.array([[code for _, code in row] for row in table])
+    means, ok = blockwise._fold_table(m_hat, status)
+    got = [mean.hex() if has else None for mean, has in zip(means.tolist(), ok.tolist())]
+    want = []
+    with mock.patch.object(blockwise, "estimate_block", _estimate_cell):
+        for row in table:
+            state = BlockEstimatorState(EstimatorKind.EXACT_ML)
+            try:
+                for cell in row:
+                    state = ingest_block(state, cell)
+                want.append(finalize(state).m_hat.hex())
+            except NakafitError:  # a failed block, or NoBlocksError
+                want.append(None)
+    assert got == want

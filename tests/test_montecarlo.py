@@ -1,3 +1,4 @@
+import collections
 import io
 import math
 import statistics
@@ -159,11 +160,15 @@ def test_estimators_see_identical_data():
     assert rows[0].mean_m_hat == pytest.approx(rows[1].mean_m_hat, rel=0.02)
 
 
-def run_bench_reference(cfg):
+def run_bench_reference(cfg, causes=None):
     """`run_bench` by the stream rule, one `sample` call per trial: each
     shape's trials draw their windows in turn from one generator seeded
     from (base_seed, m-index), and a trial whose draw `sample` refuses is a
-    failure for every estimator."""
+    failure for every estimator. Each estimator folds each trial's blocks
+    with `ingest_block` and `finalize`. `causes`, a Counter where given,
+    counts by (m_true, estimator, cause) each trial's refusal, by its class
+    name, and each skipped block, as "skipped"."""
+    causes = collections.Counter() if causes is None else causes
     total_n = cfg.block_size * cfg.num_blocks
     rows = []
     for m_index, m_true in enumerate(cfg.m_grid):
@@ -181,8 +186,9 @@ def run_bench_reference(cfg):
                     for block in window.reshape(cfg.num_blocks, cfg.block_size):
                         state = ingest_block(state, block)
                     finals[kind].append(finalize(state).m_hat)
-                except NakafitError:
-                    pass
+                except NakafitError as exc:
+                    causes[m_true, kind, type(exc).__name__] += 1
+                causes[m_true, kind, "skipped"] += state.skipped
         for kind in cfg.estimators:
             values = finals[kind]
             mean = statistics.fmean(values) if values else math.nan
@@ -202,6 +208,18 @@ STREAM_CONFIGS = {
     # some variates overflow to inf near the float limit of Omega
     "huge_omega": BenchConfig(m_grid=(0.5, 2.0), omega=1e307, block_size=10, num_blocks=2,
                               trials=50, base_seed=7),
+    # two-sample blocks at m = 0.02 often hold a delta above greenwood_durand's 17
+    "gd_domain": BenchConfig(m_grid=(1e11, 0.02), block_size=2, num_blocks=3, trials=200,
+                             base_seed=1),
+    # delta at the DELTA_MIN floor: skipped blocks, and trials with every block skipped
+    "degenerate": BenchConfig(m_grid=(1e11, 1e12), block_size=2, num_blocks=3, trials=100,
+                              base_seed=3),
+    # x^4 overflows in some blocks only: the moment estimator refuses their sums
+    "moment_range": BenchConfig(m_grid=(0.5, 4.0), omega=4e153, block_size=4, num_blocks=3,
+                                trials=100, base_seed=9),
+    # blocks longer than numpy's 8,192-value buffer, three windows to a draw
+    "long_blocks": BenchConfig(m_grid=(1.0, 4.0), block_size=10_000, num_blocks=2, trials=5,
+                               base_seed=5),
 }
 
 
@@ -230,11 +248,61 @@ def test_stream_configs_hold_sampling_failures(name):
     assert 0 < min(row.failures for row in rows if row.m_true == cfg.m_grid[0]) < cfg.trials
 
 
-# at the default bound each config draws all its trials at once; 7 * 30
-# values hold 7 of tiny_m's 30-value windows (100 trials: the last draw
-# holds 2), 10 of huge_omega's 20-value ones and 1 of default_grid's 150
+def causes_of(cfg):
+    causes = collections.Counter()
+    with np.errstate(over="ignore"):
+        run_bench_reference(cfg, causes)
+    return causes
+
+
+def test_gd_domain_config_holds_greenwood_durand_domain_refusals():
+    # at m = 0.02 greenwood_durand refuses some trials and no other estimator
+    # refuses any: only its delta <= 17 domain rule is left to refuse them
+    cfg = STREAM_CONFIGS["gd_domain"]
+    causes = causes_of(cfg)
+    gd = EstimatorKind.GREENWOOD_DURAND
+    assert 0 < causes[0.02, gd, "OutOfRangeError"] < cfg.trials
+    assert all(count == 0 for (m, kind, cause), count in causes.items()
+               if m == 0.02 and (kind is not gd or cause != "OutOfRangeError"))
+
+
+def test_degenerate_config_holds_skipped_blocks_and_trials_with_no_usable_block():
+    # every estimator, at both shapes, skips more blocks than its trials
+    # with every block skipped hold: some trials keep an estimate past a skip
+    cfg = STREAM_CONFIGS["degenerate"]
+    causes = causes_of(cfg)
+    for m in cfg.m_grid:
+        for kind in cfg.estimators:
+            failed = causes[m, kind, "NoBlocksError"]
+            assert 0 < failed and cfg.num_blocks * failed < causes[m, kind, "skipped"], (m, kind)
+
+
+def test_moment_range_config_holds_moment_refusals_of_its_sums():
+    # at both shapes the moment estimator refuses some trials and no other
+    # estimator refuses any: x^4, which only it forms, leaves the float range
+    cfg = STREAM_CONFIGS["moment_range"]
+    causes = causes_of(cfg)
+    moment = EstimatorKind.MOMENT_BASED
+    for m in cfg.m_grid:
+        assert 0 < causes[m, moment, "OutOfRangeError"] < cfg.trials, m
+    assert all(count == 0 for (m, kind, cause), count in causes.items()
+               if kind is not moment or cause != "OutOfRangeError")
+
+
+def test_long_blocks_config_holds_blocks_beyond_numpys_buffer():
+    cfg = STREAM_CONFIGS["long_blocks"]
+    assert cfg.block_size > np.getbufsize()
+    assert montecarlo._DRAW_VALUES // (cfg.block_size * cfg.num_blocks) < cfg.trials
+
+
+# at the default bound each config but long_blocks draws all its trials at
+# once; 7 * 30 values hold 7 of tiny_m's 30-value windows (100 trials: the
+# last draw holds 2), 10 of huge_omega's 20-value ones, 35 of gd_domain's and
+# degenerate's 6-value ones, 17 of moment_range's 12-value ones and 1 of
+# default_grid's 150 or long_blocks' 20,000
 @pytest.mark.parametrize("draw_values", [1, 7 * 30], ids=["one_trial", "seven_windows"])
-@pytest.mark.parametrize("name", ["default_grid", "tiny_m", "huge_omega"])
+@pytest.mark.parametrize("name", ["default_grid", "tiny_m", "huge_omega", "gd_domain",
+                                  "degenerate", "moment_range", "long_blocks"])
 def test_run_bench_rows_do_not_depend_on_the_trials_per_draw(monkeypatch, name, draw_values):
     cfg = STREAM_CONFIGS[name]
     want = bits(run_bench, cfg)
