@@ -7,7 +7,8 @@ into a running mean via
 
 which equals the batch arithmetic mean of the per-block estimates. Only
 the incoming block is touched; history is never reprocessed. `_fold_table`
-runs the same fold over a whole table of per-block estimates at once.
+runs the same fold over a whole table of per-block estimates at once, each
+block's status one of `estimators`' _USED, _SKIPPED and _FAILED.
 """
 
 from typing import NamedTuple
@@ -15,12 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBlockError, NoBlocksError
-from .estimators import Estimate, EstimatorKind, estimate_block
-
-# The status of each block in a per-block table, one of `ingest_block`'s
-# outcomes: its estimate is folded, it is skipped as degenerate, or its
-# trial fails.
-_USED, _SKIPPED, _FAILED = range(3)
+from .estimators import _FAILED, _USED, Estimate, EstimatorKind, estimate_block
 
 
 class BlockEstimatorState(NamedTuple):

@@ -16,6 +16,11 @@ positive float range raises OutOfRangeError. So does a delta that is NaN
 or whose 12 * delta, which the second-order closed form forms, is not a
 finite float; a block of floats gives delta of at most about 1,454, so
 only a hand-built `SufficientStats` reaches that refusal.
+
+A block's outcome is one of the statuses _USED, _SKIPPED (degenerate) and
+_FAILED, defined here for the per-block tables that `montecarlo` fills and
+`blockwise._fold_table` folds. The moment estimator decides it in one
+array pass, `_moment_pass`; `estimate_moment_based` raises from its status.
 """
 
 import math
@@ -34,6 +39,11 @@ DELTA_MIN = 1e-12
 
 # Upper end of the Greenwood-Durand rational approximation's fitted range.
 GD_DELTA_MAX = 17.0
+
+# The outcome of an estimator on one block, as a per-block table holds it:
+# its estimate is used, it is skipped as degenerate (DegenerateBlockError),
+# or it fails (any other NakafitError).
+_USED, _SKIPPED, _FAILED = range(3)
 
 _ML_TOL = 1e-10
 _ML_BUDGET = 100
@@ -199,11 +209,11 @@ def estimate_moment_based(block):
     if b.size < 2:
         as_block(b)
         raise DegenerateBlockError("moment estimator needs at least 2 samples")
-    mean_x2, var_x2, m, in_range, informative, _ = _moment_pass(b)
-    if not in_range:
+    mean_x2, var_x2, m, status = _moment_pass(b)
+    if status == _FAILED:
         as_block(b)  # an inf entry is refused
         raise OutOfRangeError("block values outside the float range of the moment estimator")
-    if not informative:
+    if status == _SKIPPED:
         raise DegenerateBlockError(
             f"variance of x^2 ({float(var_x2)!r}) too small for the moment estimator"
         )
@@ -212,30 +222,31 @@ def estimate_moment_based(block):
 
 def _moment_pass(blocks):
     """The moment estimator on every block along the last axis of `blocks`,
-    positive floats, at least 2 a block: arrays of mean(x^2), var(x^2) and
-    m_hat, then its checks as masks, each of which counts only where the
-    ones before it hold: the sums are inside the float range, var(x^2) is
-    above DELTA_MIN * mean(x^2)^2 (else the block is degenerate), and
-    sigma_hat is a positive finite float. The last is every estimator's
-    rule; here it refuses no block that passes the first two, since m_hat
-    then lies between about 1/n and 1e12. numpy sums a contiguous last
-    axis as it sums a 1-D array, so each block's values have the same bits
-    in any shape."""
-    buf = np.empty((2, *blocks.shape))
-    x2 = np.multiply(blocks, blocks, out=buf[0])
-    np.multiply(x2, x2, out=buf[1])
-    sum_x2, sum_x4 = np.add.reduce(buf, axis=-1)
+    positive floats, at least 2 a block: arrays of mean(x^2), var(x^2),
+    m_hat and each block's status, its rules applied in their scalar order.
+    A block whose sums leave the float range is _FAILED, one whose var(x^2)
+    is at or below DELTA_MIN * mean(x^2)^2 is _SKIPPED as degenerate, and
+    every other is _USED. The sigma_hat rule of every estimator refuses no
+    _USED block: mean(x^2)^2 is positive and finite there, so 2.2e-162 <
+    mean(x^2) < 1.34e154, and 1/(n-1) <= m_hat < 1/DELTA_MIN = 1e12, as
+    nonnegative y have an n-divisor variance of at most (n-1) mean(y)^2; so
+    2e-174 < sigma_hat < (n-1) 1.34e154. numpy sums a contiguous last axis
+    as it sums a 1-D array, so each block's values have the same bits in
+    any shape."""
     n = blocks.shape[-1]
-    # a block the masks refuse may give inf, NaN or a division by 0
+    buf = np.empty((2, *blocks.shape))
+    # a block out of range or degenerate may give inf, NaN or a division by 0
     with np.errstate(all="ignore"):
+        x2 = np.multiply(blocks, blocks, out=buf[0])
+        np.multiply(x2, x2, out=buf[1])
+        sum_x2, sum_x4 = np.add.reduce(buf, axis=-1)
         mean_x2 = sum_x2 / n
         square = mean_x2 * mean_x2
         var_x2 = sum_x4 / n - square
         m_hat = square / var_x2
-        sigma = mean_x2 / m_hat
     in_range = (square > 0.0) & (abs(var_x2) < math.inf)
-    sigma_ok = (0.0 < sigma) & (sigma < math.inf)
-    return mean_x2, var_x2, m_hat, in_range, var_x2 > DELTA_MIN * square, sigma_ok
+    status = np.where(in_range, np.where(var_x2 > DELTA_MIN * square, _USED, _SKIPPED), _FAILED)
+    return mean_x2, var_x2, m_hat, status
 
 
 _DELTA_ESTIMATORS = {

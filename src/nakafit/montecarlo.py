@@ -11,10 +11,11 @@ so the results are bit-reproducible and the first k trials of a longer
 study are the k trials of a shorter one.
 
 Each draw gives every estimator a (rows, num_blocks) table of per-block
-m_hat and status (used, skipped as degenerate, or failed). A delta
-estimator fills its table with one `compute_stats` call per block, a row's
-calls stopping at its first failure; the moment estimator's table is one
-array pass over the draw. `blockwise._fold_table` folds every row of a
+m_hat and status (`estimators`' _USED, _SKIPPED as degenerate, or
+_FAILED). A delta estimator fills its table with one `compute_stats` call
+per block, a row's calls stopping at its first failure; the moment
+estimator's table is one array pass over the draw, `_moment_pass`, which
+decides each block's status. `blockwise._fold_table` folds every row of a
 table at once, with the bits of `ingest_block` and `finalize`.
 """
 
@@ -26,9 +27,10 @@ import numpy as np
 
 from . import bounds
 from ._format import _write_table
-from .blockwise import _FAILED, _SKIPPED, _USED, _fold_table
+from .blockwise import _fold_table
 from .errors import DegenerateBlockError, NakafitError, _integer, _positive
-from .estimators import _DELTA_ESTIMATORS, EstimatorKind, _moment_pass, compute_stats
+from .estimators import (_DELTA_ESTIMATORS, _FAILED, _SKIPPED, _USED, EstimatorKind, _moment_pass,
+                         compute_stats)
 from .nakagami import NakagamiParams, _draw
 
 ALL_ESTIMATORS = tuple(EstimatorKind)
@@ -164,9 +166,7 @@ def _block_tables(kinds, windows):
                     status[row, b] = _FAILED
                     break
     if EstimatorKind.MOMENT_BASED in tables:
-        _, _, m_hat, in_range, informative, sigma_ok = _moment_pass(windows)
-        status = np.where(informative, np.where(sigma_ok, _USED, _FAILED), _SKIPPED)
-        tables[EstimatorKind.MOMENT_BASED] = m_hat, np.where(in_range, status, _FAILED)
+        tables[EstimatorKind.MOMENT_BASED] = _moment_pass(windows)[2:]
     return tables
 
 

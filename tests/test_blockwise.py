@@ -25,7 +25,7 @@ from nakafit import (
     sample,
 )
 from nakafit import blockwise
-from nakafit.blockwise import _FAILED, _SKIPPED, _USED
+from nakafit.estimators import _FAILED, _SKIPPED, _USED
 
 
 def run_blocks(blocks, method=EstimatorKind.EXACT_ML):

@@ -200,5 +200,29 @@ def test_warning_lines_name_their_file_without_a_line_number(tmp_path, monkeypat
         return 1
 
     monkeypatch.chdir(tmp_path)
-    tool.run_case(warn, "case", [], src)
+    assert tool.run_case(warn, "case", [], src)
     assert (tmp_path / "case" / "stderr").read_text() == "nakafit/m.py: RuntimeWarning: overflow\n"
+    assert not tool.run_case(lambda argv: 0, "quiet", [], src)
+
+
+def test_a_case_that_warns_fails_the_run(tmp_path, monkeypatch, capsys):
+    # each run of a case whose stderr holds a warning line is named, and the tool exits 1
+    import nakafit.cli
+
+    tool = _tool("cli_outputs")
+
+    def main(argv):
+        if argv == ["warns"]:
+            sys.stderr.write(warnings.formatwarning("overflow", RuntimeWarning, "m.py", 75))
+        return 0
+
+    monkeypatch.setattr(nakafit.cli, "main", main)
+    monkeypatch.setattr(tool, "cases", lambda: [("warns", ["warns"]), ("quiet", ["quiet"])])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    assert tool.main(["--root", str(ROOT), str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "Python warning in stderr: warns/stderr",
+        "Python warning in stderr: warns/exact/stderr",
+    ]

@@ -26,7 +26,9 @@ from nakafit import (
     sample,
 )
 from nakafit import estimators
-from nakafit.estimators import DELTA_MIN, Estimate, SufficientStats, _sigma_hat
+from nakafit.estimators import (
+    _FAILED, _SKIPPED, _USED, DELTA_MIN, Estimate, SufficientStats, _sigma_hat,
+)
 from nakafit.specfun import digamma, trigamma
 
 EULER_GAMMA = 0.5772156649015329
@@ -415,3 +417,48 @@ def test_squares_that_underflow_raise_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(OutOfRangeError, match="square outside the float range"):
             compute_stats([1e-300, 2e-300, 3e-300])
+
+
+@pytest.mark.parametrize("block", [[1e200, 2e200, 3e200], [1e100, 2e100]])
+def test_moment_overflow_raises_without_a_warning(block):
+    # the first block's squares overflow, the second's x^4 only
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match="float range of the moment estimator"):
+            estimate_moment_based(block)
+        with pytest.raises(OutOfRangeError, match="float range of the moment estimator"):
+            estimate_block(EstimatorKind.MOMENT_BASED, block)
+
+
+# decade centers of the moment pass's rows: ordinary values; the edges where
+# x^4 (1e77) or mean(x^2)^2 (1e-81) leaves the float range; values whose
+# x^4 leaves it (1e+-150) and whose squares do (1e+-160)
+MOMENT_DECADES = (0.0, 77.0, -81.0, 150.0, -150.0, 160.0, -160.0)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    n=st.one_of(st.just(2), st.integers(2, 40)),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.lists(st.tuples(st.sampled_from(MOMENT_DECADES), st.floats(-3.0, 3.0),
+                            st.sampled_from((0.0, 1e-7, 1e-5, 0.5, 3.0))),
+                  min_size=1, max_size=8),
+)
+@example(n=2, seed=0, rows=[(0.0, 0.0, 0.5), (0.0, 0.0, 0.0), (160.0, 0.0, 0.0)])
+def test_moment_pass_decides_each_row_as_the_one_block_estimator(n, seed, rows):
+    # each row is log-uniform over its decade center +- its span: a span of 0
+    # gives a constant row. A _USED row has the one-block m_hat bits and a
+    # sigma_hat in range, which is why the pass needs no sigma_hat check
+    center, shift, span = (np.array(column)[:, None] for column in zip(*rows))
+    rng = np.random.default_rng(seed)
+    blocks = 10.0 ** rng.uniform(center + shift - span, center + shift + span, (len(rows), n))
+    mean_x2, _, m_hat, status = estimators._moment_pass(blocks)
+    for row, block in enumerate(blocks):
+        if status[row] == _USED:
+            est = estimate_moment_based(block)
+            assert repr(est.m_hat) == repr(float(m_hat[row])), row
+            assert est.sigma_hat == _sigma_hat(float(mean_x2[row]), est.m_hat), row
+        else:
+            with pytest.raises({_SKIPPED: DegenerateBlockError, _FAILED: OutOfRangeError}[status[row]]):
+                estimate_moment_based(block)
+        assert _outcome(estimate_moment_based, block) == _outcome(reference_moment_based, block), row

@@ -36,7 +36,10 @@ file and line (`decimal_floats`), if the stdout or a written CSV of an
 decimal float outside its float.hex tokens: a print that bypasses the
 formatter, or a CHECKOUT from before the exact trees were built this way.
 So exact trees compare only between two checkouts that both build them
-from the formatter.
+from the formatter. It also exits 1, naming each case's stderr, if the
+stderr of any case, in either run, holds a Python warning line: every
+refusal is one `error:` line, so a warning is a leak such as a numpy
+RuntimeWarning ahead of a refusal.
 
 Case names say what the exit code should be: `usage_*` exit 2, `*_fails`
 exit 1, every other case exits 0. A call that raises anything but SystemExit
@@ -472,7 +475,8 @@ _WARNING_LINE = re.compile(r"^(\S+\.py):\d+: (?=\w*Warning: )", re.MULTILINE)
 def run_case(main, name, argv, src):
     """Run one call; an uncaught exception is recorded as exit code `traceback`.
     A warning names its file relative to `src`, the directory nakafit is
-    imported from, without the line number: `FILE: Category: message`."""
+    imported from, without the line number: `FILE: Category: message`.
+    Returns whether the call's stderr held a Python warning line."""
     os.makedirs(name, exist_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
@@ -485,12 +489,13 @@ def run_case(main, name, argv, src):
         except Exception as exc:
             code = "traceback"
             stderr.write(traceback.format_exception_only(exc)[-1])
-    warned = _WARNING_LINE.sub(r"\1: ", stderr.getvalue().replace(src + os.sep, ""))
+    warned, warnings_found = _WARNING_LINE.subn(r"\1: ", stderr.getvalue().replace(src + os.sep, ""))
     for stream, text in (("stdout", stdout.getvalue()),
                          ("stderr", warned),
                          ("exit_code", f"{code}\n")):
         with open(os.path.join(name, stream), "w", encoding="utf-8") as fh:
             fh.write(text)
+    return warnings_found > 0
 
 
 def main(argv=None):
@@ -511,19 +516,20 @@ def main(argv=None):
     os.chdir(args.outdir)
     make_inputs()
     every = cases() + (random_cases(args.random, args.seed) if args.random else [])
-    for name, case_argv in every:
-        run_case(nakafit_main, name, case_argv, src)
+    warned = [name for name, case_argv in every if run_case(nakafit_main, name, case_argv, src)]
     decimal = _format._cell
     _format._cell = lambda v: v.hex() if isinstance(v, float) else decimal(v)
     try:
-        for name, case_argv in every:
-            run_case(nakafit_main, f"{name}/exact", case_argv, src)
+        warned += [f"{name}/exact" for name, case_argv in every
+                   if run_case(nakafit_main, f"{name}/exact", case_argv, src)]
     finally:
         _format._cell = decimal
     stale = decimal_floats(every)
     for line in stale:
         print(f"decimal float outside float.hex: {line}", file=sys.stderr)
-    return 1 if stale else 0
+    for name in warned:
+        print(f"Python warning in stderr: {name}/stderr", file=sys.stderr)
+    return 1 if stale or warned else 0
 
 
 if __name__ == "__main__":
