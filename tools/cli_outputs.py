@@ -226,6 +226,9 @@ def cases():
         ("bench_tiny_m", ["bench", "--m-grid", "0.01", "--trials", "100"]),
         # the sums of squares overflow: every estimator refuses every trial, with no warning
         ("bench_huge_omega", ["bench", "--omega", "1e307", "--m-grid", "0.5", "--trials", "5"]),
+        # mean(x^2)^2 underflows to 0: the moment estimator refuses every
+        # trial, the delta estimators none, with no warning
+        ("bench_tiny_omega", ["bench", "--m-grid", "1,4", "--omega", "1e-200", "--trials", "5"]),
         # the bound at m = 1e300 is not a finite float: no CSV is written
         ("bench_huge_m_fails",
          ["bench", "--m-grid", "1,1e300", "--trials", "5", "--out", "{out}/bench.csv"]),
