@@ -18,9 +18,11 @@ finite float; a block of floats gives delta of at most about 1,454, so
 only a hand-built `SufficientStats` reaches that refusal.
 
 A block's outcome is one of the statuses _USED, _SKIPPED (degenerate) and
-_FAILED, defined here for the per-block tables that `montecarlo` fills and
-`blockwise._fold_table` folds. The moment estimator decides it in one
-array pass, `_moment_pass`; `estimate_moment_based` raises from its status.
+_FAILED, decided here: `_block_tables` makes every estimator's per-block
+table of a Monte Carlo draw, which `blockwise._fold_table` folds. A delta
+estimator's status is the exception it raises, or none; the moment
+estimator decides it in one array pass, `_moment_pass`, and
+`estimate_moment_based` raises from its status.
 """
 
 import math
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBlockError, NoConvergenceError, OutOfRangeError
+from .errors import DegenerateBlockError, NakafitError, NoConvergenceError, OutOfRangeError
 from .nakagami import _positive_block, as_block
 from .specfun import digamma, trigamma
 
@@ -255,6 +257,35 @@ _DELTA_ESTIMATORS = {
     EstimatorKind.CHENG_BEAULIEU_2: estimate_cheng_beaulieu_2,
     EstimatorKind.GREENWOOD_DURAND: estimate_greenwood_durand,
 }
+
+
+def _block_tables(kinds, windows):
+    """{kind: (m_hat, status)}: each estimator's per-block table over the
+    (rows, num_blocks, block_size) windows of positive finite floats, in
+    `kinds` order. A delta estimator's table takes one `compute_stats` call
+    per block, row by row and each row's estimators in turn: a block that
+    raises DegenerateBlockError is _SKIPPED, and one that raises any other
+    NakafitError is _FAILED and stops its row's calls. The moment
+    estimator's table is one `_moment_pass`."""
+    shape = windows.shape[:2]
+    tables = {kind: _moment_pass(windows)[2:] if kind is EstimatorKind.MOMENT_BASED
+              else (np.zeros(shape), np.full(shape, _USED)) for kind in kinds}
+    delta = [(tables[kind], _DELTA_ESTIMATORS[kind]) for kind in kinds if kind in _DELTA_ESTIMATORS]
+    # every overflow in the delta estimators ends in their refusal, _FAILED here
+    with np.errstate(over="ignore"):
+        for row, window in enumerate(windows):
+            # the row views, made once for every estimator
+            blocks = tuple(window)
+            for (m_hat, status), estimator in delta:
+                for b, block in enumerate(blocks):
+                    try:
+                        m_hat[row, b] = estimator(compute_stats(block)).m_hat
+                    except DegenerateBlockError:
+                        status[row, b] = _SKIPPED
+                    except NakafitError:
+                        status[row, b] = _FAILED
+                        break
+    return tables
 
 
 def estimate_block(kind, block):

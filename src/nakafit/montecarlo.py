@@ -11,12 +11,11 @@ so the results are bit-reproducible and the first k trials of a longer
 study are the k trials of a shorter one.
 
 Each draw gives every estimator a (rows, num_blocks) table of per-block
-m_hat and status (`estimators`' _USED, _SKIPPED as degenerate, or
-_FAILED). A delta estimator fills its table with one `compute_stats` call
-per block, a row's calls stopping at its first failure; the moment
-estimator's table is one array pass over the draw, `_moment_pass`, which
-decides each block's status. `blockwise._fold_table` folds every row of a
-table at once, with the bits of `ingest_block` and `finalize`.
+m_hat and status (used, skipped as degenerate, or failed) from
+`estimators._block_tables`, which decides every block's outcome.
+`blockwise._fold_table` folds every row of a table at once, with the bits
+of `ingest_block` and `finalize`; this module only draws, folds and
+reports.
 """
 
 import math
@@ -28,9 +27,8 @@ import numpy as np
 from . import bounds
 from ._format import _write_table
 from .blockwise import _fold_table
-from .errors import DegenerateBlockError, NakafitError, _integer, _positive
-from .estimators import (_DELTA_ESTIMATORS, _FAILED, _SKIPPED, _USED, EstimatorKind, _moment_pass,
-                         compute_stats)
+from .errors import _integer, _positive
+from .estimators import EstimatorKind, _block_tables
 from .nakagami import NakagamiParams, _draw
 
 ALL_ESTIMATORS = tuple(EstimatorKind)
@@ -128,10 +126,7 @@ def run_bench(cfg):
             # a window with a value that is not a positive finite float has no
             # data: every estimator fails that trial
             usable = (0.0 < windows.min(axis=(1, 2))) & (windows.max(axis=(1, 2)) < math.inf)
-            # every overflow in the estimators ends in their refusal, a failure here
-            with np.errstate(over="ignore"):
-                tables = _block_tables(cfg.estimators, windows[usable])
-            for kind, table in tables.items():
+            for kind, table in _block_tables(cfg.estimators, windows[usable]).items():
                 means, ok = _fold_table(*table)
                 finals[kind].extend(means[ok].tolist())
         for kind in cfg.estimators:
@@ -142,32 +137,6 @@ def run_bench(cfg):
             rows.append(BenchRow(m_true, kind, mean, variance, variance / (m_true * m_true),
                                  cfg.trials - len(values), *bound_values))
     return tuple(rows)
-
-
-def _block_tables(kinds, windows):
-    """{kind: (m_hat, status)}: each estimator's per-block table over the
-    (rows, num_blocks, block_size) windows, in `kinds` order. A delta
-    estimator's table takes one `compute_stats` call per block, row by row
-    and each row's estimators in turn, and a row's calls stop at its first
-    failure; the moment estimator's is one `_moment_pass`."""
-    shape = windows.shape[:2]
-    tables = {kind: (np.zeros(shape), np.full(shape, _USED)) for kind in kinds}
-    delta = [(tables[kind], _DELTA_ESTIMATORS[kind]) for kind in kinds if kind in _DELTA_ESTIMATORS]
-    for row, window in enumerate(windows):
-        # the row views, made once for every estimator
-        blocks = tuple(window)
-        for (m_hat, status), estimator in delta:
-            for b, block in enumerate(blocks):
-                try:
-                    m_hat[row, b] = estimator(compute_stats(block)).m_hat
-                except DegenerateBlockError:
-                    status[row, b] = _SKIPPED
-                except NakafitError:
-                    status[row, b] = _FAILED
-                    break
-    if EstimatorKind.MOMENT_BASED in tables:
-        tables[EstimatorKind.MOMENT_BASED] = _moment_pass(windows)[2:]
-    return tables
 
 
 def emit_csv(rows, sink):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from nakafit import (
     DegenerateBlockError,
     EstimatorKind,
+    NakafitError,
     NakagamiParams,
     NoConvergenceError,
     OutOfRangeError,
@@ -462,3 +464,38 @@ def test_moment_pass_decides_each_row_as_the_one_block_estimator(n, seed, rows):
             with pytest.raises({_SKIPPED: DegenerateBlockError, _FAILED: OutOfRangeError}[status[row]]):
                 estimate_moment_based(block)
         assert _outcome(estimate_moment_based, block) == _outcome(reference_moment_based, block), row
+
+
+# 3-value blocks that hold every outcome: a constant block, which every
+# estimator skips; delta about 18.0, which only greenwood_durand refuses;
+# squares that overflow, which every estimator refuses; two ordinary blocks
+TABLE_BLOCKS = ([2.0, 2.0, 2.0], [1e-12, 1.0, 1.0], [1e200, 2e200, 3e200],
+                [0.5, 1.0, 2.0], [1.3, 0.2, 0.9])
+
+
+def test_block_tables_decide_each_block_as_estimate_block():
+    # every row of 3 blocks drawn from TABLE_BLOCKS, in every order; each cell
+    # up to its row's first _FAILED is the outcome of estimate_block
+    windows = np.array([[TABLE_BLOCKS[i] for i in row]
+                        for row in itertools.product(range(len(TABLE_BLOCKS)), repeat=3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = estimators._block_tables(tuple(EstimatorKind), windows)
+    assert list(tables) == list(EstimatorKind)
+    for kind, (m_hat, status) in tables.items():
+        assert m_hat.shape == status.shape == windows.shape[:2]
+        assert set(status.ravel().tolist()) == {_USED, _SKIPPED, _FAILED}, kind
+        for row, window in enumerate(windows):
+            for b, block in enumerate(window):
+                try:
+                    with np.errstate(over="ignore"):  # the overflow block warns outside the tables
+                        expected = _USED, repr(estimate_block(kind, block).m_hat)
+                except DegenerateBlockError:
+                    expected = _SKIPPED, None
+                except NakafitError:
+                    expected = _FAILED, None
+                used = status[row, b] == _USED
+                assert (status[row, b], repr(float(m_hat[row, b])) if used else None) == expected, \
+                    (kind, row, b)
+                if expected[0] == _FAILED:
+                    break
